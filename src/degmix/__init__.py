@@ -36,6 +36,7 @@ from .decomposition import (
     split_lift,
 )
 from .errors import (
+    CheegerViolation,
     DegmixError,
     Disconnected,
     DivisibilityError,

@@ -14,17 +14,17 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .decomposition import (
     SplittedBipartiteSequence,
     canonical_decompose,
     canonical_decompose_bipartite,
-    psi,
 )
 from .errors import NotGraphical
 from .graphs import Instance, bipartite_instance, directed_instance, simple_instance
+from .layout import Layout, factor_layout, nested_layout, split_layout
 from .sequences import (
     BipartiteDegreeSequence,
     DegreeSequence,
@@ -32,8 +32,6 @@ from .sequences import (
     ForbiddenSet,
     erdos_gallai,
     gale_ryser,
-    realize,
-    realize_bipartite,
     restricted_bipartite_graphical,
 )
 
@@ -160,166 +158,35 @@ class ProductChain:
 
 
 def product_step(chain: ProductChain) -> ProductChain:
-    i = chain.rng.randrange(len(chain.coordinates))
-    step(chain.coordinates[i])
+    if chain.coordinates:  # a graph without factors has nothing to step
+        step(chain.coordinates[chain.rng.randrange(len(chain.coordinates))])
     chain.step_count += 1
     return chain
 
 
 # ---------------------------------------------------------------------------
-# sampling plans: factorization + reassembly bookkeeping
+# sampling plans: the factor layout of the target sequence
 
 
-@dataclass
-class _Plan:
-    kind: str
-    instances: List[Instance]
-    assemble_meta: dict = field(default_factory=dict)
-
-    def start_masks(self) -> List[int]:
-        out = []
-        for inst in self.instances:
-            if inst.kind == "simple":
-                edges = realize(inst.degrees)
-            else:
-                edges = realize_bipartite(
-                    (inst.u_degrees, inst.w_degrees), inst.forbidden
-                )
-            out.append(inst.mask_of_edges(edges))
-        return out
-
-
-def _simple_plan(d: DegreeSequence, factorize: bool) -> _Plan:
-    if not erdos_gallai(d):
-        raise NotGraphical("sequence is not graphical: %r" % (d.degrees,))
-    if not factorize:
-        return _Plan("simple", [simple_instance(d.degrees)], {"single": True})
-    cd = canonical_decompose(d)
-    instances = []
-    blocks = []  # (u_slots, w_slots, middle_slots) per component, sorted order
-    lo, hi = 0, d.n
-    for comp in cd.components:
-        sb = psi(comp)
-        u, w = sb.canonical()
-        instances.append(bipartite_instance(u, w))
-        p, q = len(u), len(w)
-        blocks.append((list(range(lo, lo + p)), list(range(hi - q, hi)), (lo + p, hi - q)))
-        lo += p
-        hi -= q
-    tail_slots = list(range(lo, hi))
-    if cd.tail is not None and cd.tail.n:
-        instances.append(simple_instance(cd.tail.sorted_degrees))
-    meta = {
-        "blocks": blocks,
-        "tail_slots": tail_slots,
-        "order": d.order,
-        "has_tail": cd.tail is not None and cd.tail.n > 0,
-    }
-    return _Plan("simple", instances, meta)
-
-
-def _assemble_simple(plan: _Plan, masks: Sequence[int]) -> List[Tuple[int, int]]:
-    if plan.assemble_meta.get("single"):
-        inst = plan.instances[0]
-        return sorted(inst.edges_of_mask(masks[0]))
-    meta = plan.assemble_meta
-    order = meta["order"]
-    edges = set()
-
-    def add(a: int, b: int) -> None:
-        x, y = order[a], order[b]
-        edges.add((min(x, y), max(x, y)))
-
-    for k, (u_slots, w_slots, (mid_lo, mid_hi)) in enumerate(meta["blocks"]):
-        inst = plan.instances[k]
-        for a, b in inst.edges_of_mask(masks[k]):
-            add(u_slots[a], w_slots[b])
-        for i, a in enumerate(u_slots):  # forced: clique plus the full join right
-            for b in u_slots[i + 1:]:
-                add(a, b)
-            for b in range(mid_lo, mid_hi):
-                add(a, b)
-    if meta["has_tail"]:
-        inst = plan.instances[-1]
-        tail_slots = meta["tail_slots"]
-        for a, b in inst.edges_of_mask(masks[-1]):
-            add(tail_slots[a], tail_slots[b])
-    return sorted(edges)
-
-
-def _class_order(values: Sequence[int]) -> List[int]:
-    return [i for i, _ in sorted(enumerate(values), key=lambda t: (-t[1], t[0]))]
-
-
-def _bipartite_plan(
-    bd: BipartiteDegreeSequence, forbidden: Optional[ForbiddenSet], factorize: bool
-) -> _Plan:
-    if forbidden is not None and len(forbidden):
-        if not restricted_bipartite_graphical(bd, forbidden):
-            raise NotGraphical("no realization avoids the forbidden set")
-        inst = bipartite_instance(bd.u_degrees, bd.w_degrees, forbidden)
-        return _Plan("bipartite", [inst], {"single": True})
-    if not gale_ryser(bd):
-        raise NotGraphical("sequence is not graphical")
-    if not factorize:
-        return _Plan(
-            "bipartite",
-            [bipartite_instance(bd.u_degrees, bd.w_degrees)],
-            {"single": True},
-        )
-    sb = SplittedBipartiteSequence(bd.u_degrees, bd.w_degrees)
-    factors = canonical_decompose_bipartite(sb)
-    instances = []
-    blocks = []
-    u_lo, w_hi = 0, bd.nw
-    for f in factors:
-        u, w = f.canonical()
-        instances.append(bipartite_instance(u, w))
-        p, q = len(u), len(w)
-        blocks.append(
-            (list(range(u_lo, u_lo + p)), list(range(w_hi - q, w_hi)), w_hi - q)
-        )
-        u_lo += p
-        w_hi -= q
-    meta = {
-        "blocks": blocks,
-        "u_order": _class_order(bd.u_degrees),
-        "w_order": _class_order(bd.w_degrees),
-    }
-    return _Plan("bipartite", instances, meta)
-
-
-def _assemble_bipartite(plan: _Plan, masks: Sequence[int]) -> List[Tuple[int, int]]:
-    if plan.assemble_meta.get("single"):
-        inst = plan.instances[0]
-        return sorted(inst.edges_of_mask(masks[0]))
-    meta = plan.assemble_meta
-    u_order, w_order = meta["u_order"], meta["w_order"]
-    edges = set()
-    for k, (u_slots, w_slots, sec_above) in enumerate(meta["blocks"]):
-        inst = plan.instances[k]
-        for a, b in inst.edges_of_mask(masks[k]):
-            edges.add((u_order[u_slots[a]], w_order[w_slots[b]]))
-        for a in u_slots:  # forced join to every later factor's secondary class
-            for b in range(sec_above):
-                edges.add((u_order[a], w_order[b]))
-    return sorted(edges)
-
-
-def build_product_chain(plan: _Plan, seed: int, stream: int = 0) -> ProductChain:
+def build_product_chain(plan: Layout, seed: int, stream: int = 0) -> ProductChain:
     """Seed a product chain: child seed 0 drives coordinate selection, child
     seed i >= 1 drives coordinate i."""
     base = derive_seed(seed, stream)
-    masks = plan.start_masks()
     coords = [
         ChainState(inst, mask, random.Random(derive_seed(base, i + 1)))
-        for i, (inst, mask) in enumerate(zip(plan.instances, masks))
+        for i, (inst, mask) in enumerate(zip(plan.factors, plan.starts))
     ]
     return ProductChain(coords, random.Random(derive_seed(base, 0)))
 
 
-def _make_plan(d, forbidden: Optional[ForbiddenSet], factorize: str) -> _Plan:
-    do_factor = factorize != "off"
+def _unfactored(inst: Instance) -> Layout:
+    """One bipartite factor holding the whole graph, in the caller's order."""
+    return nested_layout([inst], None, range(inst.nu), range(inst.nw))
+
+
+def _make_plan(d, forbidden: Optional[ForbiddenSet], factorize: str) -> Layout:
+    # The canonical decompositions test graphicality themselves; only the
+    # paths that skip them test it here.
     if isinstance(d, DirectedDegreeSequence):
         bd, f = d.gale_representation()
         if not restricted_bipartite_graphical(bd, f):
@@ -327,23 +194,38 @@ def _make_plan(d, forbidden: Optional[ForbiddenSet], factorize: str) -> _Plan:
         # No factorization path for directed input: the composition theory
         # builds directed classes from given factors, it does not factor an
         # arbitrary forbidden-1-factor instance.
-        return _Plan("directed", [directed_instance(d)], {"single": True})
+        return _unfactored(directed_instance(d))
     if isinstance(d, BipartiteDegreeSequence):
-        return _bipartite_plan(d, forbidden, do_factor)
+        if forbidden is not None and len(forbidden):
+            if not restricted_bipartite_graphical(d, forbidden):
+                raise NotGraphical("no realization avoids the forbidden set")
+            return _unfactored(bipartite_instance(d.u_degrees, d.w_degrees, forbidden))
+        if factorize == "off":
+            if not gale_ryser(d):
+                raise NotGraphical("sequence is not graphical")
+            return _unfactored(bipartite_instance(d.u_degrees, d.w_degrees))
+        factors = canonical_decompose_bipartite(
+            SplittedBipartiteSequence(d.u_degrees, d.w_degrees)
+        )
+        u_order, w_order = DegreeSequence(d.u_degrees).order, DegreeSequence(d.w_degrees).order
+        return factor_layout(factors, u_order, w_order)
     if not isinstance(d, DegreeSequence):
         d = DegreeSequence(d)
     if forbidden is not None and len(forbidden):
         raise ValueError("forbidden sets apply to bipartite/directed sequences")
-    return _simple_plan(d, do_factor)
+    if factorize == "off":
+        if not erdos_gallai(d):
+            raise NotGraphical("sequence is not graphical: %r" % (d.degrees,))
+        return nested_layout([], simple_instance(d.degrees), range(d.n))
+    return split_layout(canonical_decompose(d), d.order)
 
 
-def _assemble(plan: _Plan, masks: Sequence[int]) -> List[Tuple[int, int]]:
-    if plan.kind == "simple":
-        return _assemble_simple(plan, masks)
-    return _assemble_bipartite(plan, masks)  # bipartite and directed alike
+def _assemble(plan: Layout, coords: Sequence[ChainState]) -> List[Tuple[int, int]]:
+    """The whole graph for the coordinates' current edges."""
+    return plan.edges([c.instance.chords[i] for i in c.edge_ids] for c in coords)
 
 
-def _sample_stream(plan: _Plan, seed: int, stream: int, quota: int, burn_in: int, thin: int):
+def _sample_stream(plan: Layout, seed: int, stream: int, quota: int, burn_in: int, thin: int):
     pc = build_product_chain(plan, seed, stream=stream)
     for _ in range(burn_in):
         product_step(pc)
@@ -351,7 +233,7 @@ def _sample_stream(plan: _Plan, seed: int, stream: int, quota: int, burn_in: int
     for _ in range(quota):
         for _ in range(thin):
             product_step(pc)
-        out.append(_assemble(plan, pc.masks()))
+        out.append(_assemble(plan, pc.coordinates))
     return out
 
 
@@ -385,8 +267,6 @@ def sample(
     if thin < 1:
         raise ValueError("thin must be >= 1")
     plan = _make_plan(d, forbidden, factorize)
-    if not plan.instances:  # empty vertex set
-        return [[] for _ in range(count)]
     n_chains = min(count, 8) if chains is None else max(1, min(chains, count))
     per = [count // n_chains] * n_chains
     for i in range(count % n_chains):
@@ -394,6 +274,8 @@ def sample(
     tasks = [(plan, seed, c, quota, burn_in, thin) for c, quota in enumerate(per)]
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
+
+        plan.starts  # realize once here, not again in every worker's copy
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_sample_stream_job, tasks))

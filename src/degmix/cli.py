@@ -2,7 +2,8 @@
 
 Subcommands: test, decompose, compose, sample, verify, dsm, count.
 Exit codes: 0 success, 1 domain-negative finding under --strict (not
-graphical, disconnected, product mismatch), 2 usage error.
+graphical, disconnected, product mismatch), 2 usage error (bad arguments,
+unreadable or malformed input files, an instance over the enumeration cap).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .decomposition import (
     psi_inverse,
     recompose,
 )
-from .errors import DegmixError, Disconnected, ProductMismatch
+from .errors import DegmixError, Disconnected, InconsistentMatrix, ProductMismatch, TooLarge
 from .sequences import (
     BipartiteDegreeSequence,
     DegreeSequence,
@@ -52,6 +53,50 @@ from .spectra import dsm_graphical, dsm_sample
 SCHEMA = "degmix/1"
 
 
+class UsageError(Exception):
+    """Bad command-line input; reported on one line with exit status 2."""
+
+
+def _load(loader, path: str):
+    """Read an input file; one that cannot be read or parsed is a usage error."""
+    try:
+        return loader(path)
+    except KeyError as exc:
+        raise UsageError("%s: missing field %s" % (path, exc)) from None
+    except (OSError, ValueError, TypeError, AttributeError, InconsistentMatrix) as exc:
+        raise UsageError("%s: %s" % (path, exc)) from None
+
+
+def _load_inputs(args):
+    """The --seq sequence and the --forbidden set, checked against each other."""
+    seq = _load(dio.load_sequence, args.seq)
+    if not args.forbidden:
+        return seq, None
+    forbidden = _load(dio.load_forbidden, args.forbidden)
+    if not isinstance(seq, BipartiteDegreeSequence):
+        raise UsageError("--forbidden applies to bipartite sequences only")
+    for u, w in sorted(forbidden.pairs):
+        if not (0 <= u < seq.nu and 0 <= w < seq.nw):
+            raise UsageError(
+                "%s: forbidden pair [%d, %d] is outside the %d x %d classes"
+                % (args.forbidden, u + 1, w + 1, seq.nu, seq.nw)
+            )
+    return seq, forbidden
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps({"schema": SCHEMA, **payload}, indent=2, default=str))
@@ -59,15 +104,8 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def _out_stream(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w")
-    return sys.stdout
-
-
 def cmd_test(args) -> int:
-    seq = dio.load_sequence(args.seq)
-    forbidden = dio.load_forbidden(args.forbidden) if args.forbidden else None
+    seq, forbidden = _load_inputs(args)
     if isinstance(seq, DegreeSequence):
         ok = erdos_gallai(seq)
     elif isinstance(seq, BipartiteDegreeSequence):
@@ -83,7 +121,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    seq = dio.load_sequence(args.seq)
+    seq = _load(dio.load_sequence, args.seq)
     if isinstance(seq, DirectedDegreeSequence):
         print("decompose: directed sequences are not factorized", file=sys.stderr)
         return 2
@@ -148,11 +186,11 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    seqs = [dio.load_sequence(p) for p in args.seqs]
+    seqs = [_load(dio.load_sequence, p) for p in args.seqs]
     if len(seqs) < 2:
         print("compose: need at least two sequence files", file=sys.stderr)
         return 2
-    forb = [dio.load_forbidden(p) for p in args.forbidden] if args.forbidden else None
+    forb = [_load(dio.load_forbidden, p) for p in args.forbidden] if args.forbidden else None
     if forb is not None and len(forb) != len(seqs):
         print("compose: one --forbidden per operand is required", file=sys.stderr)
         return 2
@@ -196,9 +234,26 @@ def cmd_compose(args) -> int:
     return 0
 
 
+def _write_draws(args, draws) -> None:
+    """One sorted edge list per draw, as 1-based edge lines or JSON lines."""
+    stream = open(args.out, "w") if args.out else sys.stdout
+    try:
+        if args.format == "jsonl":
+            for edges in draws:
+                stream.write(json.dumps({"edges": [list(e) for e in edges]}) + "\n")
+        else:
+            for k, edges in enumerate(draws):
+                if k:
+                    stream.write("\n")
+                for a, b in edges:
+                    stream.write("%d %d\n" % (a + 1, b + 1))
+    finally:
+        if stream is not sys.stdout:
+            stream.close()
+
+
 def cmd_sample(args) -> int:
-    seq = dio.load_sequence(args.seq)
-    forbidden = dio.load_forbidden(args.forbidden) if args.forbidden else None
+    seq, forbidden = _load_inputs(args)
     try:
         draws = sample(
             seq,
@@ -213,26 +268,12 @@ def cmd_sample(args) -> int:
     except DegmixError as exc:
         print("sample: %s" % exc, file=sys.stderr)
         return 1 if args.strict else 0
-    stream = _out_stream(args)
-    try:
-        if args.format == "jsonl":
-            for edges in draws:
-                stream.write(json.dumps({"edges": [list(e) for e in edges]}) + "\n")
-        else:
-            for k, edges in enumerate(draws):
-                if k:
-                    stream.write("\n")
-                for a, b in edges:
-                    stream.write("%d %d\n" % (a + 1, b + 1))
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    _write_draws(args, draws)
     return 0
 
 
 def cmd_verify(args) -> int:
-    seq = dio.load_sequence(args.seq)
-    forbidden = dio.load_forbidden(args.forbidden) if args.forbidden else None
+    seq, forbidden = _load_inputs(args)
     use_c6 = None if not args.c4_only else False
     try:
         if args.mode == "connectivity":
@@ -324,13 +365,15 @@ def cmd_verify(args) -> int:
             "PRODUCT MISMATCH: %s" % exc,
         )
         return 1 if args.strict else 0
+    except TooLarge as exc:
+        raise UsageError("%s; raise the cap with --max-chords" % exc) from None
     except DegmixError as exc:
         print("verify: %s" % exc, file=sys.stderr)
         return 1 if args.strict else 0
 
 
 def cmd_dsm(args) -> int:
-    matrix = dio.load_dsm(args.matrix)
+    matrix = _load(dio.load_dsm, args.matrix)
     if args.check:
         ok = dsm_graphical(matrix)
         _emit(args, {"graphical": ok}, "graphical" if ok else "not graphical")
@@ -338,22 +381,7 @@ def cmd_dsm(args) -> int:
     graphs = dsm_sample(
         matrix, burn_in=args.burn_in, thin=args.thin, count=args.count, seed=args.seed
     )
-    stream = _out_stream(args)
-    try:
-        if args.format == "jsonl":
-            for g in graphs:
-                stream.write(
-                    json.dumps({"edges": [list(e) for e in sorted(g.edges)]}) + "\n"
-                )
-        else:
-            for k, g in enumerate(graphs):
-                if k:
-                    stream.write("\n")
-                for a, b in sorted(g.edges):
-                    stream.write("%d %d\n" % (a + 1, b + 1))
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    _write_draws(args, [sorted(g.edges) for g in graphs])
     return 0
 
 
@@ -384,8 +412,13 @@ def cmd_count(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, without the usage text
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="degmix",
         description="Uniform sampling of graphs with prescribed degrees via "
         "decomposed swap Markov chains, with desk-scale verification.",
@@ -422,13 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample realizations via the product chain")
     p.add_argument("--seq", required=True)
     p.add_argument("--forbidden")
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--burn-in", type=int, default=1000, dest="burn_in")
-    p.add_argument("--thin", type=int, default=10)
+    p.add_argument("--count", type=_at_least(1), default=1)
+    p.add_argument("--burn-in", type=_at_least(0), default=1000, dest="burn_in")
+    p.add_argument("--thin", type=_at_least(1), default=10)
     p.add_argument("--factorize", choices=("auto", "off"), default="auto")
     p.add_argument("--format", choices=("edges", "jsonl"), default="edges")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="workers for the logical chains; output is identical for any value")
     common(p, seed=True)
     p.set_defaults(func=cmd_sample)
@@ -439,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("product", "spectral", "connectivity", "tv"),
                    default="spectral")
     p.add_argument("--max-chords", type=int, default=None, dest="max_chords")
-    p.add_argument("--steps", type=int, default=200, help="kernel power for --mode tv")
+    p.add_argument("--steps", type=_at_least(0), default=200,
+                   help="kernel power for --mode tv")
     p.add_argument("--c4-only", action="store_true", dest="c4_only",
                    help="disable C6 swaps (directed/restricted instances)")
     common(p, seed=True)
@@ -450,9 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--check", action="store_true", help="graphicality test")
     mode.add_argument("--sample", action="store_true", help="sample realizations")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--burn-in", type=int, default=1000, dest="burn_in")
-    p.add_argument("--thin", type=int, default=10)
+    p.add_argument("--count", type=_at_least(1), default=1)
+    p.add_argument("--burn-in", type=_at_least(0), default=1000, dest="burn_in")
+    p.add_argument("--thin", type=_at_least(1), default=10)
     p.add_argument("--format", choices=("edges", "jsonl"), default="edges")
     p.add_argument("--out")
     common(p, seed=True)
@@ -460,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="census counts")
     p.add_argument("--kind", choices=("ahr", "bipartite", "composed"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--block", type=int)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--block", type=_at_least(1))
     p.add_argument("--exhaustive", action="store_true",
                    help="cross-check census instead of the closed form (ahr)")
     p.add_argument("--csv", action="store_true")
@@ -475,6 +509,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print("degmix %s: error: %s" % (args.command, exc), file=sys.stderr)
+        return 2
     except DegmixError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1 if getattr(args, "strict", False) else 0

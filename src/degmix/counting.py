@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .errors import DivisibilityError, TooLarge
 from .sequences import gale_ryser
@@ -50,6 +50,15 @@ def _nonincreasing(n: int, cap: int) -> List[Tuple[int, ...]]:
     ]
 
 
+def _census(n: int, keep: Callable[[Tuple[int, ...], Tuple[int, ...]], bool]) -> int:
+    """Ordered pairs (a, b) of non-increasing n-vectors with entries <= n and
+    equal sums for which ``keep(a, b)`` holds."""
+    by_sum: Dict[int, List[Tuple[int, ...]]] = {}
+    for s in _nonincreasing(n, n):
+        by_sum.setdefault(sum(s), []).append(s)
+    return sum(1 for group in by_sum.values() for a in group for b in group if keep(a, b))
+
+
 def _almost_regular(seq: Tuple[int, ...]) -> bool:
     return not seq or max(seq) - min(seq) <= 1
 
@@ -60,15 +69,9 @@ def count_almost_half_regular_exhaustive(m: int) -> CountReport:
     almost regular."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    by_sum: Dict[int, List[Tuple[int, ...]]] = {}
-    for s in _nonincreasing(m, m):
-        by_sum.setdefault(sum(s), []).append(s)
-    total = 0
-    for group in by_sum.values():
-        for a in group:
-            for b in group:
-                if (_almost_regular(a) or _almost_regular(b)) and gale_ryser((a, b)):
-                    total += 1
+    total = _census(
+        m, lambda a, b: (_almost_regular(a) or _almost_regular(b)) and gale_ryser((a, b))
+    )
     return CountReport(m, total, "exhaustive")
 
 
@@ -80,16 +83,7 @@ def count_bipartite_graphical(n: int, max_n: int = DEFAULT_MAX_CENSUS) -> CountR
         raise ValueError("n must be >= 1")
     if n > max_n:
         raise TooLarge("census capped at n = %d" % max_n)
-    by_sum: Dict[int, List[Tuple[int, ...]]] = {}
-    for s in _nonincreasing(n, n):
-        by_sum.setdefault(sum(s), []).append(s)
-    total = 0
-    for group in by_sum.values():
-        for a in group:
-            for b in group:
-                if gale_ryser((a, b)):
-                    total += 1
-    return CountReport(n, total, "exhaustive")
+    return CountReport(n, _census(n, lambda a, b: gale_ryser((a, b))), "exhaustive")
 
 
 def count_composed_class(n: int, block: int, max_block: int = DEFAULT_MAX_CENSUS) -> CountReport:

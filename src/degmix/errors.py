@@ -33,6 +33,10 @@ class Disconnected(DegmixError):
     """The realization graph is not connected (the chain is reducible)."""
 
 
+class CheegerViolation(DegmixError):
+    """A spectral report's conductance and gap break the Cheeger inequalities."""
+
+
 class ProductMismatch(DegmixError):
     """Cartesian-product verification failed; ``witness`` holds a counterexample."""
 

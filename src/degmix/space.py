@@ -20,13 +20,15 @@ from .decomposition import (
     SplitSequence,
     SplittedBipartiteSequence,
     canonical_decompose,
+    canonical_decompose_bipartite,
     compose,
     compose_bipartite,
     compose_directed,
     psi,
 )
-from .errors import Disconnected, NotGraphical, ProductMismatch, TooLarge
+from .errors import CheegerViolation, Disconnected, NotGraphical, ProductMismatch, TooLarge
 from .graphs import Instance, bipartite_instance, simple_instance
+from .layout import factor_layout, nested_layout, split_layout
 from .sequences import (
     BipartiteDegreeSequence,
     DegreeSequence,
@@ -244,9 +246,9 @@ def _exact_conductance(p: np.ndarray) -> float:
     return best
 
 
-def _sweep_conductance(p: np.ndarray) -> float:
+def _sweep_conductance(p: np.ndarray, vecs: np.ndarray) -> float:
+    """Best sweep cut along the second eigenvector, column -2 of ``vecs``."""
     n = p.shape[0]
-    vals, vecs = np.linalg.eigh(p)
     order = np.argsort(vecs[:, -2])
     best = np.inf
     ind = np.zeros(n)
@@ -270,13 +272,19 @@ def spectral_report(rg: RealizationGraph) -> SpectralReport:
     if not rg.connected():
         raise Disconnected("realization graph has more than one component")
     p = rg.transition_matrix
-    vals = np.linalg.eigvalsh(p)
-    lam2 = float(min(max(vals[-2], -1.0), 1.0))
     exact = n <= 20
-    phi = _exact_conductance(p) if exact else _sweep_conductance(p)
+    if exact:
+        vals = np.linalg.eigvalsh(p)
+        phi = _exact_conductance(p)
+    else:
+        vals, vecs = np.linalg.eigh(p)
+        phi = _sweep_conductance(p, vecs)
+    lam2 = float(min(max(vals[-2], -1.0), 1.0))
     gap = 1.0 - lam2
-    assert phi * phi / 2.0 <= gap + 1e-9, "Cheeger lower bound violated"
-    assert gap <= 2.0 * phi + 1e-9, "Cheeger upper bound violated"
+    if not phi * phi / 2.0 <= gap + 1e-9:
+        raise CheegerViolation("Cheeger lower bound violated: phi=%r, gap=%r" % (phi, gap))
+    if not gap <= 2.0 * phi + 1e-9:
+        raise CheegerViolation("Cheeger upper bound violated: phi=%r, gap=%r" % (phi, gap))
     return SpectralReport(lam2, 1.0 / gap, phi, n, exact)
 
 
@@ -284,103 +292,17 @@ def spectral_report(rg: RealizationGraph) -> SpectralReport:
 # Cartesian-product verification
 
 
-@dataclass
-class _ProductLayout:
-    """How a composed instance projects onto its two factor instances."""
-
-    composed: Instance
-    factors: Tuple[Instance, Instance]
-    forced_mask: int
-    chord_map: Dict[int, Tuple[int, int]]  # composed chord bit -> (coord, factor bit)
-    blocks: Tuple[Tuple[int, ...], Tuple[int, ...]]  # vertex ids per coordinate
-
-
-def _vertex_ids_simple(n: int) -> List[int]:
-    return list(range(n))
-
-
-def _simple_layout(s: SplitSequence, g: DegreeSequence) -> _ProductLayout:
-    composed = compose(s, g).sorted_degrees
-    inst = simple_instance(composed)
-    p, q = s.nu, s.nw
-    n = len(composed)
-    u_slots = list(range(p))
-    w_slots = list(range(n - q, n))
-    mid = list(range(p, n - q))
-    sb = psi(s)
-    u_deg, w_deg = sb.canonical()
-    f1 = bipartite_instance(u_deg, w_deg)
-    f2 = simple_instance(g.sorted_degrees)
-    forced = 0
-    for i, a in enumerate(u_slots):
-        for b in u_slots[i + 1:]:
-            forced |= 1 << inst.chord_index[(a, b)]
-        for b in mid:
-            forced |= 1 << inst.chord_index[(min(a, b), max(a, b))]
-    chord_map = {}
-    for ai, a in enumerate(u_slots):
-        for bi, b in enumerate(w_slots):
-            chord_map[inst.chord_index[(min(a, b), max(a, b))]] = (
-                0,
-                f1.chord_index[(ai, bi)],
-            )
-    for ai in range(len(mid)):
-        for bi in range(ai + 1, len(mid)):
-            chord_map[inst.chord_index[(mid[ai], mid[bi])]] = (
-                1,
-                f2.chord_index[(ai, bi)],
-            )
-    blocks = (tuple(u_slots + w_slots), tuple(mid))
-    return _ProductLayout(inst, (f1, f2), forced, chord_map, blocks)
-
-
-def _bipartite_layout(
-    a: SplittedBipartiteSequence,
-    b: SplittedBipartiteSequence,
-    fa: Optional[ForbiddenSet] = None,
-    fb: Optional[ForbiddenSet] = None,
-) -> _ProductLayout:
-    directed = fa is not None or fb is not None
-    fa = fa if fa is not None else ForbiddenSet()
-    fb = fb if fb is not None else ForbiddenSet()
-    if directed:
-        composed, merged = compose_directed(a, fa, b, fb)
-    else:
-        composed = compose_bipartite(a, b)
-        merged = ForbiddenSet()
-    # Keep operand vertex order (no sorting) so forbidden sets line up.
-    cu = composed.primary_degrees
-    cw = composed.secondary_degrees
-    inst = bipartite_instance(cu, cw, merged, use_c6=directed or None)
-    f1 = bipartite_instance(a.primary_degrees, a.secondary_degrees, fa, directed or None)
-    f2 = bipartite_instance(b.primary_degrees, b.secondary_degrees, fb, directed or None)
-    forced = 0
-    for i in range(a.nu):
-        for j in range(b.nw):
-            forced |= 1 << inst.chord_index[(i, a.nw + j)]
-    chord_map = {}
-    for (i, j), bit in inst.chord_index.items():
-        if i < a.nu and j < a.nw:
-            chord_map[bit] = (0, f1.chord_index[(i, j)])
-        elif i >= a.nu and j >= a.nw:
-            chord_map[bit] = (1, f2.chord_index[(i - a.nu, j - a.nw)])
-    blocks = (
-        tuple(("u", i) for i in range(a.nu)) + tuple(("w", j) for j in range(a.nw)),
-        tuple(("u", a.nu + i) for i in range(b.nu))
-        + tuple(("w", a.nw + j) for j in range(b.nw)),
-    )
-    return _ProductLayout(inst, (f1, f2), forced, chord_map, blocks)
-
-
-def _project(layout: _ProductLayout, mask: int) -> Optional[Tuple[int, int]]:
-    if mask & layout.forced_mask != layout.forced_mask:
+def _project(
+    forced: int, chord_map: Dict[int, Tuple[int, int]], mask: int
+) -> Optional[Tuple[int, int]]:
+    if mask & forced != forced:
         return None
     parts = [0, 0]
-    rest = mask & ~layout.forced_mask
+    rest = mask & ~forced
     bit = 0
     while rest:
         if rest & 1:
-            got = layout.chord_map.get(bit)
+            got = chord_map.get(bit)
             if got is None:
                 return None
             coord, fbit = got
@@ -410,13 +332,40 @@ def verify_cartesian_product(
     """
     if isinstance(factor1, SplitSequence):
         g = factor2 if isinstance(factor2, DegreeSequence) else DegreeSequence(factor2)
-        layout = _simple_layout(factor1, g)
+        composed = simple_instance(compose(factor1, g).sorted_degrees)
+        layout = nested_layout(
+            [bipartite_instance(*psi(factor1).canonical())],
+            simple_instance(g.sorted_degrees),
+            range(composed.n),
+        )
     else:
-        layout = _bipartite_layout(factor1, factor2, forbidden1, forbidden2)
+        a, b = factor1, factor2
+        directed = forbidden1 is not None or forbidden2 is not None
+        fa = forbidden1 if forbidden1 is not None else ForbiddenSet()
+        fb = forbidden2 if forbidden2 is not None else ForbiddenSet()
+        if directed:
+            cs, merged = compose_directed(a, fa, b, fb)
+        else:
+            cs, merged = compose_bipartite(a, b), ForbiddenSet()
+        c6 = directed or None
+        # Keep operand vertex order (no sorting) so forbidden sets line up:
+        # the first factor's secondaries come first, not last as in slots.
+        composed = bipartite_instance(cs.primary_degrees, cs.secondary_degrees, merged, c6)
+        layout = nested_layout(
+            [
+                bipartite_instance(a.primary_degrees, a.secondary_degrees, fa, c6),
+                bipartite_instance(b.primary_degrees, b.secondary_degrees, fb, c6),
+            ],
+            None,
+            range(composed.nu),
+            [*range(a.nw, composed.nw), *range(a.nw)],
+        )
+    factors = layout.factors
+    forced, chord_map = layout.projection(composed)
 
-    composed_masks = _enumerate_masks(layout.composed, max_chords)
-    s1 = _enumerate_masks(layout.factors[0], max_chords)
-    s2 = _enumerate_masks(layout.factors[1], max_chords)
+    composed_masks = _enumerate_masks(composed, max_chords)
+    s1 = _enumerate_masks(factors[0], max_chords)
+    s2 = _enumerate_masks(factors[1], max_chords)
     if len(composed_masks) != len(s1) * len(s2):
         raise ProductMismatch(
             "realization counts do not multiply: %d != %d * %d"
@@ -426,7 +375,7 @@ def verify_cartesian_product(
     s1_set, s2_set = set(s1), set(s2)
     seen = {}
     for mask in composed_masks:
-        pair = _project(layout, mask)
+        pair = _project(forced, chord_map, mask)
         if pair is None:
             raise ProductMismatch(
                 "realization does not restrict to the factors",
@@ -446,15 +395,15 @@ def verify_cartesian_product(
     ratio: Dict[Tuple[int, str], float] = {}
     edge_count = 0
     factor_edges = [set(), set()]
-    for coord, space_masks, inst in ((0, s1, layout.factors[0]), (1, s2, layout.factors[1])):
+    for coord, space_masks, inst in ((0, s1, factors[0]), (1, s2, factors[1])):
         for m in space_masks:
             for nxt in inst.neighbors(m):
                 factor_edges[coord].add((min(m, nxt), max(m, nxt)))
     for mask in composed_masks:
-        x = _project(layout, mask)
-        for nxt, w in layout.composed.weighted_neighbors(mask):
+        x = _project(forced, chord_map, mask)
+        for nxt, w in composed.weighted_neighbors(mask):
             edge_count += 1
-            y = _project(layout, nxt)
+            y = _project(forced, chord_map, nxt)
             if y is None:
                 raise ProductMismatch(
                     "move leaves the product structure", witness={"from": mask, "to": nxt}
@@ -471,7 +420,7 @@ def verify_cartesian_product(
                     "move is not a factor move", witness={"coord": c, "pair": pair}
                 )
             if check_weights:
-                fw = dict(layout.factors[c].weighted_neighbors(x[c])).get(y[c])
+                fw = dict(factors[c].weighted_neighbors(x[c])).get(y[c])
                 if not fw:
                     raise ProductMismatch(
                         "factor kernel has no weight for the move",
@@ -510,54 +459,22 @@ def swap_locality_report(d, max_chords: Optional[int] = None) -> dict:
     """Exhaustively verify that every swap of every realization of ``d``
     touches vertices of exactly one canonical component (tail included)."""
     if isinstance(d, SplittedBipartiteSequence):
-        from .decomposition import canonical_decompose_bipartite
-
         factors = canonical_decompose_bipartite(d)
         u, w = d.canonical()
         inst = bipartite_instance(u, w)
-        blocks = []
-        u_lo, w_hi = 0, len(w)
-        for f in factors:
-            blocks.append(
-                tuple(("u", i) for i in range(u_lo, u_lo + f.nu))
-                + tuple(("w", j) for j in range(w_hi - f.nw, w_hi))
-            )
-            u_lo += f.nu
-            w_hi -= f.nw
-
-        def vertices_of(edge):
-            return (("u", edge[0]), ("w", edge[1]))
-
+        layout = factor_layout(factors, range(len(u)), range(len(w)))
     else:
         d = d if isinstance(d, DegreeSequence) else DegreeSequence(d)
-        cd = canonical_decompose(d)
+        layout = split_layout(canonical_decompose(d), range(d.n))
         inst = simple_instance(d.sorted_degrees)
-        blocks = []
-        lo, hi = 0, d.n
-        for comp in cd.components:
-            blocks.append(
-                tuple(range(lo, lo + comp.nu)) + tuple(range(hi - comp.nw, hi))
-            )
-            lo += comp.nu
-            hi -= comp.nw
-        if hi > lo:
-            blocks.append(tuple(range(lo, hi)))
-
-        def vertices_of(edge):
-            return edge
 
     masks = _enumerate_masks(inst, max_chords)
-    block_of = {}
-    for bi, block in enumerate(blocks):
-        for v in block:
-            block_of[v] = bi
+    u_own, w_own = layout.owners()
     checked = 0
     for mask in masks:
         for move in inst.moves(mask):
-            touched = set()
-            for e in move.removed + move.added:
-                touched.update(vertices_of(e))
-            owners = {block_of[v] for v in touched}
+            edges = move.removed + move.added
+            owners = {u_own[a] for a, _ in edges} | {w_own[b] for _, b in edges}
             if len(owners) != 1:
                 raise ProductMismatch(
                     "swap crosses component boundaries",
@@ -565,7 +482,7 @@ def swap_locality_report(d, max_chords: Optional[int] = None) -> dict:
                 )
             checked += 1
     return {"ok": True, "realizations": len(masks), "swaps_checked": checked,
-            "components": len(blocks)}
+            "components": len(layout.factors)}
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,14 @@ product chain over the components samples realizations of a fixed matrix.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from .chain import ChainState, derive_seed, product_step, ProductChain
+from .chain import ProductChain, _assemble, _sample_stream, build_product_chain, product_step
 from .errors import InconsistentMatrix, NotGraphical
-from .graphs import Instance, LabeledGraph, bipartite_instance, simple_instance
-from .sequences import (
-    erdos_gallai,
-    gale_ryser,
-    realize,
-    realize_bipartite,
-)
+from .graphs import LabeledGraph, bipartite_instance, simple_instance
+from .layout import Layout
+from .sequences import erdos_gallai, gale_ryser
 
 __all__ = [
     "DegreeSpectraMatrix",
@@ -163,23 +158,26 @@ def dsm_graphical(m: DegreeSpectraMatrix) -> bool:
     return all(c.is_graphical() for c in comps)
 
 
-def _component_edges(c: ComponentSequence) -> List[Tuple[int, int]]:
-    if c.is_simple:
-        local = realize(c.u_degrees)
-        return [(c.u_vertices[a], c.u_vertices[b]) for a, b in local]
-    local = realize_bipartite((c.u_degrees, c.w_degrees))
-    return [(c.u_vertices[a], c.w_vertices[b]) for a, b in local]
+def _dsm_plan(m: DegreeSpectraMatrix) -> Layout:
+    """The class-pair components as factors of one graph; spectra-preserving
+    swaps force no edges between them."""
+    if not dsm_graphical(m):
+        raise NotGraphical("degree spectra matrix is not graphical")
+    comps = component_sequences(m)
+    factors = [
+        simple_instance(c.u_degrees)
+        if c.is_simple
+        else bipartite_instance(c.u_degrees, c.w_degrees)
+        for c in comps
+    ]
+    return Layout(factors, [c.u_vertices for c in comps], [c.w_vertices for c in comps])
 
 
 def dsm_witness(m: DegreeSpectraMatrix) -> LabeledGraph:
-    """A realization of the matrix: components realized independently and
-    unioned (they are edge-disjoint by construction)."""
-    if not dsm_graphical(m):
-        raise NotGraphical("degree spectra matrix is not graphical")
-    edges: List[Tuple[int, int]] = []
-    for c in component_sequences(m):
-        edges.extend(_component_edges(c))
-    return LabeledGraph(m.n, edges)
+    """A realization of the matrix: the start state of its product chain,
+    each component realized independently (they are edge-disjoint)."""
+    plan = _dsm_plan(m)
+    return LabeledGraph(m.n, _assemble(plan, build_product_chain(plan, seed=0).coordinates))
 
 
 def joint_degree_view(m: DegreeSpectraMatrix) -> Dict[Tuple[int, int], int]:
@@ -201,42 +199,18 @@ def joint_degree_view(m: DegreeSpectraMatrix) -> Dict[Tuple[int, int], int]:
 @dataclass
 class DsmChain:
     matrix: DegreeSpectraMatrix
-    components: List[ComponentSequence]
+    plan: Layout
     product: ProductChain
 
     def current_graph(self) -> LabeledGraph:
-        edges: List[Tuple[int, int]] = []
-        for c, state in zip(self.components, self.product.coordinates):
-            inst = state.instance
-            for a, b in inst.edges_of_mask(state.mask):
-                if c.is_simple:
-                    edges.append((c.u_vertices[a], c.u_vertices[b]))
-                else:
-                    edges.append((c.u_vertices[a], c.w_vertices[b]))
-        return LabeledGraph(self.matrix.n, edges)
+        return LabeledGraph(self.matrix.n, _assemble(self.plan, self.product.coordinates))
 
 
 def build_dsm_chain(m: DegreeSpectraMatrix, seed: int) -> DsmChain:
-    """Product chain over the component realization spaces; per-component
-    seeds derive from the master seed by counter."""
-    if not dsm_graphical(m):
-        raise NotGraphical("degree spectra matrix is not graphical")
-    comps = component_sequences(m)
-    coords = []
-    for k, c in enumerate(comps):
-        inst: Instance
-        if c.is_simple:
-            inst = simple_instance(c.u_degrees)
-            start = inst.mask_of_edges(realize(c.u_degrees))
-        else:
-            inst = bipartite_instance(c.u_degrees, c.w_degrees)
-            start = inst.mask_of_edges(realize_bipartite((c.u_degrees, c.w_degrees)))
-        coords.append(ChainState(inst, start, random.Random(derive_seed(seed, k + 1))))
-    if not coords:  # empty graph: a frozen single-state chain
-        inst = simple_instance(())
-        coords = [ChainState(inst, 0, random.Random(derive_seed(seed, 1)))]
-        comps = []
-    return DsmChain(m, comps, ProductChain(coords, random.Random(derive_seed(seed, 0))))
+    """Product chain over the component realization spaces, seeded like one
+    logical chain of ``sample``."""
+    plan = _dsm_plan(m)
+    return DsmChain(m, plan, build_product_chain(plan, seed))
 
 
 def dsm_chain_step(chain: DsmChain) -> DsmChain:
@@ -248,13 +222,7 @@ def dsm_chain_step(chain: DsmChain) -> DsmChain:
 def dsm_sample(
     m: DegreeSpectraMatrix, burn_in: int, thin: int, count: int, seed: int
 ) -> List[LabeledGraph]:
-    """Realizations whose recomputed spectra matrix equals ``m`` exactly."""
-    chain = build_dsm_chain(m, seed)
-    for _ in range(burn_in):
-        dsm_chain_step(chain)
-    out = []
-    for _ in range(count):
-        for _ in range(max(1, thin)):
-            dsm_chain_step(chain)
-        out.append(chain.current_graph())
-    return out
+    """Realizations whose recomputed spectra matrix equals ``m`` exactly,
+    drawn from one logical chain."""
+    draws = _sample_stream(_dsm_plan(m), seed, 0, count, burn_in, max(1, thin))
+    return [LabeledGraph(m.n, edges) for edges in draws]

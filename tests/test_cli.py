@@ -39,10 +39,37 @@ def test_exit_codes(files, capsys):
     assert "graphical" in capsys.readouterr().out
 
 
-def test_usage_error_exits_2(files):
-    with pytest.raises(SystemExit) as exc:
-        main(["test"])  # missing --seq
-    assert exc.value.code == 2
+@pytest.mark.parametrize("argv, payload", [
+    pytest.param(["test"], None, id="missing-seq"),
+    pytest.param(["test", "--seq", "{file}"], {"kind": "weird", "degrees": [1, 1]},
+                 id="unknown-kind"),
+    pytest.param(["test", "--seq", "{file}"], {"kind": "simple", "degrees": [1, -1]},
+                 id="negative-degree"),
+    pytest.param(["sample", "--seq", "{file}"], '{"kind": "simple", "degrees": [1, 1',
+                 id="malformed-json"),
+    pytest.param(["sample", "--seq", "{block}", "--forbidden", "{file}"], [[1, 1], [3, 2]],
+                 id="forbidden-out-of-range"),
+    pytest.param(["sample", "--seq", "{matching}", "--thin", "0"], None, id="thin-zero"),
+    pytest.param(["sample", "--seq", "{matching}", "--count", "-3"], None,
+                 id="negative-count"),
+    pytest.param(["dsm", "--sample", "--matrix", "{file}"],
+                 {"delta": 2, "columns": [[1, 0], [1]]}, id="dsm-column-length"),
+    pytest.param(["verify", "--seq", "{rhs}", "--mode", "product"], None,
+                 id="verify-over-chord-cap"),
+])
+def test_usage_error_exits_2(files, tmp_path, capsys, argv, payload):
+    path = tmp_path / "input.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    argv = [a.format(file=path, **files) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "error:" in err
+    if argv[0] == "verify":
+        assert "--max-chords" in err
 
 
 def test_test_json_output(files, capsys):

@@ -6,7 +6,7 @@ covers every sampling path: a simple sequence with two split components
 plus a tail, a composed bipartite sequence, a restricted bipartite sequence
 with a forbidden set, and a directed sequence, factorized and not, on one
 worker and on three.  ``count`` is 10, so the draws come from eight logical
-chains of unequal length.
+chains of unequal length.  Spectra-matrix draws come from one logical chain.
 """
 
 import hashlib
@@ -19,6 +19,9 @@ from degmix import (
     DegreeSequence,
     DirectedDegreeSequence,
     ForbiddenSet,
+    LabeledGraph,
+    degree_spectra,
+    dsm_sample,
     sample,
 )
 
@@ -63,3 +66,13 @@ def test_sample_draws_match_golden(case, jobs):
                    factorize=factorize, forbidden=forbidden, jobs=jobs)
     assert len(draws) == 10
     assert _digest(draws) == GOLDEN[case]
+
+
+def test_dsm_draws_match_golden():
+    g = LabeledGraph(9, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3),
+                         (6, 7), (7, 8), (1, 8), (0, 5)])
+    m = degree_spectra(g)  # three class-pair components
+    draws = dsm_sample(m, burn_in=200, thin=7, count=10, seed=2016)
+    assert all(degree_spectra(d) == m for d in draws)
+    digest = _digest([sorted(d.edges) for d in draws])
+    assert digest == "db132278ae2099e31e65a77f65f9274adaf2574c3f0729f64cfb1e342a5c7b46"

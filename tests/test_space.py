@@ -6,8 +6,10 @@ import random
 import numpy as np
 import pytest
 
+import degmix.space
 from degmix import (
     BipartiteDegreeSequence,
+    CheegerViolation,
     DegreeSequence,
     DirectedDegreeSequence,
     Disconnected,
@@ -111,6 +113,29 @@ def test_sweep_conductance_used_beyond_cap():
     gap = 1.0 - rep.lambda2
     assert rep.conductance ** 2 / 2 <= gap + 1e-9
     assert gap <= 2 * rep.conductance + 1e-9
+
+
+def test_cheeger_violation_raises(monkeypatch):
+    # gap = 0.1: a conductance of 1e-6 breaks gap <= 2 phi, one of 0.9
+    # breaks phi^2 / 2 <= gap; both raise, under python -O too
+    rg = build_realization_graph(BipartiteDegreeSequence((2, 2, 1), (3, 1, 1)))
+    for phi in (1e-6, 0.9):
+        monkeypatch.setattr(degmix.space, "_exact_conductance", lambda p, phi=phi: phi)
+        with pytest.raises(CheegerViolation):
+            spectral_report(rg)
+
+
+def test_sweep_path_solves_once(monkeypatch):
+    # the sweep cut reuses the eigenvectors of the one solve that gives lambda2
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda p, orig=orig, name=name: calls.append(name) or orig(p))
+    rg = build_realization_graph(BipartiteDegreeSequence((2, 2, 2, 1), (3, 2, 1, 1)))
+    assert rg.count > 20
+    rep = spectral_report(rg)
+    assert not rep.conductance_exact and calls == ["eigh"]
 
 
 # ---------------------------------------------------------------------------
