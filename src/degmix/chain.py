@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .decomposition import (
     SplittedBipartiteSequence,
@@ -23,7 +23,7 @@ from .decomposition import (
     canonical_decompose_bipartite,
 )
 from .errors import NotGraphical
-from .graphs import Instance, bipartite_instance, directed_instance, simple_instance
+from .graphs import Edge, Instance, bipartite_instance, directed_instance, simple_instance
 from .layout import Layout, factor_layout, nested_layout, split_layout
 from .sequences import (
     BipartiteDegreeSequence,
@@ -53,45 +53,46 @@ def derive_seed(master: int, index: int) -> int:
 
 
 class ChainState:
-    """One swap chain: current realization, RNG stream, and step counter."""
+    """One swap chain: the current realization as an edge list, and its RNG
+    stream.  The list starts sorted and is updated by swap-with-last; which
+    edges a draw picks depends on that order, so it is part of the
+    seed-to-draw mapping."""
 
-    def __init__(self, instance: Instance, mask: int, rng: random.Random):
+    def __init__(self, instance: Instance, edges: Iterable[Edge], rng: random.Random):
         self.instance = instance
-        self.mask = mask
+        self.edges: List[Edge] = sorted(edges)
         self.rng = rng
-        self.step_count = 0
-        self.edge_ids: List[int] = [
-            i for i in range(len(instance.chords)) if mask >> i & 1
-        ]
-        self._pos = {e: i for i, e in enumerate(self.edge_ids)}
+        self._pos = {e: i for i, e in enumerate(self.edges)}
+
+    @property
+    def mask(self) -> int:
+        """The realization as the exhaustive engine's bitmask."""
+        return self.instance.mask_of_edges(self.edges)
 
     @property
     def graph(self):
         return self.instance.graph_of_mask(self.mask)
 
-    def _apply(self, removed_ids: Sequence[int], added_ids: Sequence[int]) -> None:
-        for e in removed_ids:
-            i = self._pos.pop(e)
-            last = self.edge_ids.pop()
+    def _apply(self, removed: Sequence[Edge], added: Sequence[Edge]) -> None:
+        edges, pos = self.edges, self._pos
+        for e in removed:
+            i = pos.pop(e)
+            last = edges.pop()
             if last != e:  # swap-with-last removal
-                self.edge_ids[i] = last
-                self._pos[last] = i
-        for e in added_ids:
-            self._pos[e] = len(self.edge_ids)
-            self.edge_ids.append(e)
-            self.mask |= 1 << e
-        for e in removed_ids:
-            self.mask &= ~(1 << e)
+                edges[i] = last
+                pos[last] = i
+        for e in added:
+            pos[e] = len(edges)
+            edges.append(e)
 
 
 def _try_c4(state: ChainState) -> None:
     inst = state.instance
-    if inst.disjoint_pairs == 0 or len(state.edge_ids) < 2:
+    if inst.disjoint_pairs == 0 or len(state.edges) < 2:
         return
     rng = state.rng
     while True:  # uniform over vertex-disjoint pairs, by rejection
-        i, j = rng.sample(state.edge_ids, 2)
-        e1, e2 = inst.chords[i], inst.chords[j]
+        e1, e2 = rng.sample(state.edges, 2)
         if e1[0] == e2[0] or e1[1] == e2[1]:
             continue
         if inst.kind == "simple" and (e1[0] == e2[1] or e1[1] == e2[0]):
@@ -102,37 +103,33 @@ def _try_c4(state: ChainState) -> None:
         return  # drew the current matching
     alts = inst._alts(e1, e2)
     if pick - 1 >= len(alts):
-        return  # target pair is not all chords
+        return  # target pair includes a forbidden pair
     f1, f2 = alts[pick - 1]
-    a1, a2 = inst.chord_index[f1], inst.chord_index[f2]
-    if state.mask >> a1 & 1 or state.mask >> a2 & 1:
+    if f1 in state._pos or f2 in state._pos:
         return  # would create a multi-edge
-    state._apply((i, j), (a1, a2))
+    state._apply((e1, e2), (f1, f2))
 
 
 def _try_c6(state: ChainState) -> None:
     inst = state.instance
-    if len(state.edge_ids) < 3:
+    if len(state.edges) < 3:
         return
     rng = state.rng
-    ids = rng.sample(state.edge_ids, 3)  # ordered triple
-    triple = tuple(inst.chords[i] for i in ids)
+    triple = rng.sample(state.edges, 3)  # ordered triple
     for a, b in ((0, 1), (0, 2), (1, 2)):
         if triple[a][0] == triple[b][0] or triple[a][1] == triple[b][1]:
             return
     targets = inst._hexagon(triple)
     if targets is None:
         return
-    add = [inst.chord_index[t] for t in targets]
-    if any(state.mask >> a & 1 for a in add):
+    if any(t in state._pos for t in targets):
         return
-    state._apply(ids, add)
+    state._apply(triple, targets)
 
 
 def step(state: ChainState) -> ChainState:
     """One lazy transition in place; returns the state for chaining."""
     rng = state.rng
-    state.step_count += 1
     if rng.random() < 0.5:
         return state  # lazy half
     if state.instance.use_c6:
@@ -151,7 +148,6 @@ class ProductChain:
 
     coordinates: List[ChainState]
     rng: random.Random
-    step_count: int = 0
 
     def masks(self) -> Tuple[int, ...]:
         return tuple(c.mask for c in self.coordinates)
@@ -160,7 +156,6 @@ class ProductChain:
 def product_step(chain: ProductChain) -> ProductChain:
     if chain.coordinates:  # a graph without factors has nothing to step
         step(chain.coordinates[chain.rng.randrange(len(chain.coordinates))])
-    chain.step_count += 1
     return chain
 
 
@@ -173,8 +168,8 @@ def build_product_chain(plan: Layout, seed: int, stream: int = 0) -> ProductChai
     seed i >= 1 drives coordinate i."""
     base = derive_seed(seed, stream)
     coords = [
-        ChainState(inst, mask, random.Random(derive_seed(base, i + 1)))
-        for i, (inst, mask) in enumerate(zip(plan.factors, plan.starts))
+        ChainState(inst, edges, random.Random(derive_seed(base, i + 1)))
+        for i, (inst, edges) in enumerate(zip(plan.factors, plan.starts))
     ]
     return ProductChain(coords, random.Random(derive_seed(base, 0)))
 
@@ -220,9 +215,9 @@ def _make_plan(d, forbidden: Optional[ForbiddenSet], factorize: str) -> Layout:
     return split_layout(canonical_decompose(d), d.order)
 
 
-def _assemble(plan: Layout, coords: Sequence[ChainState]) -> List[Tuple[int, int]]:
+def _assemble(plan: Layout, coords: Sequence[ChainState]) -> List[Edge]:
     """The whole graph for the coordinates' current edges."""
-    return plan.edges([c.instance.chords[i] for i in c.edge_ids] for c in coords)
+    return plan.edges(c.edges for c in coords)
 
 
 def _sample_stream(plan: Layout, seed: int, stream: int, quota: int, burn_in: int, thin: int):
@@ -237,10 +232,6 @@ def _sample_stream(plan: Layout, seed: int, stream: int, quota: int, burn_in: in
     return out
 
 
-def _sample_stream_job(args):
-    return _sample_stream(*args)
-
-
 def sample(
     d,
     burn_in: int,
@@ -249,7 +240,6 @@ def sample(
     seed: int,
     factorize: str = "auto",
     forbidden: Optional[ForbiddenSet] = None,
-    chains: Optional[int] = None,
     jobs: int = 1,
 ):
     """Draw ``count`` realizations of ``d``.
@@ -257,17 +247,16 @@ def sample(
     Returns a list of sorted edge lists: (i, j) pairs for simple sequences,
     (u, w) class pairs for bipartite ones, (tail, head) arcs for directed
     ones, all in the caller's vertex order.  The stream is split over
-    min(count, 8) logical chains (overridable via ``chains``) seeded from
-    ``seed`` by counter derivation; ``jobs`` only schedules those chains onto
-    workers, so output is identical and deterministically ordered for any
-    ``jobs``.
+    min(count, 8) logical chains seeded from ``seed`` by counter derivation;
+    ``jobs`` only schedules those chains onto workers, so output is identical
+    and deterministically ordered for any ``jobs``.
     """
     if count <= 0:
         return []
     if thin < 1:
         raise ValueError("thin must be >= 1")
     plan = _make_plan(d, forbidden, factorize)
-    n_chains = min(count, 8) if chains is None else max(1, min(chains, count))
+    n_chains = min(count, 8)
     per = [count // n_chains] * n_chains
     for i in range(count % n_chains):
         per[i] += 1
@@ -278,7 +267,7 @@ def sample(
         plan.starts  # realize once here, not again in every worker's copy
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            chunks = list(pool.map(_sample_stream_job, tasks))
+            chunks = list(pool.map(_sample_stream, *zip(*tasks)))
     else:
         chunks = [_sample_stream(*t) for t in tasks]
     return [edges for chunk in chunks for edges in chunk]

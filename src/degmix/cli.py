@@ -30,7 +30,14 @@ from .decomposition import (
     psi_inverse,
     recompose,
 )
-from .errors import DegmixError, Disconnected, InconsistentMatrix, ProductMismatch, TooLarge
+from .errors import (
+    DegmixError,
+    Disconnected,
+    DivisibilityError,
+    InconsistentMatrix,
+    ProductMismatch,
+    TooLarge,
+)
 from .sequences import (
     BipartiteDegreeSequence,
     DegreeSequence,
@@ -123,8 +130,7 @@ def cmd_test(args) -> int:
 def cmd_decompose(args) -> int:
     seq = _load(dio.load_sequence, args.seq)
     if isinstance(seq, DirectedDegreeSequence):
-        print("decompose: directed sequences are not factorized", file=sys.stderr)
-        return 2
+        raise UsageError("directed sequences are not factorized")
     if isinstance(seq, BipartiteDegreeSequence):
         sb = SplittedBipartiteSequence(seq.u_degrees, seq.w_degrees)
         factors = canonical_decompose_bipartite(sb)
@@ -188,22 +194,18 @@ def cmd_decompose(args) -> int:
 def cmd_compose(args) -> int:
     seqs = [_load(dio.load_sequence, p) for p in args.seqs]
     if len(seqs) < 2:
-        print("compose: need at least two sequence files", file=sys.stderr)
-        return 2
+        raise UsageError("need at least two sequence files")
     forb = [_load(dio.load_forbidden, p) for p in args.forbidden] if args.forbidden else None
     if forb is not None and len(forb) != len(seqs):
-        print("compose: one --forbidden per operand is required", file=sys.stderr)
-        return 2
+        raise UsageError("one --forbidden per operand is required")
     last = seqs[-1]
     heads = seqs[:-1]
     if not all(isinstance(s, BipartiteDegreeSequence) for s in heads):
-        print("compose: leading operands must be bipartite (splitted)", file=sys.stderr)
-        return 2
+        raise UsageError("leading operands must be bipartite (splitted)")
     sb_heads = [SplittedBipartiteSequence(s.u_degrees, s.w_degrees) for s in heads]
     if isinstance(last, DegreeSequence):
         if forb is not None:
-            print("compose: forbidden sets need all-bipartite operands", file=sys.stderr)
-            return 2
+            raise UsageError("forbidden sets need all-bipartite operands")
         out = last
         for sb in reversed(sb_heads):
             out = compose(psi_inverse(sb), out)
@@ -211,8 +213,7 @@ def cmd_compose(args) -> int:
         _emit(args, payload, json.dumps(payload))
         return 0
     if not isinstance(last, BipartiteDegreeSequence):
-        print("compose: final operand must be simple or bipartite", file=sys.stderr)
-        return 2
+        raise UsageError("final operand must be simple or bipartite")
     parts = sb_heads + [SplittedBipartiteSequence(last.u_degrees, last.w_degrees)]
     if forb is None:
         out = compose_bipartite_many(parts)
@@ -341,8 +342,7 @@ def cmd_verify(args) -> int:
                 factors[0], rest, max_chords=args.max_chords
             )
         else:
-            print("verify --mode product: not defined for directed input", file=sys.stderr)
-            return 2
+            raise UsageError("--mode product is not defined for directed input")
         _emit(
             args,
             report,
@@ -386,19 +386,21 @@ def cmd_dsm(args) -> int:
 
 
 def cmd_count(args) -> int:
-    if args.kind == "ahr":
-        rep = (
-            count_almost_half_regular_exhaustive(args.n)
-            if args.exhaustive
-            else count_almost_half_regular(args.n)
-        )
-    elif args.kind == "bipartite":
-        rep = count_bipartite_graphical(args.n)
-    else:
-        if not args.block:
-            print("count --kind composed requires --block", file=sys.stderr)
-            return 2
-        rep = count_composed_class(args.n, args.block)
+    try:
+        if args.kind == "ahr":
+            rep = (
+                count_almost_half_regular_exhaustive(args.n)
+                if args.exhaustive
+                else count_almost_half_regular(args.n)
+            )
+        elif args.kind == "bipartite":
+            rep = count_bipartite_graphical(args.n)
+        else:
+            if not args.block:
+                raise UsageError("--kind composed requires --block")
+            rep = count_composed_class(args.n, args.block)
+    except (TooLarge, DivisibilityError) as exc:
+        raise UsageError(str(exc)) from None
     if args.csv:
         print("kind,parameter,count,method")
         print("%s,%d,%d,%s" % (args.kind, rep.parameter, rep.count, rep.method))

@@ -208,13 +208,7 @@ def _extract_split_head(ds: Tuple[int, ...], p: int, q: int):
     head_u = tuple(x - rest_size for x in ds[:p])
     head_w = ds[n - q:]
     rest = tuple(x - p for x in ds[p:n - q])
-    if any(x < p - 1 or x > p - 1 + q for x in head_u):
-        return None
-    if any(x > p for x in head_w):
-        return None
     if any(x < 0 or x > rest_size - 1 for x in rest):
-        return None
-    if sum(head_u) - p * (p - 1) != sum(head_w):
         return None
     try:
         head = SplitSequence(head_u, head_w)

@@ -1,9 +1,14 @@
 """Labeled realizations, chord tables, and swap moves.
 
-A sampling or verification instance fixes the vertex classes, the list of
-chords (vertex pairs allowed to carry an edge), and the swap kinds in play.
-Realizations are encoded as bitmasks over the chord list, so swap moves are
-two XORs and set membership is integer hashing.
+A sampling or verification instance fixes the vertex classes, the forbidden
+pairs, and the swap kinds in play; every other vertex pair is a chord (a
+pair allowed to carry an edge).  Each job keeps realizations in one format.
+The sampler (``degmix.chain``) walks an edge list and never builds the
+chord list, so its cost does not grow with the number of chords.  The
+exhaustive engine (``degmix.space``), whose chord count is capped, encodes
+realizations as bitmasks over the chord list, so swap moves are two XORs
+and set membership is integer hashing; ``chords`` and the move table are
+built on its first use.
 
 Move weights implement the lazy kernel: stay with probability 1/2, otherwise
 draw a uniformly random pair of vertex-disjoint edges (their count depends
@@ -18,6 +23,8 @@ triple of distinct edges tested against the alternating-hexagon pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ForbiddenSetNotMatching
@@ -98,7 +105,8 @@ class SwapMove:
 
 
 class Instance:
-    """A fixed degree-sequence problem: chords, degrees, and move tables."""
+    """A fixed degree-sequence problem: degrees, forbidden pairs, swap kinds,
+    and, built on first use by the exhaustive engine, chords and moves."""
 
     def __init__(
         self,
@@ -116,9 +124,6 @@ class Instance:
                 raise ValueError("forbidden sets require a bipartite instance")
             self.degrees = tuple(int(x) for x in degrees)
             self.n = len(self.degrees)
-            self.chords = tuple(
-                (i, j) for i in range(self.n) for j in range(i + 1, self.n)
-            )
             self.m = sum(self.degrees) // 2
             all_deg = self.degrees
         else:
@@ -126,19 +131,12 @@ class Instance:
             self.u_degrees = tuple(int(x) for x in u)
             self.w_degrees = tuple(int(x) for x in w)
             self.nu, self.nw = len(self.u_degrees), len(self.w_degrees)
-            self.chords = tuple(
-                (i, j)
-                for i in range(self.nu)
-                for j in range(self.nw)
-                if (i, j) not in self.forbidden
-            )
             self.m = sum(self.u_degrees)
             if self.m != sum(self.w_degrees):
                 raise ValueError("class degree sums differ")
             all_deg = self.u_degrees + self.w_degrees
             if len(self.forbidden):
                 self.forbidden.require_one_factor()
-        self.chord_index: Dict[Edge, int] = {c: i for i, c in enumerate(self.chords)}
         if use_c6 is None:
             use_c6 = kind == "bipartite" and len(self.forbidden) > 0
         if use_c6 and kind != "bipartite":
@@ -149,8 +147,20 @@ class Instance:
             d * (d - 1) // 2 for d in all_deg
         )
         self.matchings = 3 if kind == "simple" else 2
-        self._c4_table: Optional[List[Tuple[int, int, Edge, Edge, Edge, Edge]]] = None
-        self._c6_table: Optional[List[Tuple[int, int, Tuple, Tuple]]] = None
+
+    @cached_property
+    def chords(self) -> Tuple[Edge, ...]:
+        """Vertex pairs allowed to carry an edge, in bit order."""
+        if self.kind == "simple":
+            return tuple((i, j) for i in range(self.n) for j in range(i + 1, self.n))
+        banned = self.forbidden.pairs
+        return tuple(
+            (i, j) for i in range(self.nu) for j in range(self.nw) if (i, j) not in banned
+        )
+
+    @cached_property
+    def chord_index(self) -> Dict[Edge, int]:
+        return {c: i for i, c in enumerate(self.chords)}
 
     # -- probabilities ---------------------------------------------------
 
@@ -188,18 +198,11 @@ class Instance:
             return LabeledGraph(self.n, self.edges_of_mask(mask))
         return LabeledBipartiteGraph(self.nu, self.nw, self.edges_of_mask(mask))
 
-    def degrees_of_mask(self, mask: int):
-        g = self.graph_of_mask(mask)
-        if self.kind == "simple":
-            return g.degrees()
-        return g.u_degrees(), g.w_degrees()
-
-    # -- move tables -----------------------------------------------------
+    # -- moves -----------------------------------------------------------
 
     def _alts(self, e1: Edge, e2: Edge) -> List[Tuple[Edge, Edge]]:
         """Alternative perfect matchings on the endpoints of two disjoint
         edges, restricted to chords."""
-        out = []
         if self.kind == "simple":
             a, b = e1
             c, d = e2
@@ -210,64 +213,8 @@ class Instance:
         else:
             (u1, w1), (u2, w2) = e1, e2
             candidates = [((u1, w2), (u2, w1))]
-        for f1, f2 in candidates:
-            if f1 in self.chord_index and f2 in self.chord_index:
-                out.append((f1, f2))
-        return out
-
-    def c4_table(self):
-        """All (rm_bits, add_bits, removed..., added...) C4 rewirings over
-        disjoint chord pairs; validity at a state is two bit tests."""
-        if self._c4_table is None:
-            table = []
-            k = len(self.chords)
-            for i in range(k):
-                e1 = self.chords[i]
-                for j in range(i + 1, k):
-                    e2 = self.chords[j]
-                    if e1[0] == e2[0] or e1[1] == e2[1]:
-                        continue
-                    if self.kind == "simple" and (
-                        e1[0] == e2[1] or e1[1] == e2[0]
-                    ):
-                        continue
-                    rm = 1 << i | 1 << j
-                    for f1, f2 in self._alts(e1, e2):
-                        add = (
-                            1 << self.chord_index[f1] | 1 << self.chord_index[f2]
-                        )
-                        table.append((rm, add, e1, e2, f1, f2))
-            self._c4_table = table
-        return self._c4_table
-
-    def c6_table(self):
-        """All C6 rewirings: for each unordered triple of pairwise-disjoint
-        chords, the (at most one) hexagon orientation whose three target
-        pairs are chords and whose three closing pairs are forbidden."""
-        if self._c6_table is None:
-            table = []
-            if self.use_c6:
-                k = len(self.chords)
-                for i in range(k):
-                    for j in range(i + 1, k):
-                        if not _disjoint(self.chords[i], self.chords[j]):
-                            continue
-                        for l in range(j + 1, k):
-                            if not _disjoint(self.chords[i], self.chords[l]):
-                                continue
-                            if not _disjoint(self.chords[j], self.chords[l]):
-                                continue
-                            triple = (self.chords[i], self.chords[j], self.chords[l])
-                            for perm in (triple, (triple[0], triple[2], triple[1])):
-                                got = self._hexagon(perm)
-                                if got is not None:
-                                    rm = 1 << i | 1 << j | 1 << l
-                                    add = 0
-                                    for t in got:
-                                        add |= 1 << self.chord_index[t]
-                                    table.append((rm, add, perm, got))
-            self._c6_table = table
-        return self._c6_table
+        banned = self.forbidden.pairs
+        return [(f1, f2) for f1, f2 in candidates if f1 not in banned and f2 not in banned]
 
     def _hexagon(self, triple) -> Optional[Tuple[Edge, Edge, Edge]]:
         """Targets of the hexagon pattern for an ordered edge triple, or None.
@@ -279,47 +226,54 @@ class Instance:
         (a1, b1), (a2, b2), (a3, b3) = triple
         targets = ((a1, b2), (a2, b3), (a3, b1))
         closing = ((a1, b3), (a2, b1), (a3, b2))
-        if any(t not in self.chord_index for t in targets):
+        banned = self.forbidden.pairs
+        if any(t in banned for t in targets):
             return None
-        if any(c not in self.forbidden for c in closing):
+        if any(c not in banned for c in closing):
             return None
         return targets
 
-    # -- per-state moves --------------------------------------------------
+    @cached_property
+    def move_table(self) -> List[Tuple[int, int, SwapMove, float]]:
+        """Every rewiring over the chords as (removed bits, added bits, move,
+        transition weight), C4 rows first.  C4 rows cover each disjoint chord
+        pair; C6 rows each unordered triple of pairwise-disjoint chords with
+        the (at most one) hexagon orientation that ``_hexagon`` accepts."""
+        bit = {c: 1 << i for i, c in enumerate(self.chords)}
+        simple = self.kind == "simple"
+        table = []
+        w4 = self.c4_weight()
+        for e1, e2 in combinations(self.chords, 2):
+            if not _disjoint(e1, e2) or simple and (e1[0] == e2[1] or e1[1] == e2[0]):
+                continue
+            for f1, f2 in self._alts(e1, e2):
+                move = SwapMove("C4", (e1, e2), (f1, f2))
+                table.append((bit[e1] | bit[e2], bit[f1] | bit[f2], move, w4))
+        if self.use_c6:
+            w6 = self.c6_weight()
+            for e1, e2, e3 in combinations(self.chords, 3):
+                if not (_disjoint(e1, e2) and _disjoint(e1, e3) and _disjoint(e2, e3)):
+                    continue
+                for perm in ((e1, e2, e3), (e1, e3, e2)):
+                    got = self._hexagon(perm)
+                    if got is not None:
+                        rm = bit[e1] | bit[e2] | bit[e3]
+                        add = bit[got[0]] | bit[got[1]] | bit[got[2]]
+                        table.append((rm, add, SwapMove("C6", perm, got), w6))
+        return table
+
+    def _valid(self, mask: int):
+        """The move table's rows that apply at ``mask``."""
+        return (row for row in self.move_table if mask & row[0] == row[0] and not mask & row[1])
 
     def neighbors(self, mask: int) -> List[int]:
-        out = []
-        for rm, add, *_ in self.c4_table():
-            if mask & rm == rm and mask & add == 0:
-                out.append(mask ^ rm ^ add)
-        for rm, add, *_ in self.c6_table():
-            if mask & rm == rm and mask & add == 0:
-                out.append(mask ^ rm ^ add)
-        return out
+        return [mask ^ rm ^ add for rm, add, _, _ in self._valid(mask)]
 
     def moves(self, mask: int) -> List[SwapMove]:
-        out = []
-        for rm, add, e1, e2, f1, f2 in self.c4_table():
-            if mask & rm == rm and mask & add == 0:
-                out.append(SwapMove("C4", (e1, e2), (f1, f2)))
-        for rm, add, perm, targets in self.c6_table():
-            if mask & rm == rm and mask & add == 0:
-                out.append(SwapMove("C6", tuple(perm), tuple(targets)))
-        return out
+        return [move for _, _, move, _ in self._valid(mask)]
 
     def weighted_neighbors(self, mask: int) -> List[Tuple[int, float]]:
-        out = []
-        w4 = self.c4_weight()
-        if w4:
-            for rm, add, *_ in self.c4_table():
-                if mask & rm == rm and mask & add == 0:
-                    out.append((mask ^ rm ^ add, w4))
-        w6 = self.c6_weight()
-        if w6:
-            for rm, add, *_ in self.c6_table():
-                if mask & rm == rm and mask & add == 0:
-                    out.append((mask ^ rm ^ add, w6))
-        return out
+        return [(mask ^ rm ^ add, w) for rm, add, _, w in self._valid(mask)]
 
 
 def _disjoint(e1: Edge, e2: Edge) -> bool:

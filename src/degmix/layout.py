@@ -3,8 +3,8 @@
 By the structure theorem the realizations of a composed sequence are the
 Cartesian product of its factors' realizations, with the composition edges
 forced.  A ``Layout`` writes that product down once; the sampler assembles
-draws through it, and the exhaustive engine projects chords and assigns
-vertex blocks through it.
+draws through it, and the exhaustive engine projects realizations and
+assigns vertex blocks through it.
 
 Slots follow one convention, the canonical non-increasing order of the
 composed sequence: factors in composition order take their primary class
@@ -41,16 +41,14 @@ class Layout:
     simple: bool = True
 
     @cached_property
-    def starts(self) -> List[int]:
-        """One start realization per factor, as a mask over its chords."""
-        out = []
-        for inst in self.factors:
-            if inst.kind == "simple":
-                edges = realize(inst.degrees)
-            else:
-                edges = realize_bipartite((inst.u_degrees, inst.w_degrees), inst.forbidden)
-            out.append(inst.mask_of_edges(edges))
-        return out
+    def starts(self) -> List[List[Edge]]:
+        """One start realization per factor, as a sorted edge list."""
+        return [
+            realize(inst.degrees)
+            if inst.kind == "simple"
+            else realize_bipartite((inst.u_degrees, inst.w_degrees), inst.forbidden)
+            for inst in self.factors
+        ]
 
     def edge(self, k: int, e: Edge) -> Edge:
         x, y = self.u_maps[k][e[0]], self.w_maps[k][e[1]]
@@ -64,18 +62,6 @@ class Layout:
             out.extend(self.edge(k, e) for e in edges)
         out.sort()
         return out
-
-    def projection(self, composed: Instance) -> Tuple[int, Dict[int, Tuple[int, int]]]:
-        """For an instance of the whole graph: the mask of its forced chords,
-        and the map from each factor chord's bit in it to (factor, bit)."""
-        forced = 0
-        for e in self.forced:
-            forced |= 1 << composed.chord_index[e]
-        chord_map = {}
-        for k, inst in enumerate(self.factors):
-            for bit, e in enumerate(inst.chords):
-                chord_map[composed.chord_index[self.edge(k, e)]] = (k, bit)
-        return forced, chord_map
 
     def owners(self) -> Tuple[Dict[int, int], Dict[int, int]]:
         """Factor index of each vertex id on the first and the second side

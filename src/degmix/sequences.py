@@ -317,7 +317,7 @@ def _havel_hakimi_edges(degrees: Sequence[int]):
     """One simple-graph realization via Havel–Hakimi; assumes graphical input."""
     remaining = [[d, i] for i, d in enumerate(degrees)]
     edges = []
-    while True:
+    while remaining:  # an empty sequence has the empty realization
         remaining.sort(key=lambda t: (-t[0], t[1]))
         d0, v0 = remaining[0]
         if d0 == 0:

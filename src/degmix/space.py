@@ -9,7 +9,6 @@ realization with explicit bijections.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -53,13 +52,6 @@ __all__ = [
 DEFAULT_MAX_CHORDS = 24
 
 
-def _max_chords_cap(max_chords: Optional[int]) -> int:
-    if max_chords is not None:
-        return max_chords
-    env = os.environ.get("DEGMIX_MAX_CHORDS")
-    return int(env) if env else DEFAULT_MAX_CHORDS
-
-
 def _instance_for(d, f: Optional[ForbiddenSet], use_c6: Optional[bool]) -> Instance:
     if isinstance(d, DirectedDegreeSequence):
         bd, diag = d.gale_representation()
@@ -83,7 +75,7 @@ def _instance_for(d, f: Optional[ForbiddenSet], use_c6: Optional[bool]) -> Insta
 
 
 def _enumerate_masks(inst: Instance, max_chords: Optional[int]) -> List[int]:
-    cap = _max_chords_cap(max_chords)
+    cap = DEFAULT_MAX_CHORDS if max_chords is None else max_chords
     k = len(inst.chords)
     if k > cap:
         raise TooLarge("instance has %d chords, cap is %d" % (k, cap))
@@ -361,7 +353,14 @@ def verify_cartesian_product(
             [*range(a.nw, composed.nw), *range(a.nw)],
         )
     factors = layout.factors
-    forced, chord_map = layout.projection(composed)
+    # The composed instance's forced chords, and each factor chord's bit in
+    # it mapped to (factor, bit).
+    forced = composed.mask_of_edges(layout.forced)
+    chord_map = {
+        composed.chord_index[layout.edge(k, e)]: (k, bit)
+        for k, inst in enumerate(factors)
+        for bit, e in enumerate(inst.chords)
+    }
 
     composed_masks = _enumerate_masks(composed, max_chords)
     s1 = _enumerate_masks(factors[0], max_chords)
@@ -515,7 +514,7 @@ def tv_distance_audit(
     from .chain import ChainState, step
 
     rng = random.Random(seed)
-    state = ChainState(space.instance, space.masks[0], rng)
+    state = ChainState(space.instance, space.instance.edges_of_mask(space.masks[0]), rng)
     idx = space.index()
     counts = np.zeros(n)
     for _ in range(steps):

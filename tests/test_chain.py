@@ -49,7 +49,9 @@ def test_stationary_uniform_exact():
 def test_threshold_sequence_never_moves():
     space = realization_space(DegreeSequence((4, 2, 2, 1, 1)))
     assert space.count == 1
-    state = ChainState(space.instance, space.masks[0], random.Random(5))
+    state = ChainState(
+        space.instance, space.instance.edges_of_mask(space.masks[0]), random.Random(5)
+    )
     start = state.mask
     for _ in range(500):
         step(state)
@@ -59,7 +61,9 @@ def test_threshold_sequence_never_moves():
 def test_step_preserves_degrees_and_forbidden():
     dd = DirectedDegreeSequence((2, 2, 1, 1), (2, 2, 1, 1))
     space = realization_space(dd)
-    state = ChainState(space.instance, space.masks[0], random.Random(17))
+    state = ChainState(
+        space.instance, space.instance.edges_of_mask(space.masks[0]), random.Random(17)
+    )
     banned = space.instance.forbidden
     for k in range(2000):
         step(state)
@@ -88,7 +92,9 @@ def test_jobs_do_not_change_output():
 def test_empirical_distribution_uniform():
     # (1,1,1,1): 3 realizations; occupation of a long trajectory near uniform
     space = realization_space(DegreeSequence((1, 1, 1, 1)))
-    state = ChainState(space.instance, space.masks[0], random.Random(11))
+    state = ChainState(
+        space.instance, space.instance.edges_of_mask(space.masks[0]), random.Random(11)
+    )
     idx = space.index()
     counts = Counter()
     steps = 100000
@@ -214,6 +220,48 @@ def test_factor_marginals_independent_chi_square():
             e = n * (pa if x else 1 - pa) * (pb if y else 1 - pb)
             stat += (cnt[(x, y)] - e) ** 2 / e
     assert stat < 6.634897  # chi-square df=1 critical value at p = 0.01
+
+
+def test_sample_empty_sequence():
+    for factorize in ("auto", "off"):
+        assert sample(DegreeSequence(()), 0, 1, 2, 0, factorize=factorize) == [[], []]
+
+
+BEYOND_ENUMERATION = {
+    "simple-4-regular-300": DegreeSequence((4,) * 300),
+    "bipartite-3-regular-150": BipartiteDegreeSequence((3,) * 150, (3,) * 150),
+    "directed-3-regular-150": DirectedDegreeSequence((3,) * 150, (3,) * 150),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND_ENUMERATION))
+def test_sample_beyond_enumerable_sizes(name, monkeypatch):
+    # Far past the chord cap, draws keep their degrees, repeat no edge and
+    # avoid the forbidden diagonal, and no factor builds its chord table.
+    seq = BEYOND_ENUMERATION[name]
+    plans = []
+
+    def recording_plan(*args):
+        plans.append(_make_plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr("degmix.chain._make_plan", recording_plan)
+    draws = sample(seq, burn_in=3000, thin=300, count=3, seed=12, jobs=1)
+    assert len({tuple(edges) for edges in draws}) == 3  # the chains move
+    directed = isinstance(seq, DirectedDegreeSequence)
+    if directed:
+        seq = BipartiteDegreeSequence(seq.out_degrees, seq.in_degrees)
+    for edges in draws:
+        assert len(set(edges)) == len(edges)
+        if isinstance(seq, DegreeSequence):
+            assert all(a < b for a, b in edges)
+            assert LabeledGraph(seq.n, edges).degrees() == seq.degrees
+        else:
+            assert not directed or all(a != b for a, b in edges)
+            g = LabeledBipartiteGraph(seq.nu, seq.nw, edges)
+            assert g.u_degrees() == seq.u_degrees and g.w_degrees() == seq.w_degrees
+    assert len(plans) == 1
+    assert not any("chords" in inst.__dict__ for inst in plans[0].factors)
 
 
 def test_derive_seed_stable():

@@ -56,6 +56,20 @@ def test_exit_codes(files, capsys):
                  {"delta": 2, "columns": [[1, 0], [1]]}, id="dsm-column-length"),
     pytest.param(["verify", "--seq", "{rhs}", "--mode", "product"], None,
                  id="verify-over-chord-cap"),
+    pytest.param(["decompose", "--seq", "{directed}"], None, id="decompose-directed"),
+    pytest.param(["compose", "{block}"], None, id="compose-one-operand"),
+    pytest.param(["compose", "{block}", "{operand}", "--forbidden", "{forb}"], None,
+                 id="compose-forbidden-count"),
+    pytest.param(["compose", "{matching}", "{block}"], None, id="compose-simple-head"),
+    pytest.param(["compose", "{block}", "{matching}", "--forbidden", "{forb}",
+                  "--forbidden", "{forb}"], None, id="compose-forbidden-simple-last"),
+    pytest.param(["compose", "{block}", "{directed}"], None, id="compose-directed-last"),
+    pytest.param(["count", "--kind", "composed", "--n", "6"], None,
+                 id="count-composed-no-block"),
+    pytest.param(["count", "--kind", "bipartite", "--n", "11"], None,
+                 id="count-over-census-cap"),
+    pytest.param(["count", "--kind", "composed", "--n", "6", "--block", "4"], None,
+                 id="count-block-not-dividing"),
 ])
 def test_usage_error_exits_2(files, tmp_path, capsys, argv, payload):
     path = tmp_path / "input.json"
@@ -70,6 +84,12 @@ def test_usage_error_exits_2(files, tmp_path, capsys, argv, payload):
     assert len(err.splitlines()) == 1 and "error:" in err
     if argv[0] == "verify":
         assert "--max-chords" in err
+
+
+def test_verify_product_directed_exits_2(files, capsys):
+    assert main(["verify", "--seq", files["directed"], "--mode", "product"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "degmix verify: error: --mode product is not defined for directed input"
 
 
 def test_test_json_output(files, capsys):
