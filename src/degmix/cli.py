@@ -157,21 +157,19 @@ def cmd_decompose(args) -> int:
     cd = canonical_decompose(seq)
     comps = []
     lines = ["%d split component(s)%s" % (len(cd.components), " + tail" if cd.tail else "")]
-    cur = seq.sorted_degrees
-    for comp, gp in zip(cd.components, cd.good_pairs_used):
-        n = len(cur)
+    steps = zip(cd.components, cd.good_pairs_used, cd.remainder_sizes, cd.top_sums)
+    for comp, gp, n, top_sum in steps:
         entry = {
             "primary": list(comp.u_degrees),
             "secondary": list(comp.w_degrees),
             "good_pair": [gp.p, gp.q],
         }
         if args.certificate:
-            lhs = sum(cur[: gp.p])
-            rhs = gp.p * (n - gp.q - 1) + sum(cur[n - gp.q:])
+            # the q smallest degrees of the remainder are the head's secondaries
             entry["certificate"] = {
                 "n": n,
-                "lhs_sum_top_p": lhs,
-                "rhs": rhs,
+                "lhs_sum_top_p": top_sum,
+                "rhs": gp.p * (n - gp.q - 1) + sum(comp.w_degrees),
                 "identity": "sum(d1..dp) == p*(n-q-1) + sum(d_{n-q+1}..d_n)",
             }
         comps.append(entry)
@@ -179,7 +177,6 @@ def cmd_decompose(args) -> int:
             "  <U=%s | W=%s>  via (p=%d, q=%d)"
             % (comp.u_degrees, comp.w_degrees, gp.p, gp.q)
         )
-        cur = tuple(x - gp.p for x in cur[gp.p: n - gp.q])
     payload = {
         "kind": "simple",
         "components": comps,

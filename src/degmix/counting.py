@@ -66,9 +66,11 @@ def _almost_regular(seq: Tuple[int, ...]) -> bool:
 def count_almost_half_regular_exhaustive(m: int) -> CountReport:
     """Independent census: ordered pairs of non-increasing vectors with
     entries <= m, equal sums, Gale-Ryser graphical, at least one side
-    almost regular."""
+    almost regular.  It lists all C(2m, m) vectors, so m is capped."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > DEFAULT_MAX_CENSUS:
+        raise TooLarge("census capped at m = %d" % DEFAULT_MAX_CENSUS)
     total = _census(
         m, lambda a, b: (_almost_regular(a) or _almost_regular(b)) and gale_ryser((a, b))
     )

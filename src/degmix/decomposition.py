@@ -11,9 +11,10 @@ bijection ``psi`` and, with forbidden 1-factors, to directed sequences.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, List, Optional, Tuple
+from itertools import accumulate
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .errors import InvalidSplit, NotGraphical
 from .sequences import (
@@ -148,11 +149,18 @@ class SplittedBipartiteSequence:
 
 @dataclass(frozen=True)
 class CanonicalDecomposition:
-    """Ordered indecomposable split components plus the undesignated tail."""
+    """Ordered indecomposable split components plus the undesignated tail.
+
+    For the k-th extraction, ``remainder_sizes[k]`` is the length n of the
+    sequence it was taken from and ``top_sums[k]`` the sum of that
+    sequence's p largest degrees: the left side of the good-pair identity.
+    """
 
     components: Tuple[SplitSequence, ...]
     tail: Optional[DegreeSequence]
     good_pairs_used: Tuple[GoodPair, ...] = ()
+    remainder_sizes: Tuple[int, ...] = ()
+    top_sums: Tuple[int, ...] = ()
 
 
 def _coerce_degrees(d) -> Tuple[int, ...]:
@@ -186,42 +194,109 @@ def is_split(d) -> Optional[SplitSequence]:
 
 def good_pairs(d) -> List[GoodPair]:
     """All (p, q) with 0 < p+q < n satisfying the decomposability identity
-    sum(d_1..d_p) == p(n-q-1) + sum(d_{n-q+1}..d_n) on the sorted sequence."""
+    sum(d_1..d_p) == p(n-q-1) + sum(d_{n-q+1}..d_n) on the sorted sequence.
+
+    O(1) per candidate from prefix sums, O(n^2) in all."""
     ds = _sorted_desc(_coerce_degrees(d))
     n = len(ds)
-    out = []
-    for p in range(0, n + 1):
-        lhs = sum(ds[:p])
-        for q in range(0, n - p):
-            if p + q == 0:
-                continue
-            if lhs == p * (n - q - 1) + sum(ds[n - q:]):
-                out.append(GoodPair(p, q))
-    return out
+    prefix = (0, *accumulate(ds))
+    return [
+        GoodPair(p, q)
+        for p in range(n)
+        for q in range(0 if p else 1, n - p)
+        if prefix[p] == p * (n - q - 1) + prefix[n] - prefix[n - q]
+    ]
+
+
+class _Window:
+    """The entries ``a[lo:hi]``, each lowered by ``shift``, of a fixed
+    non-increasing integer tuple ``a``.
+
+    Sums over a range of entries are O(1) from prefix sums and threshold
+    counts O(log n) by bisection, so a decomposition round never copies its
+    remainder: taking a head off only moves the bounds and the shift.
+    """
+
+    def __init__(self, a: Tuple[int, ...]):
+        self.a = a
+        self.prefix = (0, *accumulate(a))
+        self.negated = [-x for x in a]  # non-decreasing, for bisect
+        self.lo, self.hi, self.shift = 0, len(a), 0
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __getitem__(self, k: int) -> int:
+        return self.a[self.lo + k] - self.shift
+
+    def total(self, i: int, j: int) -> int:
+        """Sum of entries i..j-1."""
+        lo = self.lo
+        return self.prefix[lo + j] - self.prefix[lo + i] - (j - i) * self.shift
+
+    def at_least(self, v: int) -> int:
+        """Number of entries >= v (they come first)."""
+        return bisect_right(self.negated, -v - self.shift, self.lo, self.hi) - self.lo
+
+    def values(self, i: int, j: int, minus: int = 0) -> Tuple[int, ...]:
+        """Entries i..j-1, each lowered by a further ``minus``."""
+        drop = self.shift + minus
+        return tuple(x - drop for x in self.a[self.lo + i:self.lo + j])
+
+    def narrow(self, i: int, j: int, minus: int = 0) -> None:
+        """Keep entries i..j-1 only, each lowered by a further ``minus``."""
+        self.lo, self.hi = self.lo + i, self.lo + j
+        self.shift += minus
+
+
+def _split_candidates(ds: _Window) -> Iterator[Tuple[int, int]]:
+    """Good pairs of ``ds`` whose extraction passes every range check of
+    ``_split_head``, in ascending (p, q) order.
+
+    For each p the range checks bound q to an interval [lo, hi], and on it
+    the identity's right side p(n-q-1) + sum(d_{n-q+1}..d_n) is constant:
+    going from q to q+1 adds d_{n-q} - p, and q >= #{d < p} with
+    q+1 <= #{d <= p} make that step zero.  So each p costs O(log n), one
+    test of the identity at lo, and the scan stops at the first pair taken.
+    """
+    n = len(ds)
+    for p in range(n):
+        lo = n - ds.at_least(p)  # rest degrees minus p stay >= 0
+        hi = n - ds.at_least(p + 1)  # head secondaries are <= p
+        hi = min(hi, n - p - 1, n - 1 - ds[p])  # rest nonempty, below its size
+        lo = max(lo, n - 1 - ds[p - 1]) if p else max(lo, 1)  # clique minimum
+        if lo <= hi and ds.total(0, p) == p * (n - lo - 1) + ds.total(n - lo, n):
+            for q in range(lo, hi + 1):
+                yield p, q
+
+
+def _split_head(ds: _Window, p: int, q: int) -> Optional[SplitSequence]:
+    """Head split component of ``ds`` at good pair (p, q), or None if the
+    rest leaves [0, r-1] or the head is not a split sequence.  O(p + q)."""
+    n = len(ds)
+    rest_size = n - p - q
+    if rest_size and not (ds[n - q - 1] >= p and ds[p] - p <= rest_size - 1):
+        return None  # the rest is sorted: its first and last entries bound it
+    try:
+        return SplitSequence(ds.values(0, p, rest_size), ds.values(n - q, n))
+    except InvalidSplit:
+        return None
 
 
 def _extract_split_head(ds: Tuple[int, ...], p: int, q: int):
     """Head split component and shifted rest for a good pair, or None if the
     arithmetic does not describe a valid split partition."""
-    n = len(ds)
-    rest_size = n - p - q
-    head_u = tuple(x - rest_size for x in ds[:p])
-    head_w = ds[n - q:]
-    rest = tuple(x - p for x in ds[p:n - q])
-    if any(x < 0 or x > rest_size - 1 for x in rest):
+    head = _split_head(_Window(ds), p, q)
+    if head is None:
         return None
-    try:
-        head = SplitSequence(head_u, head_w)
-    except InvalidSplit:
-        return None
-    return head, rest
+    return head, tuple(x - p for x in ds[p:len(ds) - q])
 
 
-@lru_cache(maxsize=None)
 def _bipartite_extractions(
-    u: Tuple[int, ...], w: Tuple[int, ...], degenerate: bool
-) -> Tuple[Tuple[int, int], ...]:
-    """Valid head/rest extractions of a sorted splitted bipartite sequence.
+    u: _Window, w: _Window, degenerate: bool
+) -> Iterator[Tuple[int, int]]:
+    """Valid head/rest extractions of a sorted splitted bipartite sequence,
+    in ascending (p, q) order.
 
     An extraction at (p, q) takes the p largest primary and the |W|-q smallest
     secondary degrees as the head (primary reduced by q) and leaves
@@ -231,52 +306,41 @@ def _bipartite_extractions(
     for splitted bipartite sequences does not admit edge-less operands); with
     ``degenerate`` True they are kept, which matches decomposability of the
     corresponding designated split graphs.
+
+    For each p the range checks bound q to an interval [lo, hi], and on it
+    the q-cost p*q + sum(w_{q+1}..) is constant: it is convex in q, with
+    step p - w_{q+1}, and #{w > p} <= q < #{w >= p} makes that step zero.
+    So each p costs O(log |W|) and one test of the identity.
     """
     nu, nw = len(u), len(w)
-    out = []
-    for p in range(0, nu + 1):
-        head_u_sum = sum(u[:p])
-        for q in range(0, nw + 1):
-            if p == 0 and q == nw:
-                continue  # empty head
-            if p == nu and q == 0:
-                continue  # empty rest
-            if head_u_sum != p * q + sum(w[q:]):
-                continue
-            if p > 0 and u[p - 1] < q:
-                continue
-            if p < nu and u[p] > q:
-                continue
-            if q > 0 and w[q - 1] < p:
-                continue
-            if q < nw and w[q] > p:
-                continue
-            if not degenerate:
-                if head_u_sum - p * q == 0:
-                    continue  # edge-less head
-                if sum(u[p:]) == 0:
-                    continue  # edge-less rest
-            out.append((p, q))
-    return tuple(out)
+    for p in range(nu + 1):
+        if not degenerate and u.total(p, nu) == 0:
+            continue  # edge-less rest
+        lo = w.at_least(p + 1)  # head secondaries are <= p
+        hi = w.at_least(p)  # rest secondaries minus p stay >= 0
+        if p:
+            hi = min(hi, u[p - 1])  # head primaries minus q stay >= 0
+        if p < nu:
+            lo = max(lo, u[p])  # rest primaries fit the q rest secondaries
+        if lo > hi or u.total(0, p) != p * lo + w.total(lo, nw):
+            continue
+        for q in range(lo, hi + 1):
+            if (p == 0 and q == nw) or (p == nu and q == 0):
+                continue  # empty head or empty rest
+            if not degenerate and w.total(q, nw) == 0:
+                break  # edge-less head, and so for every larger q
+            yield p, q
 
 
-def _extract_bipartite(u, w, p, q):
-    head = (tuple(x - q for x in u[:p]), w[q:])
-    rest = (u[p:], tuple(x - p for x in w[:q]))
-    return head, rest
-
-
-@lru_cache(maxsize=None)
 def _bip_indecomposable(u: Tuple[int, ...], w: Tuple[int, ...]) -> bool:
-    return not _bipartite_extractions(u, w, False)
+    return next(_bipartite_extractions(_Window(u), _Window(w), False), None) is None
 
 
 def _split_indecomposable(s: SplitSequence) -> bool:
     """A designated split graph is indecomposable iff its stripped bipartite
     form admits no extraction at all (degenerate single-class splits count)."""
-    sb = psi(s)
-    u, w = sb.canonical()
-    return not _bipartite_extractions(u, w, True)
+    u, w = psi(s).canonical()
+    return next(_bipartite_extractions(_Window(u), _Window(w), True), None) is None
 
 
 def canonical_decompose(d) -> CanonicalDecomposition:
@@ -286,31 +350,36 @@ def canonical_decompose(d) -> CanonicalDecomposition:
     first one whose head component is indecomposable is extracted; the
     remainder continues until no good pair is left.  The final remainder is
     the undesignated tail.
+
+    One sort, then O(n log n): the remainder is a window on the sorted
+    degrees, a step's scan stops at the p it extracts (and the first pair
+    whose extraction passes the range checks has an indecomposable head),
+    and only the last step scans its whole remainder.
     """
     degrees = _coerce_degrees(d)
     if not erdos_gallai(degrees):
         raise NotGraphical("sequence is not graphical: %r" % (degrees,))
-    cur = _sorted_desc(degrees)
+    ds = _Window(_sorted_desc(degrees))
     components: List[SplitSequence] = []
     used: List[GoodPair] = []
-    while cur:
-        found = None
-        for gp in good_pairs(cur):
-            got = _extract_split_head(cur, gp.p, gp.q)
-            if got is None:
-                continue
-            head, rest = got
-            if _split_indecomposable(head):
-                found = (gp, head, rest)
+    sizes: List[int] = []
+    sums: List[int] = []
+    while len(ds):
+        for p, q in _split_candidates(ds):
+            head = _split_head(ds, p, q)
+            if head is not None and _split_indecomposable(head):
                 break
-        if found is None:
+        else:
             break
-        gp, head, rest = found
         components.append(head)
-        used.append(gp)
-        cur = rest
-    tail = DegreeSequence(cur) if cur else None
-    return CanonicalDecomposition(tuple(components), tail, tuple(used))
+        used.append(GoodPair(p, q))
+        sizes.append(len(ds))
+        sums.append(ds.total(0, p))
+        ds.narrow(p, len(ds) - q, p)
+    tail = DegreeSequence(ds.values(0, len(ds))) if len(ds) else None
+    return CanonicalDecomposition(
+        tuple(components), tail, tuple(used), tuple(sizes), tuple(sums)
+    )
 
 
 def compose(s: SplitSequence, g) -> DegreeSequence:
@@ -382,15 +451,17 @@ def compose_bipartite_many(parts: Iterable[SplittedBipartiteSequence]) -> Splitt
 
 def bipartite_decomposable(sb: SplittedBipartiteSequence) -> List[GoodPair]:
     """All (p, q) with 0 < p < |U|, 0 < q < |W| satisfying
-    sum(u_1..u_p) == p*q + sum(w_{q+1}..w_{|W|}) on the sorted classes."""
+    sum(u_1..u_p) == p*q + sum(w_{q+1}..w_{|W|}) on the sorted classes.
+
+    O(1) per candidate from prefix sums, O(|U| |W|) in all."""
     u, w = sb.canonical()
-    out = []
-    for p in range(1, len(u)):
-        lhs = sum(u[:p])
-        for q in range(1, len(w)):
-            if lhs == p * q + sum(w[q:]):
-                out.append(GoodPair(p, q))
-    return out
+    pu, pw = (0, *accumulate(u)), (0, *accumulate(w))
+    return [
+        GoodPair(p, q)
+        for p in range(1, len(u))
+        for q in range(1, len(w))
+        if pu[p] == p * q + pw[-1] - pw[q]
+    ]
 
 
 def canonical_decompose_bipartite(
@@ -401,28 +472,29 @@ def canonical_decompose_bipartite(
     Heads are extracted in ascending (p, q) order, skipping extractions with
     edge-less operands, taking the first indecomposable head each round; the
     result recomposes to the input exactly.
+
+    One sort of each class, then O(n log n) as in ``canonical_decompose``:
+    both classes are windows on their sorted degrees, and a step's scan
+    stops at the p it extracts.
     """
     if not sb.is_graphical():
         raise NotGraphical(
             "not a graphical bipartite sequence: %r / %r"
             % (sb.primary_degrees, sb.secondary_degrees)
         )
-    cur = sb.canonical()
+    u, w = (_Window(x) for x in sb.canonical())
     factors: List[SplittedBipartiteSequence] = []
     while True:
-        u, w = cur
-        found = None
         for p, q in _bipartite_extractions(u, w, False):
-            head, rest = _extract_bipartite(u, w, p, q)
+            head = (u.values(0, p, q), w.values(q, len(w)))
             if _bip_indecomposable(*head):
-                found = (head, rest)
                 break
-        if found is None:
-            factors.append(SplittedBipartiteSequence(u, w))
+        else:
+            factors.append(SplittedBipartiteSequence(u.values(0, len(u)), w.values(0, len(w))))
             return factors
-        head, rest = found
         factors.append(SplittedBipartiteSequence(*head))
-        cur = rest
+        u.narrow(p, len(u))
+        w.narrow(0, q, p)
 
 
 def compose_directed(

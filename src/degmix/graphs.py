@@ -187,7 +187,10 @@ class Instance:
         mask = 0
         for e in edges:
             key = e if self.kind == "bipartite" else (min(e), max(e))
-            mask |= 1 << self.chord_index[key]
+            bit = self.chord_index.get(key)
+            if bit is None:
+                raise ValueError("edge %r is not a chord: a loop or a forbidden pair" % (e,))
+            mask |= 1 << bit
         return mask
 
     def edges_of_mask(self, mask: int) -> List[Edge]:
@@ -301,16 +304,25 @@ def enumerate_swaps(g, f: Optional[ForbiddenSet] = None) -> List[SwapMove]:
 
     C4 moves are enumerated for all graph kinds; C6 moves only for bipartite
     realizations with a forbidden partial 1-factor, where they are required
-    for irreducibility.
+    for irreducibility.  An edge outside the vertex classes, a loop or a
+    forbidden pair raises ValueError.
     """
     if isinstance(g, LabeledGraph):
         if f is not None and len(f):
             raise ValueError("forbidden sets apply to bipartite realizations")
+        _require_in_range(g.edges, g.n, g.n)
         inst = simple_instance(g.degrees())
     elif isinstance(g, LabeledBipartiteGraph):
         if f is not None and len(f) and not f.is_partial_one_factor():
             raise ForbiddenSetNotMatching("forbidden set is not a partial 1-factor")
+        _require_in_range(g.edges, g.nu, g.nw)
         inst = bipartite_instance(g.u_degrees(), g.w_degrees(), f)
     else:
         raise TypeError("expected a LabeledGraph or LabeledBipartiteGraph")
     return inst.moves(inst.mask_of_edges(g.edges))
+
+
+def _require_in_range(edges, rows: int, cols: int) -> None:
+    for e in sorted(edges):
+        if not (0 <= e[0] < rows and 0 <= e[1] < cols):
+            raise ValueError("edge %r is outside the %d x %d vertex range" % (e, rows, cols))

@@ -10,6 +10,7 @@ problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import ForbiddenSetNotMatching, NotGraphical
@@ -177,27 +178,41 @@ def _coerce_bipartite(bd) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
 
 def erdos_gallai(d) -> bool:
-    """Erdős–Gallai test: is ``d`` the degree sequence of some simple graph?"""
+    """Erdős–Gallai test: is ``d`` the degree sequence of some simple graph?
+
+    One sort, then O(n).  With the degrees non-increasing, the k-th
+    inequality's right side k(k-1) + sum_{i>k} min(k, d_i) is k for each
+    later degree >= k plus the suffix sum of the later degrees < k; the
+    boundary between the two only moves left as k grows.  Only the k where
+    the degree drops (and k = n) are tested (Tripathi & Vijay 2003).
+    """
     deg = sorted(_coerce_simple(d), reverse=True)
     n = len(deg)
     if n == 0:
         return True
-    if deg[0] > n - 1:
+    prefix = (0, *accumulate(deg))  # prefix[k] = sum of the k largest degrees
+    total = prefix[n]
+    if deg[0] > n - 1 or total % 2 != 0:
         return False
-    if sum(deg) % 2 != 0:
-        return False
-    # Prefix sums once; the k-th inequality uses sum of the k largest degrees.
-    prefix = 0
+    ge = n  # deg[:ge] are the degrees >= k
     for k in range(1, n + 1):
-        prefix += deg[k - 1]
-        tail = sum(min(k, deg[i]) for i in range(k, n))
-        if prefix > k * (k - 1) + tail:
+        if k < n and deg[k] == deg[k - 1]:
+            continue
+        while ge > 0 and deg[ge - 1] < k:
+            ge -= 1
+        tail = k * (ge - k) + total - prefix[ge] if ge > k else total - prefix[k]
+        if prefix[k] > k * (k - 1) + tail:
             return False
     return True
 
 
 def gale_ryser(bd) -> bool:
-    """Gale–Ryser test: does ``bd`` have a simple bipartite realization?"""
+    """Gale–Ryser test: does ``bd`` have a simple bipartite realization?
+
+    One sort of ``u``, then O(n_u + n_w): the k-th inequality's right side
+    sum_j min(w_j, k) is the k-th prefix sum of the conjugate of ``w``
+    (the number of w_j >= i, for i = 1..k), built once from value counts.
+    """
     u, w = _coerce_bipartite(bd)
     if sum(u) != sum(w):
         return False
@@ -205,11 +220,16 @@ def gale_ryser(bd) -> bool:
         return False
     if w and max(w) > len(u):
         return False
-    us = sorted(u, reverse=True)
-    prefix = 0
-    for k in range(1, len(us) + 1):
-        prefix += us[k - 1]
-        if prefix > sum(min(wj, k) for wj in w):
+    count = [0] * (len(u) + 1)  # count[v] = number of w_j equal to v
+    for wj in w:
+        count[wj] += 1
+    ge = len(w)  # number of w_j >= k
+    lhs = rhs = 0
+    for k, uk in enumerate(sorted(u, reverse=True), 1):
+        ge -= count[k - 1]
+        lhs += uk
+        rhs += ge
+        if lhs > rhs:
             return False
     return True
 

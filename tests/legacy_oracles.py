@@ -1,0 +1,235 @@
+"""The quadratic and cubic validators and decomposition scans, kept as oracles.
+
+These are the implementations the library used before its prefix-sum
+rewrite, copied unchanged: ``erdos_gallai`` and ``gale_ryser`` are O(n^2),
+``good_pairs`` and ``_bipartite_extractions`` re-sum slices inside both of
+their loops, and the canonical decompositions rerun those scans on every
+remainder.  ``test_scan_oracles.py`` checks that the library agrees with them.
+"""
+
+from functools import lru_cache
+from typing import List, Tuple
+
+from degmix.decomposition import (
+    CanonicalDecomposition,
+    GoodPair,
+    SplitSequence,
+    SplittedBipartiteSequence,
+    _coerce_degrees,
+    _sorted_desc,
+    psi,
+)
+from degmix.errors import InvalidSplit, NotGraphical
+from degmix.sequences import DegreeSequence, _coerce_bipartite, _coerce_simple
+
+
+def erdos_gallai(d) -> bool:
+    """Erdős–Gallai test: is ``d`` the degree sequence of some simple graph?"""
+    deg = sorted(_coerce_simple(d), reverse=True)
+    n = len(deg)
+    if n == 0:
+        return True
+    if deg[0] > n - 1:
+        return False
+    if sum(deg) % 2 != 0:
+        return False
+    # Prefix sums once; the k-th inequality uses sum of the k largest degrees.
+    prefix = 0
+    for k in range(1, n + 1):
+        prefix += deg[k - 1]
+        tail = sum(min(k, deg[i]) for i in range(k, n))
+        if prefix > k * (k - 1) + tail:
+            return False
+    return True
+
+
+def gale_ryser(bd) -> bool:
+    """Gale–Ryser test: does ``bd`` have a simple bipartite realization?"""
+    u, w = _coerce_bipartite(bd)
+    if sum(u) != sum(w):
+        return False
+    if u and max(u) > len(w):
+        return False
+    if w and max(w) > len(u):
+        return False
+    us = sorted(u, reverse=True)
+    prefix = 0
+    for k in range(1, len(us) + 1):
+        prefix += us[k - 1]
+        if prefix > sum(min(wj, k) for wj in w):
+            return False
+    return True
+
+
+def good_pairs(d) -> List[GoodPair]:
+    """All (p, q) with 0 < p+q < n satisfying the decomposability identity
+    sum(d_1..d_p) == p(n-q-1) + sum(d_{n-q+1}..d_n) on the sorted sequence."""
+    ds = _sorted_desc(_coerce_degrees(d))
+    n = len(ds)
+    out = []
+    for p in range(0, n + 1):
+        lhs = sum(ds[:p])
+        for q in range(0, n - p):
+            if p + q == 0:
+                continue
+            if lhs == p * (n - q - 1) + sum(ds[n - q:]):
+                out.append(GoodPair(p, q))
+    return out
+
+
+def _extract_split_head(ds: Tuple[int, ...], p: int, q: int):
+    """Head split component and shifted rest for a good pair, or None if the
+    arithmetic does not describe a valid split partition."""
+    n = len(ds)
+    rest_size = n - p - q
+    head_u = tuple(x - rest_size for x in ds[:p])
+    head_w = ds[n - q:]
+    rest = tuple(x - p for x in ds[p:n - q])
+    if any(x < 0 or x > rest_size - 1 for x in rest):
+        return None
+    try:
+        head = SplitSequence(head_u, head_w)
+    except InvalidSplit:
+        return None
+    return head, rest
+
+
+@lru_cache(maxsize=None)
+def _bipartite_extractions(
+    u: Tuple[int, ...], w: Tuple[int, ...], degenerate: bool
+) -> Tuple[Tuple[int, int], ...]:
+    """Valid head/rest extractions of a sorted splitted bipartite sequence.
+
+    An extraction at (p, q) takes the p largest primary and the |W|-q smallest
+    secondary degrees as the head (primary reduced by q) and leaves
+    (u_{p+1}.., w_1..w_q reduced by p) as the rest; q counts the secondary
+    vertices staying on the right.  With ``degenerate`` False, extractions
+    whose head or rest carries no edge are dropped (the composition algebra
+    for splitted bipartite sequences does not admit edge-less operands); with
+    ``degenerate`` True they are kept, which matches decomposability of the
+    corresponding designated split graphs.
+    """
+    nu, nw = len(u), len(w)
+    out = []
+    for p in range(0, nu + 1):
+        head_u_sum = sum(u[:p])
+        for q in range(0, nw + 1):
+            if p == 0 and q == nw:
+                continue  # empty head
+            if p == nu and q == 0:
+                continue  # empty rest
+            if head_u_sum != p * q + sum(w[q:]):
+                continue
+            if p > 0 and u[p - 1] < q:
+                continue
+            if p < nu and u[p] > q:
+                continue
+            if q > 0 and w[q - 1] < p:
+                continue
+            if q < nw and w[q] > p:
+                continue
+            if not degenerate:
+                if head_u_sum - p * q == 0:
+                    continue  # edge-less head
+                if sum(u[p:]) == 0:
+                    continue  # edge-less rest
+            out.append((p, q))
+    return tuple(out)
+
+
+def _extract_bipartite(u, w, p, q):
+    head = (tuple(x - q for x in u[:p]), w[q:])
+    rest = (u[p:], tuple(x - p for x in w[:q]))
+    return head, rest
+
+
+@lru_cache(maxsize=None)
+def _bip_indecomposable(u: Tuple[int, ...], w: Tuple[int, ...]) -> bool:
+    return not _bipartite_extractions(u, w, False)
+
+
+def _split_indecomposable(s: SplitSequence) -> bool:
+    """A designated split graph is indecomposable iff its stripped bipartite
+    form admits no extraction at all (degenerate single-class splits count)."""
+    sb = psi(s)
+    u, w = sb.canonical()
+    return not _bipartite_extractions(u, w, True)
+
+
+def canonical_decompose(d) -> CanonicalDecomposition:
+    """Unique factorization into indecomposable split components plus tail.
+
+    At each step the good pairs are scanned in ascending (p, q) order and the
+    first one whose head component is indecomposable is extracted; the
+    remainder continues until no good pair is left.  The final remainder is
+    the undesignated tail.
+    """
+    degrees = _coerce_degrees(d)
+    if not erdos_gallai(degrees):
+        raise NotGraphical("sequence is not graphical: %r" % (degrees,))
+    cur = _sorted_desc(degrees)
+    components: List[SplitSequence] = []
+    used: List[GoodPair] = []
+    while cur:
+        found = None
+        for gp in good_pairs(cur):
+            got = _extract_split_head(cur, gp.p, gp.q)
+            if got is None:
+                continue
+            head, rest = got
+            if _split_indecomposable(head):
+                found = (gp, head, rest)
+                break
+        if found is None:
+            break
+        gp, head, rest = found
+        components.append(head)
+        used.append(gp)
+        cur = rest
+    tail = DegreeSequence(cur) if cur else None
+    return CanonicalDecomposition(tuple(components), tail, tuple(used))
+
+
+def bipartite_decomposable(sb: SplittedBipartiteSequence) -> List[GoodPair]:
+    """All (p, q) with 0 < p < |U|, 0 < q < |W| satisfying
+    sum(u_1..u_p) == p*q + sum(w_{q+1}..w_{|W|}) on the sorted classes."""
+    u, w = sb.canonical()
+    out = []
+    for p in range(1, len(u)):
+        lhs = sum(u[:p])
+        for q in range(1, len(w)):
+            if lhs == p * q + sum(w[q:]):
+                out.append(GoodPair(p, q))
+    return out
+
+
+def canonical_decompose_bipartite(
+    sb: SplittedBipartiteSequence,
+) -> List[SplittedBipartiteSequence]:
+    """Factorization into indecomposable splitted bipartite sequences.
+
+    Heads are extracted in ascending (p, q) order, skipping extractions with
+    edge-less operands, taking the first indecomposable head each round; the
+    result recomposes to the input exactly.
+    """
+    if not sb.is_graphical():
+        raise NotGraphical(
+            "not a graphical bipartite sequence: %r / %r"
+            % (sb.primary_degrees, sb.secondary_degrees)
+        )
+    cur = sb.canonical()
+    factors: List[SplittedBipartiteSequence] = []
+    while True:
+        u, w = cur
+        found = None
+        for p, q in _bipartite_extractions(u, w, False):
+            head, rest = _extract_bipartite(u, w, p, q)
+            if _bip_indecomposable(*head):
+                found = (head, rest)
+                break
+        if found is None:
+            factors.append(SplittedBipartiteSequence(u, w))
+            return factors
+        head, rest = found
+        factors.append(SplittedBipartiteSequence(*head))
+        cur = rest

@@ -68,6 +68,8 @@ def test_exit_codes(files, capsys):
                  id="count-composed-no-block"),
     pytest.param(["count", "--kind", "bipartite", "--n", "11"], None,
                  id="count-over-census-cap"),
+    pytest.param(["count", "--kind", "ahr", "--exhaustive", "--n", "11"], None,
+                 id="count-ahr-exhaustive-over-cap"),
     pytest.param(["count", "--kind", "composed", "--n", "6", "--block", "4"], None,
                  id="count-block-not-dividing"),
 ])

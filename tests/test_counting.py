@@ -72,6 +72,8 @@ def test_census_5_matches_all_graphs_oracle():
 def test_census_cap():
     with pytest.raises(TooLarge):
         count_bipartite_graphical(11)
+    with pytest.raises(TooLarge):
+        count_almost_half_regular_exhaustive(11)
 
 
 def test_composed_class_counts():

@@ -79,3 +79,15 @@ def test_forbidden_set_must_be_one_factor():
     g = LabeledBipartiteGraph(2, 2, [(0, 0)])
     with pytest.raises(Exception):
         enumerate_swaps(g, ForbiddenSet([(0, 1), (1, 1)]))
+
+
+def test_enumerate_swaps_names_a_bad_edge():
+    g = LabeledBipartiteGraph(2, 2, [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        enumerate_swaps(g, ForbiddenSet([(0, 0)]))
+    with pytest.raises(ValueError, match=r"\(1, 2\)"):
+        enumerate_swaps(LabeledBipartiteGraph(2, 2, [(0, 0), (1, 2)]))
+    with pytest.raises(ValueError, match=r"\(0, 3\)"):
+        enumerate_swaps(LabeledGraph(3, [(0, 1), (0, 3)]))
+    with pytest.raises(ValueError, match=r"\(2, 2\)"):
+        enumerate_swaps(LabeledGraph(3, [(0, 1), (2, 2)]))
