@@ -32,7 +32,7 @@ from .sequences import (
     ForbiddenSet,
     erdos_gallai,
     gale_ryser,
-    restricted_bipartite_graphical,
+    realize_bipartite,
 )
 
 __all__ = [
@@ -174,27 +174,38 @@ def build_product_chain(plan: Layout, seed: int, stream: int = 0) -> ProductChai
     return ProductChain(coords, random.Random(derive_seed(base, 0)))
 
 
-def _unfactored(inst: Instance) -> Layout:
-    """One bipartite factor holding the whole graph, in the caller's order."""
-    return nested_layout([inst], None, range(inst.nu), range(inst.nw))
+def _unfactored(inst: Instance, start: Optional[List[Edge]] = None) -> Layout:
+    """One bipartite factor holding the whole graph, in the caller's order;
+    ``start``, if given, is its start realization."""
+    plan = nested_layout([inst], None, range(inst.nu), range(inst.nw))
+    if start is not None:
+        plan.starts = [start]
+    return plan
+
+
+def _flow_start(bd, forbidden: ForbiddenSet, message: str) -> List[Edge]:
+    """A start realization from one max flow, which also decides
+    graphicality: NotGraphical(message) when there is none."""
+    try:
+        return realize_bipartite(bd, forbidden)
+    except NotGraphical:
+        raise NotGraphical(message) from None
 
 
 def _make_plan(d, forbidden: Optional[ForbiddenSet], factorize: str) -> Layout:
-    # The canonical decompositions test graphicality themselves; only the
-    # paths that skip them test it here.
+    # The canonical decompositions test graphicality themselves, and so does
+    # the max flow that realizes a forbidden-set start; only the
+    # factorize-off paths test it here.
     if isinstance(d, DirectedDegreeSequence):
-        bd, f = d.gale_representation()
-        if not restricted_bipartite_graphical(bd, f):
-            raise NotGraphical("directed sequence is not graphical")
+        start = _flow_start(*d.gale_representation(), "directed sequence is not graphical")
         # No factorization path for directed input: the composition theory
         # builds directed classes from given factors, it does not factor an
         # arbitrary forbidden-1-factor instance.
-        return _unfactored(directed_instance(d))
+        return _unfactored(directed_instance(d), start)
     if isinstance(d, BipartiteDegreeSequence):
         if forbidden is not None and len(forbidden):
-            if not restricted_bipartite_graphical(d, forbidden):
-                raise NotGraphical("no realization avoids the forbidden set")
-            return _unfactored(bipartite_instance(d.u_degrees, d.w_degrees, forbidden))
+            start = _flow_start(d, forbidden, "no realization avoids the forbidden set")
+            return _unfactored(bipartite_instance(d.u_degrees, d.w_degrees, forbidden), start)
         if factorize == "off":
             if not gale_ryser(d):
                 raise NotGraphical("sequence is not graphical")

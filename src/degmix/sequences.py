@@ -9,6 +9,7 @@ problem.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Tuple
@@ -294,6 +295,9 @@ def _chord_flow(u, w, forbidden: Optional[ForbiddenSet]):
     """Build the source/U/W/sink flow network over allowed chords."""
     banned = forbidden.pairs if forbidden is not None else frozenset()
     nu, nw = len(u), len(w)
+    for (i, j) in banned:
+        if not (0 <= i < nu and 0 <= j < nw):
+            raise ValueError("forbidden pair out of range: %r" % ((i, j),))
     net = _Dinic(nu + nw + 2)
     src, snk = nu + nw, nu + nw + 1
     for i, ui in enumerate(u):
@@ -317,10 +321,6 @@ def restricted_bipartite_graphical(bd, f: Optional[ForbiddenSet] = None) -> bool
     u, w = _coerce_bipartite(bd)
     if sum(u) != sum(w):
         return False
-    banned = f.pairs if f is not None else frozenset()
-    for (i, j) in banned:
-        if not (0 <= i < len(u) and 0 <= j < len(w)):
-            raise ValueError("forbidden pair out of range: %r" % ((i, j),))
     net, src, snk, _ = _chord_flow(u, w, f)
     return net.max_flow(src, snk) == sum(u)
 
@@ -334,22 +334,25 @@ def directed_graphical(dd) -> bool:
 
 
 def _havel_hakimi_edges(degrees: Sequence[int]):
-    """One simple-graph realization via Havel–Hakimi; assumes graphical input."""
-    remaining = [[d, i] for i, d in enumerate(degrees)]
+    """One simple-graph realization via Havel–Hakimi, in O(m log n).
+
+    Each round joins the vertex of largest remaining degree (lowest index on
+    ties) to the next ``d0`` in that order, taken from a heap keyed
+    (-degree, index); vertices left at degree 0 drop out.  Raises
+    NotGraphical when fewer than ``d0`` vertices have degree left.
+    """
+    heap = [(-d, i) for i, d in enumerate(degrees) if d > 0]
+    heapq.heapify(heap)
     edges = []
-    while remaining:  # an empty sequence has the empty realization
-        remaining.sort(key=lambda t: (-t[0], t[1]))
-        d0, v0 = remaining[0]
-        if d0 == 0:
-            break
-        if d0 > len(remaining) - 1:
+    while heap:
+        d0, v0 = heapq.heappop(heap)
+        if -d0 > len(heap):
             raise NotGraphical("sequence is not graphical")
-        remaining[0][0] = 0
-        for k in range(1, d0 + 1):
-            remaining[k][0] -= 1
-            if remaining[k][0] < 0:
-                raise NotGraphical("sequence is not graphical")
-            edges.append((min(v0, remaining[k][1]), max(v0, remaining[k][1])))
+        joined = [heapq.heappop(heap) for _ in range(-d0)]
+        for d, v in joined:
+            edges.append((min(v0, v), max(v0, v)))
+            if d < -1:
+                heapq.heappush(heap, (d + 1, v))
     return sorted(edges)
 
 

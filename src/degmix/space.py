@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .decomposition import (
     SplitSequence,
@@ -34,6 +32,9 @@ from .sequences import (
     DirectedDegreeSequence,
     ForbiddenSet,
 )
+
+if TYPE_CHECKING:  # numpy is imported by the functions that compute with it
+    import numpy as np
 
 __all__ = [
     "DEFAULT_MAX_CHORDS",
@@ -145,6 +146,8 @@ class Space:
         return len(seen) == self.count
 
     def transition_matrix(self) -> np.ndarray:
+        import numpy as np
+
         idx = self.index()
         n = self.count
         p = np.zeros((n, n))
@@ -221,6 +224,8 @@ def build_realization_graph(
 
 
 def _exact_conductance(p: np.ndarray) -> float:
+    import numpy as np
+
     n = p.shape[0]
     best = np.inf
     row_ids = np.arange(1, 2 ** n - 1, dtype=np.uint64)
@@ -238,17 +243,36 @@ def _exact_conductance(p: np.ndarray) -> float:
     return best
 
 
-def _sweep_conductance(p: np.ndarray, vecs: np.ndarray) -> float:
-    """Best sweep cut along the second eigenvector, column -2 of ``vecs``."""
+def _sweep_vector(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """A lambda2 eigenvector that does not depend on the solver's basis: the
+    projection of a fixed seeded vector onto the eigenspace spanned by the
+    columns of ``vecs`` (below the top one) whose eigenvalues lie within
+    1e-9 of lambda2.  When lambda2 is degenerate, column -2 alone is an
+    arbitrary member of that space and varies with the BLAS build."""
+    import numpy as np
+
+    basis = vecs[:, :-1][:, np.abs(vals[:-1] - vals[-2]) <= 1e-9]
+    probe = np.random.default_rng(0).standard_normal(vecs.shape[0])
+    return basis @ (basis.T @ probe)
+
+
+def _sweep_conductance(p: np.ndarray, x: np.ndarray) -> float:
+    """Best sweep cut along ``x``, in O(n^2).
+
+    The states are ordered by ``x`` (rounded, stably, so near-ties do not
+    depend on rounding noise).  With ``p`` permuted into that order, the
+    boundary of the first k + 1 states gains row k's mass right of the
+    diagonal and loses column k's mass above it.
+    """
+    import numpy as np
+
     n = p.shape[0]
-    order = np.argsort(vecs[:, -2])
-    best = np.inf
-    ind = np.zeros(n)
-    for k in range(n - 1):
-        ind[order[k]] = 1.0
-        boundary = float(((ind @ p) * (1.0 - ind)).sum())
-        best = min(best, boundary / min(k + 1, n - k - 1))
-    return best
+    order = np.argsort(np.round(x, 9), kind="stable")
+    q = p[np.ix_(order, order)]
+    q[np.tri(n, dtype=bool)] = 0.0  # keep the strict upper triangle
+    boundary = np.cumsum(q.sum(axis=1) - q.sum(axis=0))[: n - 1]
+    k = np.arange(1, n)
+    return float(np.min(boundary / np.minimum(k, n - k)))
 
 
 def spectral_report(rg: RealizationGraph) -> SpectralReport:
@@ -258,6 +282,8 @@ def spectral_report(rg: RealizationGraph) -> SpectralReport:
     C4-only directed mode).  The single-realization chain is reported with
     lambda2 = 0 and the trivial flag set.
     """
+    import numpy as np
+
     n = rg.count
     if n == 1:
         return SpectralReport(0.0, 1.0, 1.0, 1, True, trivial=True)
@@ -270,7 +296,7 @@ def spectral_report(rg: RealizationGraph) -> SpectralReport:
         phi = _exact_conductance(p)
     else:
         vals, vecs = np.linalg.eigh(p)
-        phi = _sweep_conductance(p, vecs)
+        phi = _sweep_conductance(p, _sweep_vector(vals, vecs))
     lam2 = float(min(max(vals[-2], -1.0), 1.0))
     gap = 1.0 - lam2
     if not phi * phi / 2.0 <= gap + 1e-9:
@@ -503,6 +529,8 @@ def tv_distance_audit(
     (requires ``seed``): TV between the occupation frequencies of one
     ``steps``-long seeded trajectory and uniform.
     """
+    import numpy as np
+
     space = realization_space(d, f, max_chords, use_c6)
     n = space.count
     if n == 0:

@@ -1,14 +1,21 @@
-"""The quadratic and cubic validators and decomposition scans, kept as oracles.
+"""Superseded implementations, kept unchanged as oracles.
 
 These are the implementations the library used before its prefix-sum
 rewrite, copied unchanged: ``erdos_gallai`` and ``gale_ryser`` are O(n^2),
 ``good_pairs`` and ``_bipartite_extractions`` re-sum slices inside both of
 their loops, and the canonical decompositions rerun those scans on every
 remainder.  ``test_scan_oracles.py`` checks that the library agrees with them.
+
+``_havel_hakimi_edges`` re-sorts every round, O(n^2 log n), where the
+library now keeps a heap; ``_sweep_conductance`` recomputes every prefix's
+boundary with a matrix-vector product, O(n^3), where the library now takes
+cumulative sums, and it sorts by column -2 of ``vecs``.
 """
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from degmix.decomposition import (
     CanonicalDecomposition,
@@ -233,3 +240,36 @@ def canonical_decompose_bipartite(
         head, rest = found
         factors.append(SplittedBipartiteSequence(*head))
         cur = rest
+
+
+def _havel_hakimi_edges(degrees: Sequence[int]):
+    """One simple-graph realization via Havel–Hakimi; assumes graphical input."""
+    remaining = [[d, i] for i, d in enumerate(degrees)]
+    edges = []
+    while remaining:  # an empty sequence has the empty realization
+        remaining.sort(key=lambda t: (-t[0], t[1]))
+        d0, v0 = remaining[0]
+        if d0 == 0:
+            break
+        if d0 > len(remaining) - 1:
+            raise NotGraphical("sequence is not graphical")
+        remaining[0][0] = 0
+        for k in range(1, d0 + 1):
+            remaining[k][0] -= 1
+            if remaining[k][0] < 0:
+                raise NotGraphical("sequence is not graphical")
+            edges.append((min(v0, remaining[k][1]), max(v0, remaining[k][1])))
+    return sorted(edges)
+
+
+def _sweep_conductance(p: np.ndarray, vecs: np.ndarray) -> float:
+    """Best sweep cut along the second eigenvector, column -2 of ``vecs``."""
+    n = p.shape[0]
+    order = np.argsort(vecs[:, -2])
+    best = np.inf
+    ind = np.zeros(n)
+    for k in range(n - 1):
+        ind[order[k]] = 1.0
+        boundary = float(((ind @ p) * (1.0 - ind)).sum())
+        best = min(best, boundary / min(k + 1, n - k - 1))
+    return best

@@ -20,6 +20,7 @@ from degmix import (
     sample,
     step,
 )
+from degmix import sequences
 from degmix.chain import build_product_chain, _make_plan
 from degmix.space import realization_space
 
@@ -132,6 +133,35 @@ def test_product_with_frozen_coordinate_is_half_slowed():
 def test_sample_not_graphical():
     with pytest.raises(NotGraphical):
         sample(DegreeSequence((3, 3, 1, 1)), burn_in=1, thin=1, count=1, seed=0)
+
+
+@pytest.mark.parametrize("d, forbidden, message", [
+    pytest.param(DirectedDegreeSequence((1, 0), (1, 0)), None,
+                 "directed sequence is not graphical", id="directed-needs-a-loop"),
+    pytest.param(DirectedDegreeSequence((2, 0), (1, 0)), None,
+                 "directed sequence is not graphical", id="directed-sums-differ"),
+    pytest.param(BipartiteDegreeSequence((1, 0), (1, 0)), ForbiddenSet([(0, 0)]),
+                 "no realization avoids the forbidden set", id="forbidden-infeasible"),
+    pytest.param(BipartiteDegreeSequence((1, 1), (1, 0)), ForbiddenSet([(0, 0)]),
+                 "no realization avoids the forbidden set", id="forbidden-sums-differ"),
+])
+def test_sample_flow_paths_reject_with_their_messages(d, forbidden, message):
+    with pytest.raises(NotGraphical) as err:
+        sample(d, burn_in=1, thin=1, count=1, seed=0, forbidden=forbidden)
+    assert str(err.value) == message
+
+
+def test_sample_flow_paths_run_one_max_flow(monkeypatch):
+    # the max flow that realizes the start also decides graphicality
+    calls = []
+    max_flow = sequences._Dinic.max_flow
+    monkeypatch.setattr(sequences._Dinic, "max_flow",
+                        lambda net, s, t: calls.append(1) or max_flow(net, s, t))
+    sample(DirectedDegreeSequence((1, 1, 1), (1, 1, 1)), burn_in=5, thin=1, count=3, seed=0)
+    assert len(calls) == 1
+    sample(BipartiteDegreeSequence((2, 1, 1), (2, 1, 1)), burn_in=5, thin=1, count=3, seed=0,
+           forbidden=ForbiddenSet([(0, 0), (1, 1), (2, 2)]))
+    assert len(calls) == 2
 
 
 def test_sample_degree_recount_simple():

@@ -1,5 +1,6 @@
 """The prefix-sum validators and decomposition scans against the quadratic
-and cubic scans they replaced (``legacy_oracles``) and against networkx.
+and cubic scans they replaced (``legacy_oracles``) and against networkx, and
+the heap Havel–Hakimi against the re-sorting one.
 
 Random inputs go up to n = 200; composed inputs fold many random split
 components over a random tail, so their decompositions have many steps.
@@ -26,6 +27,7 @@ from degmix import (
     good_pairs,
     recompose,
 )
+from degmix.sequences import _havel_hakimi_edges
 
 SETTINGS = dict(deadline=None, database=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -81,7 +83,7 @@ def any_degrees(max_n):
         lambda n: st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
 
 
-def decomposition_or_none(fn, arg):
+def result_or_none(fn, arg):
     try:
         return fn(arg)
     except NotGraphical:
@@ -89,8 +91,8 @@ def decomposition_or_none(fn, arg):
 
 
 def assert_same_simple(d):
-    new = decomposition_or_none(canonical_decompose, d)
-    ref = decomposition_or_none(old.canonical_decompose, d)
+    new = result_or_none(canonical_decompose, d)
+    ref = result_or_none(old.canonical_decompose, d)
     if ref is None:
         assert new is None
         return
@@ -100,8 +102,8 @@ def assert_same_simple(d):
 
 
 def assert_same_bipartite(sb):
-    assert decomposition_or_none(canonical_decompose_bipartite, sb) == \
-        decomposition_or_none(old.canonical_decompose_bipartite, sb)
+    assert result_or_none(canonical_decompose_bipartite, sb) == \
+        result_or_none(old.canonical_decompose_bipartite, sb)
     assert bipartite_decomposable(sb) == old.bipartite_decomposable(sb)
 
 
@@ -109,6 +111,17 @@ def assert_same_bipartite(sb):
 @given(st.one_of(any_degrees(200), graph_degrees(200)))
 def test_erdos_gallai_matches_quadratic_scan_and_networkx(d):
     assert erdos_gallai(d) == old.erdos_gallai(d) == nx.is_graphical(d)
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(st.one_of(
+    any_degrees(200),
+    graph_degrees(200),
+    # odd sums: rejected, often only after many rounds
+    graph_degrees(200).filter(bool).map(lambda d: d[:-1] + [d[-1] + 1]),
+))
+def test_havel_hakimi_heap_matches_resorting_scan(d):
+    assert result_or_none(_havel_hakimi_edges, d) == result_or_none(old._havel_hakimi_edges, d)
 
 
 @settings(max_examples=100, **SETTINGS)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import degmix.space
+import legacy_oracles as old
 from degmix import (
     BipartiteDegreeSequence,
     CheegerViolation,
@@ -28,7 +29,7 @@ from degmix import (
     verify_cartesian_product,
 )
 from degmix.chain import ChainState, step
-from degmix.space import _exact_conductance
+from degmix.space import _exact_conductance, _sweep_conductance
 
 
 def test_enumerate_counts():
@@ -131,6 +132,45 @@ def test_sweep_path_solves_once(monkeypatch):
     assert rg.count > 20
     rep = spectral_report(rg)
     assert not rep.conductance_exact and calls == ["eigh"]
+
+
+def test_sweep_conductance_matches_cubic_loop():
+    # random chains reversible with respect to uniform: symmetric, stochastic
+    rng = np.random.default_rng(11)
+    for n in [2, 3, 5, 21, 40, 80] * 4:
+        w = np.triu(rng.random((n, n)) ** 4, 1)
+        p = (w + w.T) / (n * 1.01)
+        np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+        _, vecs = np.linalg.eigh(p)
+        for x in (vecs[:, -2], rng.standard_normal(n)):
+            ref = old._sweep_conductance(p, np.column_stack([x, np.zeros(n)]))
+            assert abs(_sweep_conductance(p, x) - ref) <= 1e-12
+        # tied entries keep their index order under rounding noise
+        ties = rng.integers(0, 3, n) / 7.0
+        noisy = ties + 1e-13 * rng.standard_normal(n)
+        assert _sweep_conductance(p, noisy) == _sweep_conductance(p, ties)
+
+
+def test_sweep_conductance_ignores_the_eigenbasis(monkeypatch):
+    # 24 states whose lambda2 eigenspace has dimension 9: any orthonormal
+    # basis of it is a valid eigh answer, and the reported phi must not move
+    rg = build_realization_graph(BipartiteDegreeSequence((1, 1, 1, 1), (1, 1, 1, 1)))
+    phi = spectral_report(rg).conductance
+    eigh, rng = np.linalg.eigh, np.random.default_rng(5)
+
+    def rotated(p):
+        vals, vecs = eigh(p)
+        cols = np.flatnonzero(np.abs(vals[:-1] - vals[-2]) <= 1e-9)
+        assert len(cols) == 9
+        turn, _ = np.linalg.qr(rng.standard_normal((len(cols), len(cols))))
+        vecs[:, cols] = vecs[:, cols] @ turn
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated)
+    for _ in range(5):
+        rep = spectral_report(rg)
+        assert not rep.conductance_exact
+        assert abs(rep.conductance - phi) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

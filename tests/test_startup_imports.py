@@ -1,0 +1,55 @@
+"""numpy is loaded only by the ``verify`` modes that compute with it.
+
+Every CLI job is its own process, so an import that a job does not use is
+paid on every run.  These tests start fresh interpreters and read
+``sys.modules`` after the import, and after whole CLI jobs.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs one CLI job in-process, then reports on stderr whether numpy was loaded.
+WRAPPER = """\
+import sys
+from degmix.cli import main
+try:
+    code = main(sys.argv[1:])
+finally:
+    sys.stderr.write("numpy loaded: %s\\n" % ("numpy" in sys.modules))
+sys.exit(code)
+"""
+
+
+def run_python(*args, cwd):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+def test_package_import_leaves_numpy_unloaded(tmp_path):
+    got = run_python("-c", "import sys, degmix, degmix.cli; print('numpy' in sys.modules)",
+                     cwd=tmp_path)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["decompose", "--seq", "seq.json"], False),
+    (["sample", "--seq", "seq.json", "--count", "1"], False),
+    (["verify", "--seq", "seq.json", "--mode", "connectivity"], False),
+    # the control: the wrapper does see numpy where a job uses it
+    (["verify", "--seq", "seq.json", "--mode", "spectral"], True),
+], ids=["decompose", "sample", "verify-connectivity", "verify-spectral"])
+def test_cli_jobs_load_numpy_only_to_compute(tmp_path, argv, loads_numpy):
+    (tmp_path / "seq.json").write_text(json.dumps({"kind": "simple",
+                                                   "degrees": [3, 3, 2, 2, 2, 1, 1]}))
+    got = run_python("-c", WRAPPER, *argv, cwd=tmp_path)
+    assert got.returncode == 0, got.stderr
+    assert "numpy loaded: %s" % loads_numpy in got.stderr
