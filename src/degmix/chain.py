@@ -8,6 +8,14 @@ inside each primary class and the complete join from a primary class to
 everything to its right.  Those forced edges never participate in swaps, so
 the product of the factor chains walks exactly the realization space of the
 composed sequence.
+
+``run`` is the hot loop: ``sample`` and ``dsm_sample`` take every burn-in
+and thinning step through it.  It inlines what ``product_step`` does and
+makes each draw from ``getrandbits`` the way CPython's ``random`` module
+makes it, so it consumes every RNG call for call like ``product_step`` and
+leaves the same edges and RNG states.  ``step`` and ``product_step`` stay
+as the one-step reference, and ``tests/test_chain.py`` pins ``run`` to them
+on the running interpreter.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ __all__ = [
     "ProductChain",
     "step",
     "product_step",
+    "run",
     "sample",
     "derive_seed",
     "build_product_chain",
@@ -159,6 +168,135 @@ def product_step(chain: ProductChain) -> ProductChain:
     return chain
 
 
+# Random.sample keeps a pool list for populations up to this size and a set
+# of drawn indices above it, for samples of at most 5.
+_POOL_MAX = 21
+
+
+def _fixed(state: ChainState):
+    """What ``run`` reads of one coordinate: its RNG's bound methods, its
+    edge list and position map (mutated in place), and the data that no
+    swap changes."""
+    inst, m = state.instance, len(state.edges)
+    return (
+        state.rng.random,
+        state.rng.getrandbits,
+        state,
+        state.edges,
+        state._pos,
+        m,
+        m <= _POOL_MAX,
+        inst.disjoint_pairs > 0 and m >= 2,
+        inst.use_c6,
+        inst.kind == "simple",
+        inst.forbidden.pairs,
+        inst.matchings,
+    )
+
+
+def run(chain: ProductChain, steps: int) -> ProductChain:
+    """``steps`` calls of ``product_step`` in one loop; the sampler's hot loop.
+
+    The coordinate choice, the lazy half, ``_try_c4`` and ``_try_c6`` are
+    inlined, and every draw goes through ``getrandbits`` exactly as
+    CPython's ``Random._randbelow_with_getrandbits`` and ``Random.sample``
+    make it.  So each RNG is consumed call for call as ``product_step``
+    consumes it, and the edges, positions and RNG states come out the same.
+    """
+    coords = chain.coordinates
+    k = len(coords)
+    if not k:
+        return chain
+    fixed = [_fixed(c) for c in coords]
+    select = chain.rng.getrandbits
+    k_bits = k.bit_length()
+    for _ in range(steps):
+        i = select(k_bits)
+        while i >= k:
+            i = select(k_bits)
+        coin, bits, state, edges, pos, m, pool, c4, c6, simple, banned, matchings = fixed[i]
+        if coin() < 0.5:
+            continue  # lazy half
+        if c6 and coin() >= 0.5:
+            if m < 3:
+                continue
+            # Random.sample(edges, 3)
+            nb = m.bit_length()
+            j1 = bits(nb)
+            while j1 >= m:
+                j1 = bits(nb)
+            if pool:
+                nb1, nb2 = (m - 1).bit_length(), (m - 2).bit_length()
+                j2 = bits(nb1)
+                while j2 >= m - 1:
+                    j2 = bits(nb1)
+                j3 = bits(nb2)
+                while j3 >= m - 2:
+                    j3 = bits(nb2)
+                # undo the pool's moves of its last items into the vacancies
+                j3 = m - 2 if j3 == j2 else j3
+                j2 = m - 1 if j2 == j1 else j2
+                j3 = m - 1 if j3 == j1 else j3
+            else:
+                j2 = bits(nb)
+                while j2 >= m or j2 == j1:
+                    j2 = bits(nb)
+                j3 = bits(nb)
+                while j3 >= m or j3 == j1 or j3 == j2:
+                    j3 = bits(nb)
+            (a1, b1), (a2, b2), (a3, b3) = e1, e2, e3 = edges[j1], edges[j2], edges[j3]
+            if a1 == a2 or a1 == a3 or a2 == a3 or b1 == b2 or b1 == b3 or b2 == b3:
+                continue
+            # Instance._hexagon: the closing pairs forbidden, the targets not
+            if (a1, b3) not in banned or (a2, b1) not in banned or (a3, b2) not in banned:
+                continue
+            f1, f2, f3 = (a1, b2), (a2, b3), (a3, b1)
+            if f1 in banned or f2 in banned or f3 in banned:
+                continue
+            if f1 in pos or f2 in pos or f3 in pos:
+                continue
+            state._apply((e1, e2, e3), (f1, f2, f3))
+            continue
+        if not c4:
+            continue
+        nb, nb1 = m.bit_length(), (m - 1).bit_length()
+        while True:  # Random.sample(edges, 2) until the pair is vertex-disjoint
+            j1 = bits(nb)
+            while j1 >= m:
+                j1 = bits(nb)
+            if pool:
+                j2 = bits(nb1)
+                while j2 >= m - 1:
+                    j2 = bits(nb1)
+                if j2 == j1:
+                    j2 = m - 1
+            else:
+                j2 = bits(nb)
+                while j2 >= m or j2 == j1:
+                    j2 = bits(nb)
+            (a1, b1), (a2, b2) = e1, e2 = edges[j1], edges[j2]
+            if a1 == a2 or b1 == b2 or simple and (a1 == b2 or b1 == a2):
+                continue
+            break
+        pick = bits(2)  # Random.randrange(matchings); 2 and 3 both take 2 bits
+        while pick >= matchings:
+            pick = bits(2)
+        if pick == 0:
+            continue  # drew the current matching
+        if simple:  # Instance._alts, in its order
+            x, y = (a2, b2) if pick == 1 else (b2, a2)
+            f1 = (a1, x) if a1 < x else (x, a1)
+            f2 = (b1, y) if b1 < y else (y, b1)
+        else:
+            f1, f2 = (a1, b2), (a2, b1)
+            if f1 in banned or f2 in banned:
+                continue
+        if f1 in pos or f2 in pos:
+            continue
+        state._apply((e1, e2), (f1, f2))
+    return chain
+
+
 # ---------------------------------------------------------------------------
 # sampling plans: the factor layout of the target sequence
 
@@ -233,12 +371,10 @@ def _assemble(plan: Layout, coords: Sequence[ChainState]) -> List[Edge]:
 
 def _sample_stream(plan: Layout, seed: int, stream: int, quota: int, burn_in: int, thin: int):
     pc = build_product_chain(plan, seed, stream=stream)
-    for _ in range(burn_in):
-        product_step(pc)
+    run(pc, burn_in)
     out = []
     for _ in range(quota):
-        for _ in range(thin):
-            product_step(pc)
+        run(pc, thin)
         out.append(_assemble(plan, pc.coordinates))
     return out
 

@@ -283,15 +283,6 @@ def _split_head(ds: _Window, p: int, q: int) -> Optional[SplitSequence]:
         return None
 
 
-def _extract_split_head(ds: Tuple[int, ...], p: int, q: int):
-    """Head split component and shifted rest for a good pair, or None if the
-    arithmetic does not describe a valid split partition."""
-    head = _split_head(_Window(ds), p, q)
-    if head is None:
-        return None
-    return head, tuple(x - p for x in ds[p:len(ds) - q])
-
-
 def _bipartite_extractions(
     u: _Window, w: _Window, degenerate: bool
 ) -> Iterator[Tuple[int, int]]:

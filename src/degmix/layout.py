@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .decomposition import CanonicalDecomposition, SplittedBipartiteSequence, psi
 from .graphs import Instance, bipartite_instance, simple_instance
-from .sequences import realize, realize_bipartite
+from .sequences import _havel_hakimi_edges, realize_bipartite
 
 Edge = Tuple[int, int]
 
@@ -42,9 +42,11 @@ class Layout:
 
     @cached_property
     def starts(self) -> List[List[Edge]]:
-        """One start realization per factor, as a sorted edge list."""
+        """One start realization per factor, as a sorted edge list.  A
+        simple factor goes straight to Havel–Hakimi, which raises
+        NotGraphical itself: its sequence was tested on the way in."""
         return [
-            realize(inst.degrees)
+            _havel_hakimi_edges(inst.degrees)
             if inst.kind == "simple"
             else realize_bipartite((inst.u_degrees, inst.w_degrees), inst.forbidden)
             for inst in self.factors

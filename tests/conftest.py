@@ -1,12 +1,16 @@
 """Shared brute-force oracles: exhaustive enumeration over all labeled graphs.
 
 These deliberately avoid the library's own algorithms so the tests compare
-two independent routes to the same answer.
+two independent routes to the same answer.  ``split_head_and_rest`` is the
+exception: it adapts the library's head extraction to the tuple-in,
+pair-out form that the factorization-search oracles take.
 """
 
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+
+from degmix.decomposition import _split_head, _Window
 
 
 def all_simple_graphs(n):
@@ -78,6 +82,16 @@ def brute_directed_realizable(out_deg, in_deg):
         if tuple(do) == tuple(out_deg) and tuple(di) == tuple(in_deg):
             return True
     return False
+
+
+def split_head_and_rest(ds, p, q):
+    """Head split component and shifted rest of the sorted tuple ``ds`` at
+    good pair (p, q), or None where the library's ``_split_head`` finds no
+    valid split partition."""
+    head = _split_head(_Window(ds), p, q)
+    if head is None:
+        return None
+    return head, tuple(x - p for x in ds[p:len(ds) - q])
 
 
 def nonincreasing_sequences(length, cap):

@@ -38,11 +38,11 @@ from degmix import (
     swap_locality_report,
     tv_distance_audit,
 )
-from degmix.decomposition import _extract_split_head, _split_indecomposable
+from degmix.decomposition import _split_indecomposable
 from degmix.decomposition import good_pairs as _good_pairs
 from degmix.space import Space, _enumerate_masks, verify_cartesian_product
 
-from conftest import all_simple_graphs, nonincreasing_sequences
+from conftest import all_simple_graphs, nonincreasing_sequences, split_head_and_rest
 
 
 def _report(criterion, ok, detail):
@@ -355,7 +355,7 @@ def _all_maximal_factorizations(d, cache={}):
     out = set()
     found = False
     for gp in _good_pairs(d):
-        got = _extract_split_head(d, gp.p, gp.q)
+        got = split_head_and_rest(d, gp.p, gp.q)
         if got is None:
             continue
         head, rest = got

@@ -1,6 +1,7 @@
 """Chain kernel behavior: symmetry, invariants, reproducibility, product law."""
 
 import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -15,14 +16,18 @@ from degmix import (
     LabeledBipartiteGraph,
     LabeledGraph,
     NotGraphical,
+    degree_spectra,
     derive_seed,
     product_step,
     sample,
     step,
 )
 from degmix import sequences
-from degmix.chain import build_product_chain, _make_plan
+from degmix.chain import ProductChain, build_product_chain, _make_plan, run
 from degmix.space import realization_space
+from degmix.spectra import _dsm_plan
+
+from test_golden_draws import CASES as GOLDEN_CASES
 
 
 def test_kernel_symmetric_on_desk_instances():
@@ -297,3 +302,82 @@ def test_sample_beyond_enumerable_sizes(name, monkeypatch):
 def test_derive_seed_stable():
     assert derive_seed(0, 0) != derive_seed(0, 1)
     assert derive_seed(0, 0) == derive_seed(0, 0)
+
+
+# Inputs on which ``run`` must consume every RNG exactly as ``product_step``
+# does: each golden-draw input, plus the paths of ``Random.sample`` (pool up
+# to 21 edges, set above), C6 swaps on both paths, and a frozen factor.
+RUN_CASES = {
+    **{"golden-" + name: case for name, case in GOLDEN_CASES.items()},
+    "pool-simple": (DegreeSequence([3] * 14), "off", None),  # m = 21
+    "set-simple": (DegreeSequence([2] * 22), "off", None),  # m = 22
+    "set-bipartite": (BipartiteDegreeSequence([3] * 10, [3] * 10), "off", None),  # m = 30
+    "set-c6-directed": (DirectedDegreeSequence([3] * 10, [3] * 10), "auto", None),  # m = 30
+    "frozen-star": (DegreeSequence((3, 1, 1, 1)), "off", None),  # no disjoint pair
+}
+
+# The graph whose spectra matrix is the golden DSM input: three components.
+DSM_GRAPH = LabeledGraph(9, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3),
+                             (6, 7), (7, 8), (1, 8), (0, 5)])
+
+
+def _run_plan(name):
+    if name == "dsm-golden":
+        return _dsm_plan(degree_spectra(DSM_GRAPH))
+    seq, factorize, forbidden = RUN_CASES[name]
+    return _make_plan(seq, forbidden, factorize)
+
+
+def _snapshot(pc):
+    return pc.rng.getstate(), [(list(c.edges), dict(c._pos), c.rng.getstate())
+                               for c in pc.coordinates]
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CASES) + ["dsm-golden"])
+def test_run_matches_product_step(name):
+    plan = _run_plan(name)
+    sizes = [inst.m for inst in plan.factors]
+    if name.startswith("pool"):
+        assert max(sizes) == 21
+    if name.startswith("set"):
+        assert max(sizes) > 21
+    if "c6" in name:
+        assert any(inst.use_c6 for inst in plan.factors)
+    if name.startswith("frozen"):
+        assert [inst.disjoint_pairs for inst in plan.factors] == [0]
+    ref, fast = build_product_chain(plan, seed=31), build_product_chain(plan, seed=31)
+    start = _snapshot(ref)
+    for k in (0, 1, 2000):
+        for _ in range(k):
+            product_step(ref)
+        run(fast, k)
+        assert _snapshot(fast) == _snapshot(ref)
+    if not name.startswith("frozen"):
+        assert _snapshot(ref)[1] != start[1]  # the coordinates moved
+
+
+def test_run_without_factors_draws_nothing():
+    pc = ProductChain([], random.Random(4))
+    state = pc.rng.getstate()
+    assert run(pc, 100) is pc
+    assert pc.rng.getstate() == state
+
+
+def test_sample_tests_erdos_gallai_once(monkeypatch):
+    # the canonical decomposition (or, unfactorized, the plan) tests the
+    # sequence; the Havel-Hakimi start does not test it again
+    calls = []
+    orig = sequences.erdos_gallai
+
+    def counted(d):
+        calls.append(1)
+        return orig(d)
+
+    for mod in [m for n, m in sys.modules.items() if n == "degmix" or n.startswith("degmix.")]:
+        if getattr(mod, "erdos_gallai", None) is orig:
+            monkeypatch.setattr(mod, "erdos_gallai", counted)
+    for factorize in ("auto", "off"):
+        calls.clear()
+        sample(DegreeSequence([4] * 200), burn_in=10, thin=1, count=1, seed=0,
+               factorize=factorize)
+        assert len(calls) == 1, factorize

@@ -29,9 +29,9 @@ from degmix import (
     recompose,
     split_lift,
 )
-from degmix.decomposition import _extract_split_head, _split_indecomposable
+from degmix.decomposition import _split_indecomposable
 
-from conftest import all_simple_graphs, nonincreasing_sequences
+from conftest import all_simple_graphs, nonincreasing_sequences, split_head_and_rest
 
 
 def graphical_sequences(n):
@@ -151,7 +151,7 @@ def all_maximal_factorizations(d):
     out = set()
     found = False
     for gp in good_pairs(d):
-        got = _extract_split_head(d, gp.p, gp.q)
+        got = split_head_and_rest(d, gp.p, gp.q)
         if got is None:
             continue
         head, rest = got
