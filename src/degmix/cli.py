@@ -82,13 +82,18 @@ def _load_inputs(args):
     forbidden = _load(dio.load_forbidden, args.forbidden)
     if not isinstance(seq, BipartiteDegreeSequence):
         raise UsageError("--forbidden applies to bipartite sequences only")
+    _check_in_classes(args.forbidden, forbidden, seq)
+    return seq, forbidden
+
+
+def _check_in_classes(path: str, forbidden, seq: BipartiteDegreeSequence) -> None:
+    """A forbidden pair outside the classes of ``seq`` is a usage error."""
     for u, w in sorted(forbidden.pairs):
         if not (0 <= u < seq.nu and 0 <= w < seq.nw):
             raise UsageError(
                 "%s: forbidden pair [%d, %d] is outside the %d x %d classes"
-                % (args.forbidden, u + 1, w + 1, seq.nu, seq.nw)
+                % (path, u + 1, w + 1, seq.nu, seq.nw)
             )
-    return seq, forbidden
 
 
 def _at_least(low: int):
@@ -219,6 +224,8 @@ def cmd_compose(args) -> int:
         )
         _emit(args, payload, json.dumps(payload))
         return 0
+    for path, f, seq in zip(args.forbidden, forb, seqs):
+        _check_in_classes(path, f, seq)
     from .decomposition import compose_directed
 
     cur, curf = parts[-1], forb[-1]
@@ -234,7 +241,10 @@ def cmd_compose(args) -> int:
 
 def _write_draws(args, draws) -> None:
     """One sorted edge list per draw, as 1-based edge lines or JSON lines."""
-    stream = open(args.out, "w") if args.out else sys.stdout
+    try:
+        stream = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        raise UsageError("--out %s: %s" % (args.out, exc.strerror or exc)) from None
     try:
         if args.format == "jsonl":
             for edges in draws:

@@ -269,9 +269,6 @@ class Instance:
         """The move table's rows that apply at ``mask``."""
         return (row for row in self.move_table if mask & row[0] == row[0] and not mask & row[1])
 
-    def neighbors(self, mask: int) -> List[int]:
-        return [mask ^ rm ^ add for rm, add, _, _ in self._valid(mask)]
-
     def moves(self, mask: int) -> List[SwapMove]:
         return [move for _, _, move, _ in self._valid(mask)]
 

@@ -1,16 +1,17 @@
 """Desk-scale verification engine over exhaustively enumerated realizations.
 
 Everything here is exact: realization spaces are enumerated by a pruned
-depth-first search over chords, transition matrices follow the chain kernel
-literally, eigenvalues come from a dense symmetric solve, and the
-Cartesian-product and swap-locality theorems are checked realization by
-realization with explicit bijections.
+depth-first search over chords, each computes its kernel with one move-table
+scan per realization for connectivity, transition matrices and the product
+check, eigenvalues come from a dense symmetric solve, and the product and
+swap-locality theorems are checked realization by realization with bijections.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .decomposition import (
@@ -75,7 +76,7 @@ def _instance_for(d, f: Optional[ForbiddenSet], use_c6: Optional[bool]) -> Insta
     return simple_instance(degrees)
 
 
-def _enumerate_masks(inst: Instance, max_chords: Optional[int]) -> List[int]:
+def _enumerate_masks(inst: Instance, max_chords: Optional[int]) -> Tuple[int, ...]:
     cap = DEFAULT_MAX_CHORDS if max_chords is None else max_chords
     k = len(inst.chords)
     if k > cap:
@@ -91,7 +92,7 @@ def _enumerate_masks(inst: Instance, max_chords: Optional[int]) -> List[int]:
         slack[a] += 1
         slack[b] += 1
     if any(t > s for t, s in zip(targets, slack)):
-        return []
+        return ()
     rem = targets
     out: List[int] = []
 
@@ -114,8 +115,7 @@ def _enumerate_masks(inst: Instance, max_chords: Optional[int]) -> List[int]:
         slack[b] += 1
 
     dfs(0, 0)
-    out.sort()
-    return out
+    return tuple(sorted(out))
 
 
 @dataclass
@@ -132,28 +132,35 @@ class Space:
     def index(self) -> Dict[int, int]:
         return {m: i for i, m in enumerate(self.masks)}
 
+    @cached_property
+    def kernel(self) -> Tuple[Dict[int, float], ...]:
+        """Each state's off-diagonal transitions, neighbor index -> weight, in
+        move-table order.  A move's bits are the state XOR the neighbor, so no
+        two valid moves share a neighbor; the rest of a row's mass is the stay."""
+        idx = self.index()
+        return tuple(
+            {idx[nxt]: w for nxt, w in self.instance.weighted_neighbors(mask)}
+            for mask in self.masks
+        )
+
     def connected(self) -> bool:
         if self.count <= 1:
             return True
-        seen = {self.masks[0]}
-        stack = [self.masks[0]]
+        seen = {0}
+        stack = [0]
         while stack:
-            cur = stack.pop()
-            for nxt in self.instance.neighbors(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+            for j in self.kernel[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
         return len(seen) == self.count
 
     def transition_matrix(self) -> np.ndarray:
         import numpy as np
 
-        idx = self.index()
-        n = self.count
-        p = np.zeros((n, n))
-        for i, mask in enumerate(self.masks):
-            for nxt, w in self.instance.weighted_neighbors(mask):
-                p[i, idx[nxt]] += w
+        p = np.zeros((self.count, self.count))
+        for i, row in enumerate(self.kernel):
+            p[i, list(row)] = list(row.values())
         np.fill_diagonal(p, 1.0 - p.sum(axis=1))
         return p
 
@@ -196,7 +203,7 @@ def realization_space(
     use_c6: Optional[bool] = None,
 ) -> Space:
     inst = _instance_for(d, f, use_c6)
-    return Space(inst, tuple(_enumerate_masks(inst, max_chords)))
+    return Space(inst, _enumerate_masks(inst, max_chords))
 
 
 def enumerate_realizations(
@@ -214,12 +221,7 @@ def build_realization_graph(
     use_c6: Optional[bool] = None,
 ) -> RealizationGraph:
     space = realization_space(d, f, max_chords, use_c6)
-    idx = space.index()
-    edges = set()
-    for i, mask in enumerate(space.masks):
-        for nxt in space.instance.neighbors(mask):
-            j = idx[nxt]
-            edges.add((min(i, j), max(i, j)))
+    edges = {(min(i, j), max(i, j)) for i, row in enumerate(space.kernel) for j in row}
     return RealizationGraph(space, tuple(sorted(edges)), space.transition_matrix())
 
 
@@ -336,7 +338,6 @@ def verify_cartesian_product(
     forbidden1: Optional[ForbiddenSet] = None,
     forbidden2: Optional[ForbiddenSet] = None,
     max_chords: Optional[int] = None,
-    check_weights: bool = True,
 ) -> dict:
     """Check that the composed realization graph is the Cartesian product of
     the factor realization graphs.
@@ -388,18 +389,17 @@ def verify_cartesian_product(
         for bit, e in enumerate(inst.chords)
     }
 
-    composed_masks = _enumerate_masks(composed, max_chords)
-    s1 = _enumerate_masks(factors[0], max_chords)
-    s2 = _enumerate_masks(factors[1], max_chords)
-    if len(composed_masks) != len(s1) * len(s2):
+    whole, s1, s2 = (Space(inst, _enumerate_masks(inst, max_chords)) for inst in (composed, *factors))
+    if whole.count != s1.count * s2.count:
         raise ProductMismatch(
             "realization counts do not multiply: %d != %d * %d"
-            % (len(composed_masks), len(s1), len(s2)),
-            witness={"counts": (len(composed_masks), len(s1), len(s2))},
+            % (whole.count, s1.count, s2.count),
+            witness={"counts": (whole.count, s1.count, s2.count)},
         )
-    s1_set, s2_set = set(s1), set(s2)
+    spaces = (s1, s2)
+    index = (s1.index(), s2.index())
     seen = {}
-    for mask in composed_masks:
+    for mask in whole.masks:
         pair = _project(forced, chord_map, mask)
         if pair is None:
             raise ProductMismatch(
@@ -411,28 +411,20 @@ def verify_cartesian_product(
                 "two realizations project to the same factor pair",
                 witness={"pair": pair, "masks": (seen[pair], mask)},
             )
-        if pair[0] not in s1_set or pair[1] not in s2_set:
+        if pair[0] not in index[0] or pair[1] not in index[1]:
             raise ProductMismatch(
                 "projection is not a factor realization", witness={"pair": pair}
             )
         seen[pair] = mask
+    proj = list(seen)  # each composed state's factor pair, in state order
 
     ratio: Dict[Tuple[int, str], float] = {}
     edge_count = 0
-    factor_edges = [set(), set()]
-    for coord, space_masks, inst in ((0, s1, factors[0]), (1, s2, factors[1])):
-        for m in space_masks:
-            for nxt in inst.neighbors(m):
-                factor_edges[coord].add((min(m, nxt), max(m, nxt)))
-    for mask in composed_masks:
-        x = _project(forced, chord_map, mask)
-        for nxt, w in composed.weighted_neighbors(mask):
+    for i, row in enumerate(whole.kernel):
+        x = proj[i]
+        for j, w in row.items():
             edge_count += 1
-            y = _project(forced, chord_map, nxt)
-            if y is None:
-                raise ProductMismatch(
-                    "move leaves the product structure", witness={"from": mask, "to": nxt}
-                )
+            y = proj[j]
             changed = [c for c in (0, 1) if x[c] != y[c]]
             if len(changed) != 1:
                 raise ProductMismatch(
@@ -440,28 +432,21 @@ def verify_cartesian_product(
                 )
             c = changed[0]
             pair = (min(x[c], y[c]), max(x[c], y[c]))
-            if pair not in factor_edges[c]:
+            fw = spaces[c].kernel[index[c][x[c]]].get(index[c][y[c]])
+            if not fw:
                 raise ProductMismatch(
                     "move is not a factor move", witness={"coord": c, "pair": pair}
                 )
-            if check_weights:
-                fw = dict(factors[c].weighted_neighbors(x[c])).get(y[c])
-                if not fw:
-                    raise ProductMismatch(
-                        "factor kernel has no weight for the move",
-                        witness={"coord": c, "pair": pair},
-                    )
-                kind = "C6" if bin((x[c] ^ y[c])).count("1") == 6 else "C4"
-                key = (c, kind)
-                r = w / fw
-                if key in ratio and abs(ratio[key] - r) > 1e-12 * max(1.0, ratio[key]):
-                    raise ProductMismatch(
-                        "transition weights are not proportional",
-                        witness={"key": key, "ratios": (ratio[key], r)},
-                    )
-                ratio[key] = r
-    # Undirected product edge count: |V1||E2| + |V2||E1|.
-    expected = 2 * (len(s1) * len(factor_edges[1]) + len(s2) * len(factor_edges[0]))
+            key = (c, "C6" if bin(x[c] ^ y[c]).count("1") == 6 else "C4")
+            r = w / fw
+            if key in ratio and abs(ratio[key] - r) > 1e-12 * max(1.0, ratio[key]):
+                raise ProductMismatch(
+                    "transition weights are not proportional",
+                    witness={"key": key, "ratios": (ratio[key], r)},
+                )
+            ratio[key] = r
+    # Directed product edge count: |V1| |E2| + |V2| |E1|, each edge both ways.
+    expected = s1.count * sum(map(len, s2.kernel)) + s2.count * sum(map(len, s1.kernel))
     if edge_count != expected:
         raise ProductMismatch(
             "edge counts do not match the product rule",
@@ -469,8 +454,8 @@ def verify_cartesian_product(
         )
     return {
         "ok": True,
-        "composed_count": len(composed_masks),
-        "factor_counts": (len(s1), len(s2)),
+        "composed_count": whole.count,
+        "factor_counts": (s1.count, s2.count),
         "edges": edge_count // 2,
         "weight_ratios": {str(k): v for k, v in ratio.items()},
     }
@@ -531,6 +516,8 @@ def tv_distance_audit(
     """
     import numpy as np
 
+    if empirical and seed is None:
+        raise ValueError("the empirical audit requires a seed")
     space = realization_space(d, f, max_chords, use_c6)
     n = space.count
     if n == 0:

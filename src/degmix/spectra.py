@@ -224,5 +224,7 @@ def dsm_sample(
 ) -> List[LabeledGraph]:
     """Realizations whose recomputed spectra matrix equals ``m`` exactly,
     drawn from one logical chain."""
-    draws = _sample_stream(_dsm_plan(m), seed, 0, count, burn_in, max(1, thin))
+    if thin < 1:
+        raise ValueError("thin must be >= 1")
+    draws = _sample_stream(_dsm_plan(m), seed, 0, count, burn_in, thin)
     return [LabeledGraph(m.n, edges) for edges in draws]

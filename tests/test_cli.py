@@ -25,6 +25,7 @@ def files(tmp_path):
         "directed": write("dd.json", {"kind": "directed", "out": [1, 1, 1],
                                       "in": [1, 1, 1]}),
         "forb": write("f.json", [[1, 1], [2, 2], [3, 3]]),
+        "diag": write("f2.json", [[1, 1], [2, 2]]),
         "dsm": write("dsm.json", {"delta": 3, "columns": [[3, 0, 0], [0, 0, 1],
                                                           [0, 0, 1], [0, 0, 1]]}),
         "tmp": tmp_path,
@@ -64,6 +65,12 @@ def test_exit_codes(files, capsys):
     pytest.param(["compose", "{block}", "{matching}", "--forbidden", "{forb}",
                   "--forbidden", "{forb}"], None, id="compose-forbidden-simple-last"),
     pytest.param(["compose", "{block}", "{directed}"], None, id="compose-directed-last"),
+    pytest.param(["compose", "{block}", "{block}", "--forbidden", "{diag}",
+                  "--forbidden", "{file}"], [[5, 5]], id="compose-forbidden-out-of-range"),
+    pytest.param(["sample", "--seq", "{matching}", "--out", "{tmp}"], None,
+                 id="sample-out-directory"),
+    pytest.param(["dsm", "--sample", "--matrix", "{dsm}", "--out", "{tmp}"], None,
+                 id="dsm-out-directory"),
     pytest.param(["count", "--kind", "composed", "--n", "6"], None,
                  id="count-composed-no-block"),
     pytest.param(["count", "--kind", "bipartite", "--n", "11"], None,

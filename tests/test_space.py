@@ -29,7 +29,8 @@ from degmix import (
     verify_cartesian_product,
 )
 from degmix.chain import ChainState, step
-from degmix.space import _exact_conductance, _sweep_conductance
+from degmix.graphs import Instance
+from degmix.space import Space, _exact_conductance, _sweep_conductance
 
 
 def test_enumerate_counts():
@@ -216,6 +217,65 @@ def test_product_directed_with_merged_one_factor():
     assert rep2["ok"] and rep2["factor_counts"] == (1, 2)
 
 
+def _count_scans(monkeypatch):
+    """The masks at which a move table is scanned, in call order."""
+    calls = []
+    valid = Instance._valid
+    monkeypatch.setattr(Instance, "_valid",
+                        lambda self, mask: calls.append(mask) or valid(self, mask))
+    return calls
+
+
+@pytest.mark.parametrize("seq, use_c6", [
+    (DegreeSequence((1, 1, 1, 1)), None),
+    (BipartiteDegreeSequence((2, 2, 2, 1), (3, 2, 1, 1)), None),  # 26 states: sweep
+    (DirectedDegreeSequence((1, 1, 1), (1, 1, 1)), True),  # C6 moves
+], ids=["simple", "bipartite-sweep", "directed-c6"])
+def test_spectral_report_scans_each_state_once(monkeypatch, seq, use_c6):
+    calls = _count_scans(monkeypatch)
+    rg = build_realization_graph(seq, use_c6=use_c6)
+    spectral_report(rg)
+    assert sorted(calls) == sorted(rg.vertices)
+
+
+def test_product_check_scans_each_state_once(monkeypatch):
+    # the verify-exact benchmark's product instance: 1404 = 234 x 6
+    calls = _count_scans(monkeypatch)
+    rep = verify_cartesian_product(
+        SplittedBipartiteSequence((3, 2, 2, 2), (2, 2, 2, 2, 1)),
+        SplittedBipartiteSequence((2, 2, 2), (2, 2, 2)),
+        max_chords=64,
+    )
+    assert rep["composed_count"] == 1404 and rep["factor_counts"] == (234, 6)
+    assert len(calls) == 1404 + 234 + 6
+
+
+@pytest.mark.parametrize("scale, message, witness", [
+    (2.0, "transition weights are not proportional", ("key", (0, "C4"))),
+    (0.0, "move is not a factor move", ("coord", 0)),
+    (None, "move is not a factor move", ("coord", 0)),  # the entry is missing
+], ids=["scaled", "zero", "missing"])
+def test_product_check_catches_a_tampered_factor_kernel(monkeypatch, scale, message,
+                                                        witness):
+    kernel = Space.kernel.func
+
+    def tampered(space):
+        rows = list(kernel(space))
+        if space.instance.nu == 2:  # the (1, 1) x (1, 1) factor: two states
+            (j, w), = rows[0].items()
+            rows[0] = {} if scale is None else {j: w * scale}
+        return tuple(rows)
+
+    a = SplittedBipartiteSequence((1, 1), (1, 1))
+    b = SplittedBipartiteSequence((3, 1, 1), (2, 2, 1))
+    assert verify_cartesian_product(a, b, max_chords=25)["ok"]
+    monkeypatch.setattr(Space, "kernel", property(tampered))
+    with pytest.raises(ProductMismatch, match=message) as err:
+        verify_cartesian_product(a, b, max_chords=25)
+    field, value = witness
+    assert err.value.witness[field] == value
+
+
 def test_product_mismatch_carries_witness():
     err = ProductMismatch("boom", witness={"pair": (1, 2)})
     assert err.witness == {"pair": (1, 2)}
@@ -282,6 +342,11 @@ def test_tv_disconnected_stays_away_from_zero():
 def test_tv_empirical():
     tv = tv_distance_audit(DegreeSequence((1, 1, 1, 1)), 50000, seed=0, empirical=True)
     assert tv < 0.02
+
+
+def test_tv_empirical_requires_a_seed():
+    with pytest.raises(ValueError, match="seed"):
+        tv_distance_audit(DegreeSequence((1, 1, 1, 1)), 10, empirical=True)
 
 
 def test_empirical_kernel_matches_exact_three_sigma():

@@ -109,6 +109,13 @@ def test_dsm_sample_rigid_is_constant():
     assert len({frozenset(g.edges) for g in draws}) == 1
 
 
+def test_dsm_sample_rejects_thin_below_one():
+    m = degree_spectra(STAR)
+    for thin in (0, -1):
+        with pytest.raises(ValueError, match="thin must be >= 1"):
+            dsm_sample(m, burn_in=0, thin=thin, count=1, seed=0)
+
+
 def test_dsm_chain_visits_all_component_realizations():
     # C6 cycle: all neighbors have degree 2, single simple component with
     # multiple realizations; the chain must stay on the fixed matrix
