@@ -71,10 +71,8 @@ from .sequences import (
     restricted_bipartite_graphical,
 )
 from .space import (
-    RealizationGraph,
     Space,
     SpectralReport,
-    build_realization_graph,
     enumerate_realizations,
     realization_space,
     spectral_report,
@@ -85,10 +83,8 @@ from .space import (
 from .spectra import (
     ComponentSequence,
     DegreeSpectraMatrix,
-    build_dsm_chain,
     component_sequences,
     degree_spectra,
-    dsm_chain_step,
     dsm_graphical,
     dsm_sample,
     dsm_witness,

@@ -9,6 +9,7 @@ unreadable or malformed input files, an instance over the enumeration cap).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Optional
@@ -42,13 +43,9 @@ from .sequences import (
     BipartiteDegreeSequence,
     DegreeSequence,
     DirectedDegreeSequence,
-    directed_graphical,
-    erdos_gallai,
-    gale_ryser,
     restricted_bipartite_graphical,
 )
 from .space import (
-    build_realization_graph,
     realization_space,
     spectral_report,
     tv_distance_audit,
@@ -118,16 +115,10 @@ def _emit(args, payload: dict, human: str) -> None:
 
 def cmd_test(args) -> int:
     seq, forbidden = _load_inputs(args)
-    if isinstance(seq, DegreeSequence):
-        ok = erdos_gallai(seq)
-    elif isinstance(seq, BipartiteDegreeSequence):
-        ok = (
-            restricted_bipartite_graphical(seq, forbidden)
-            if forbidden is not None
-            else gale_ryser(seq)
-        )
+    if forbidden is not None:
+        ok = restricted_bipartite_graphical(seq, forbidden)
     else:
-        ok = directed_graphical(seq)
+        ok = seq.is_graphical()
     _emit(args, {"graphical": ok}, "graphical" if ok else "not graphical")
     return 0 if ok or not args.strict else 1
 
@@ -226,6 +217,8 @@ def cmd_compose(args) -> int:
         return 0
     for path, f, seq in zip(args.forbidden, forb, seqs):
         _check_in_classes(path, f, seq)
+        if not f.is_partial_one_factor():
+            raise UsageError("%s: forbidden set is not a partial 1-factor" % path)
     from .decomposition import compose_directed
 
     cur, curf = parts[-1], forb[-1]
@@ -239,44 +232,48 @@ def cmd_compose(args) -> int:
     return 0
 
 
-def _write_draws(args, draws) -> None:
-    """One sorted edge list per draw, as 1-based edge lines or JSON lines."""
+def _open_out(args):
+    """The --out file, or stdout; opened before sampling, so that a path
+    that cannot be written fails before the chain runs."""
+    if not args.out:
+        return contextlib.nullcontext(sys.stdout)
     try:
-        stream = open(args.out, "w") if args.out else sys.stdout
+        return open(args.out, "w")
     except OSError as exc:
         raise UsageError("--out %s: %s" % (args.out, exc.strerror or exc)) from None
-    try:
-        if args.format == "jsonl":
-            for edges in draws:
-                stream.write(json.dumps({"edges": [list(e) for e in edges]}) + "\n")
-        else:
-            for k, edges in enumerate(draws):
-                if k:
-                    stream.write("\n")
-                for a, b in edges:
-                    stream.write("%d %d\n" % (a + 1, b + 1))
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+
+
+def _write_draws(stream, fmt: str, draws) -> None:
+    """One sorted edge list per draw, as 1-based edge lines or JSON lines."""
+    if fmt == "jsonl":
+        for edges in draws:
+            stream.write(json.dumps({"edges": [list(e) for e in edges]}) + "\n")
+    else:
+        for k, edges in enumerate(draws):
+            if k:
+                stream.write("\n")
+            for a, b in edges:
+                stream.write("%d %d\n" % (a + 1, b + 1))
 
 
 def cmd_sample(args) -> int:
     seq, forbidden = _load_inputs(args)
-    try:
-        draws = sample(
-            seq,
-            burn_in=args.burn_in,
-            thin=args.thin,
-            count=args.count,
-            seed=args.seed,
-            factorize=args.factorize,
-            forbidden=forbidden,
-            jobs=args.jobs,
-        )
-    except DegmixError as exc:
-        print("sample: %s" % exc, file=sys.stderr)
-        return 1 if args.strict else 0
-    _write_draws(args, draws)
+    with _open_out(args) as stream:
+        try:
+            draws = sample(
+                seq,
+                burn_in=args.burn_in,
+                thin=args.thin,
+                count=args.count,
+                seed=args.seed,
+                factorize=args.factorize,
+                forbidden=forbidden,
+                jobs=args.jobs,
+            )
+        except DegmixError as exc:
+            print("sample: %s" % exc, file=sys.stderr)
+            return 1 if args.strict else 0
+        _write_draws(stream, args.format, draws)
     return 0
 
 
@@ -295,8 +292,7 @@ def cmd_verify(args) -> int:
             )
             return 0 if ok or not args.strict else 1
         if args.mode == "spectral":
-            rg = build_realization_graph(seq, forbidden, args.max_chords, use_c6)
-            rep = spectral_report(rg)
+            rep = spectral_report(realization_space(seq, forbidden, args.max_chords, use_c6))
             payload = {
                 "realizations": rep.realization_count,
                 "lambda2": rep.lambda2,
@@ -385,10 +381,11 @@ def cmd_dsm(args) -> int:
         ok = dsm_graphical(matrix)
         _emit(args, {"graphical": ok}, "graphical" if ok else "not graphical")
         return 0 if ok or not args.strict else 1
-    graphs = dsm_sample(
-        matrix, burn_in=args.burn_in, thin=args.thin, count=args.count, seed=args.seed
-    )
-    _write_draws(args, [sorted(g.edges) for g in graphs])
+    with _open_out(args) as stream:
+        graphs = dsm_sample(
+            matrix, burn_in=args.burn_in, thin=args.thin, count=args.count, seed=args.seed
+        )
+        _write_draws(stream, args.format, [sorted(g.edges) for g in graphs])
     return 0
 
 

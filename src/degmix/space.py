@@ -14,19 +14,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from .chain import ChainState, _make_plan, step
 from .decomposition import (
     SplitSequence,
     SplittedBipartiteSequence,
-    canonical_decompose,
-    canonical_decompose_bipartite,
     compose,
     compose_bipartite,
     compose_directed,
     psi,
 )
 from .errors import CheegerViolation, Disconnected, NotGraphical, ProductMismatch, TooLarge
-from .graphs import Instance, bipartite_instance, simple_instance
-from .layout import factor_layout, nested_layout, split_layout
+from .graphs import Instance, bipartite_instance, directed_instance, simple_instance
+from .layout import nested_layout
 from .sequences import (
     BipartiteDegreeSequence,
     DegreeSequence,
@@ -40,11 +39,9 @@ if TYPE_CHECKING:  # numpy is imported by the functions that compute with it
 __all__ = [
     "DEFAULT_MAX_CHORDS",
     "Space",
-    "RealizationGraph",
     "SpectralReport",
     "realization_space",
     "enumerate_realizations",
-    "build_realization_graph",
     "spectral_report",
     "verify_cartesian_product",
     "swap_locality_report",
@@ -56,10 +53,7 @@ DEFAULT_MAX_CHORDS = 24
 
 def _instance_for(d, f: Optional[ForbiddenSet], use_c6: Optional[bool]) -> Instance:
     if isinstance(d, DirectedDegreeSequence):
-        bd, diag = d.gale_representation()
-        return bipartite_instance(
-            bd.u_degrees, bd.w_degrees, diag, True if use_c6 is None else use_c6
-        )
+        return directed_instance(d, True if use_c6 is None else use_c6)
     if isinstance(d, BipartiteDegreeSequence):
         return bipartite_instance(d.u_degrees, d.w_degrees, f, use_c6)
     if isinstance(d, SplittedBipartiteSequence):
@@ -144,7 +138,11 @@ class Space:
         )
 
     def connected(self) -> bool:
-        if self.count <= 1:
+        """Whether the swap moves join every realization; a space with none
+        has no chain to join, which raises NotGraphical."""
+        if not self.count:
+            raise NotGraphical("no realizations")
+        if self.count == 1:
             return True
         seen = {0}
         stack = [0]
@@ -163,27 +161,6 @@ class Space:
             p[i, list(row)] = list(row.values())
         np.fill_diagonal(p, 1.0 - p.sum(axis=1))
         return p
-
-
-@dataclass
-class RealizationGraph:
-    """The meta-graph of realizations: swap adjacency plus the exact lazy
-    transition matrix of the chain kernel."""
-
-    space: Space
-    edges: Tuple[Tuple[int, int], ...]
-    transition_matrix: np.ndarray
-
-    @property
-    def vertices(self) -> Tuple[int, ...]:
-        return self.space.masks
-
-    @property
-    def count(self) -> int:
-        return self.space.count
-
-    def connected(self) -> bool:
-        return self.space.connected()
 
 
 @dataclass
@@ -212,17 +189,6 @@ def enumerate_realizations(
     """Every labeled realization exactly once, in canonical encoding order."""
     space = realization_space(d, f, max_chords)
     return [space.instance.graph_of_mask(m) for m in space.masks]
-
-
-def build_realization_graph(
-    d,
-    f: Optional[ForbiddenSet] = None,
-    max_chords: Optional[int] = None,
-    use_c6: Optional[bool] = None,
-) -> RealizationGraph:
-    space = realization_space(d, f, max_chords, use_c6)
-    edges = {(min(i, j), max(i, j)) for i, row in enumerate(space.kernel) for j in row}
-    return RealizationGraph(space, tuple(sorted(edges)), space.transition_matrix())
 
 
 def _exact_conductance(p: np.ndarray) -> float:
@@ -277,21 +243,22 @@ def _sweep_conductance(p: np.ndarray, x: np.ndarray) -> float:
     return float(np.min(boundary / np.minimum(k, n - k)))
 
 
-def spectral_report(rg: RealizationGraph) -> SpectralReport:
+def spectral_report(space: Space) -> SpectralReport:
     """Second eigenvalue, relaxation time, and conductance of the chain.
 
     Raises Disconnected for reducible chains (a reportable finding in the
-    C4-only directed mode).  The single-realization chain is reported with
-    lambda2 = 0 and the trivial flag set.
+    C4-only directed mode), and NotGraphical when there is no realization.
+    The single-realization chain is reported with lambda2 = 0 and the
+    trivial flag set.
     """
     import numpy as np
 
-    n = rg.count
+    n = space.count
     if n == 1:
         return SpectralReport(0.0, 1.0, 1.0, 1, True, trivial=True)
-    if not rg.connected():
+    if not space.connected():
         raise Disconnected("realization graph has more than one component")
-    p = rg.transition_matrix
+    p = space.transition_matrix()
     exact = n <= 20
     if exact:
         vals = np.linalg.eigvalsh(p)
@@ -467,17 +434,12 @@ def verify_cartesian_product(
 
 def swap_locality_report(d, max_chords: Optional[int] = None) -> dict:
     """Exhaustively verify that every swap of every realization of ``d``
-    touches vertices of exactly one canonical component (tail included)."""
+    touches vertices of exactly one canonical component (tail included).
+    The components are the sampler's own factor layout."""
     if isinstance(d, SplittedBipartiteSequence):
-        factors = canonical_decompose_bipartite(d)
-        u, w = d.canonical()
-        inst = bipartite_instance(u, w)
-        layout = factor_layout(factors, range(len(u)), range(len(w)))
-    else:
-        d = d if isinstance(d, DegreeSequence) else DegreeSequence(d)
-        layout = split_layout(canonical_decompose(d), range(d.n))
-        inst = simple_instance(d.sorted_degrees)
-
+        d = BipartiteDegreeSequence(d.primary_degrees, d.secondary_degrees)
+    layout = _make_plan(d, None, "auto")
+    inst = _make_plan(d, None, "off").factors[0]
     masks = _enumerate_masks(inst, max_chords)
     u_own, w_own = layout.owners()
     checked = 0
@@ -511,13 +473,15 @@ def tv_distance_audit(
     """Total-variation distance to uniform on an enumerable instance.
 
     Exact mode: worst-start TV of the k-step kernel power.  Empirical mode
-    (requires ``seed``): TV between the occupation frequencies of one
-    ``steps``-long seeded trajectory and uniform.
+    (requires ``seed`` and ``steps`` >= 1): TV between the occupation
+    frequencies of one ``steps``-long seeded trajectory and uniform.
     """
     import numpy as np
 
     if empirical and seed is None:
         raise ValueError("the empirical audit requires a seed")
+    if empirical and steps < 1:
+        raise ValueError("the empirical audit requires at least one step")
     space = realization_space(d, f, max_chords, use_c6)
     n = space.count
     if n == 0:
@@ -526,8 +490,6 @@ def tv_distance_audit(
         p = space.transition_matrix()
         pk = np.linalg.matrix_power(p, steps)
         return float(0.5 * np.max(np.abs(pk - 1.0 / n).sum(axis=1)))
-    from .chain import ChainState, step
-
     rng = random.Random(seed)
     state = ChainState(space.instance, space.instance.edges_of_mask(space.masks[0]), rng)
     idx = space.index()

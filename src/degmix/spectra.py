@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from .chain import ProductChain, _assemble, _sample_stream, build_product_chain, product_step
+from .chain import _sample_stream
 from .errors import InconsistentMatrix, NotGraphical
 from .graphs import LabeledGraph, bipartite_instance, simple_instance
 from .layout import Layout
@@ -26,8 +26,6 @@ __all__ = [
     "dsm_graphical",
     "dsm_witness",
     "joint_degree_view",
-    "build_dsm_chain",
-    "dsm_chain_step",
     "dsm_sample",
 ]
 
@@ -161,9 +159,12 @@ def dsm_graphical(m: DegreeSpectraMatrix) -> bool:
 def _dsm_plan(m: DegreeSpectraMatrix) -> Layout:
     """The class-pair components as factors of one graph; spectra-preserving
     swaps force no edges between them."""
-    if not dsm_graphical(m):
+    try:
+        comps = component_sequences(m)
+    except InconsistentMatrix:
+        comps = None
+    if comps is None or not all(c.is_graphical() for c in comps):
         raise NotGraphical("degree spectra matrix is not graphical")
-    comps = component_sequences(m)
     factors = [
         simple_instance(c.u_degrees)
         if c.is_simple
@@ -177,7 +178,7 @@ def dsm_witness(m: DegreeSpectraMatrix) -> LabeledGraph:
     """A realization of the matrix: the start state of its product chain,
     each component realized independently (they are edge-disjoint)."""
     plan = _dsm_plan(m)
-    return LabeledGraph(m.n, _assemble(plan, build_product_chain(plan, seed=0).coordinates))
+    return LabeledGraph(m.n, plan.edges(plan.starts))
 
 
 def joint_degree_view(m: DegreeSpectraMatrix) -> Dict[Tuple[int, int], int]:
@@ -194,29 +195,6 @@ def joint_degree_view(m: DegreeSpectraMatrix) -> Dict[Tuple[int, int], int]:
         if inner:
             out[(i, i)] = inner // 2
     return out
-
-
-@dataclass
-class DsmChain:
-    matrix: DegreeSpectraMatrix
-    plan: Layout
-    product: ProductChain
-
-    def current_graph(self) -> LabeledGraph:
-        return LabeledGraph(self.matrix.n, _assemble(self.plan, self.product.coordinates))
-
-
-def build_dsm_chain(m: DegreeSpectraMatrix, seed: int) -> DsmChain:
-    """Product chain over the component realization spaces, seeded like one
-    logical chain of ``sample``."""
-    plan = _dsm_plan(m)
-    return DsmChain(m, plan, build_product_chain(plan, seed))
-
-
-def dsm_chain_step(chain: DsmChain) -> DsmChain:
-    """One product-chain step; the spectra matrix is invariant bit for bit."""
-    product_step(chain.product)
-    return chain
 
 
 def dsm_sample(

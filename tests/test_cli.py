@@ -67,6 +67,9 @@ def test_exit_codes(files, capsys):
     pytest.param(["compose", "{block}", "{directed}"], None, id="compose-directed-last"),
     pytest.param(["compose", "{block}", "{block}", "--forbidden", "{diag}",
                   "--forbidden", "{file}"], [[5, 5]], id="compose-forbidden-out-of-range"),
+    pytest.param(["compose", "{block}", "{block}", "--forbidden", "{diag}",
+                  "--forbidden", "{file}"], [[1, 1], [1, 2]],
+                 id="compose-forbidden-not-matching"),
     pytest.param(["sample", "--seq", "{matching}", "--out", "{tmp}"], None,
                  id="sample-out-directory"),
     pytest.param(["dsm", "--sample", "--matrix", "{dsm}", "--out", "{tmp}"], None,
@@ -80,7 +83,13 @@ def test_exit_codes(files, capsys):
     pytest.param(["count", "--kind", "composed", "--n", "6", "--block", "4"], None,
                  id="count-block-not-dividing"),
 ])
-def test_usage_error_exits_2(files, tmp_path, capsys, argv, payload):
+def test_usage_error_exits_2(files, tmp_path, capsys, monkeypatch, argv, payload):
+    # a usage error is found before any chain runs, --out included
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the usage error")
+
+    monkeypatch.setattr("degmix.cli.sample", never)
+    monkeypatch.setattr("degmix.cli.dsm_sample", never)
     path = tmp_path / "input.json"
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     argv = [a.format(file=path, **files) for a in argv]
@@ -93,6 +102,18 @@ def test_usage_error_exits_2(files, tmp_path, capsys, argv, payload):
     assert len(err.splitlines()) == 1 and "error:" in err
     if argv[0] == "verify":
         assert "--max-chords" in err
+
+
+@pytest.mark.parametrize("mode", ["spectral", "connectivity", "tv"])
+def test_verify_no_realizations_is_a_finding(tmp_path, capsys, mode):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"kind": "simple", "degrees": [3, 1, 1]}))
+    argv = ["verify", "--seq", str(path), "--mode", mode, "--json"]
+    assert main(argv) == 0
+    assert main(argv + ["--strict"]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.splitlines() == ["verify: no realizations"] * 2
 
 
 def test_verify_product_directed_exits_2(files, capsys):

@@ -15,11 +15,11 @@ from degmix import (
     DirectedDegreeSequence,
     Disconnected,
     ForbiddenSet,
+    NotGraphical,
     ProductMismatch,
     SplitSequence,
     SplittedBipartiteSequence,
     TooLarge,
-    build_realization_graph,
     compose_bipartite,
     enumerate_realizations,
     realization_space,
@@ -48,28 +48,43 @@ def test_enumerate_respects_cap():
         BipartiteDegreeSequence((1,) * 5, (1,) * 5), max_chords=25)) == 120
 
 
+def _meta_edges(space):
+    """The realization graph's edges as sorted index pairs, read off the kernel."""
+    return sorted({(min(i, j), max(i, j)) for i, row in enumerate(space.kernel) for j in row})
+
+
 def test_realization_graph_triangle():
-    rg = build_realization_graph(DegreeSequence((1, 1, 1, 1)))
-    assert rg.count == 3
-    assert rg.edges == ((0, 1), (0, 2), (1, 2))
-    assert np.allclose(np.diag(rg.transition_matrix), 2 / 3)
+    space = realization_space(DegreeSequence((1, 1, 1, 1)))
+    assert space.count == 3
+    assert _meta_edges(space) == [(0, 1), (0, 2), (1, 2)]
+    assert np.allclose(np.diag(space.transition_matrix()), 2 / 3)
 
 
 def test_directed_triangle_connectivity():
     dd = DirectedDegreeSequence((1, 1, 1), (1, 1, 1))
-    rg_c4 = build_realization_graph(dd, use_c6=False)
-    assert rg_c4.count == 2 and rg_c4.edges == ()
-    rg_c6 = build_realization_graph(dd, use_c6=True)
-    assert rg_c6.connected()
+    space_c4 = realization_space(dd, use_c6=False)
+    assert space_c4.count == 2 and _meta_edges(space_c4) == []
+    space_c6 = realization_space(dd, use_c6=True)
+    assert space_c6.connected()
     with pytest.raises(Disconnected):
-        spectral_report(rg_c4)
+        spectral_report(space_c4)
+
+
+def test_no_realizations_is_a_finding():
+    # (3, 1, 1) passes the parity test but has no realization
+    space = realization_space(DegreeSequence((3, 1, 1)))
+    assert space.count == 0
+    with pytest.raises(NotGraphical, match="no realizations"):
+        space.connected()
+    with pytest.raises(NotGraphical, match="no realizations"):
+        spectral_report(space)
 
 
 def test_spectral_two_state_analytic():
     # ((2,2,1),(3,1,1)): 2 realizations, one swap among 5 disjoint pairs,
     # move probability 1/2 * 1/5 * 1/2 = 1/20, so lambda2 = 1 - 2/20 = 0.9
-    rg = build_realization_graph(BipartiteDegreeSequence((2, 2, 1), (3, 1, 1)))
-    rep = spectral_report(rg)
+    space = realization_space(BipartiteDegreeSequence((2, 2, 1), (3, 1, 1)))
+    rep = spectral_report(space)
     assert abs(rep.lambda2 - 0.9) < 1e-12
     assert abs(rep.relaxation_time - 10.0) < 1e-9
     assert rep.conductance_exact
@@ -77,8 +92,8 @@ def test_spectral_two_state_analytic():
 
 
 def test_spectral_trivial_chain_flagged():
-    rg = build_realization_graph(DegreeSequence((4, 2, 2, 1, 1)))
-    rep = spectral_report(rg)
+    space = realization_space(DegreeSequence((4, 2, 2, 1, 1)))
+    rep = spectral_report(space)
     assert rep.trivial and rep.lambda2 == 0.0 and rep.realization_count == 1
 
 
@@ -88,7 +103,7 @@ def test_cheeger_sandwich_small_bipartite():
         BipartiteDegreeSequence((2, 1, 1), (2, 1, 1)),
         DegreeSequence((2, 2, 2, 1, 1)),
     ):
-        rep = spectral_report(build_realization_graph(seq))
+        rep = spectral_report(realization_space(seq))
         gap = 1.0 - rep.lambda2
         assert rep.conductance ** 2 / 2 <= gap + 1e-9
         assert gap <= 2 * rep.conductance + 1e-9
@@ -102,10 +117,10 @@ def test_exact_conductance_two_state():
 
 def test_sweep_conductance_used_beyond_cap():
     # 26 realizations > 20: conductance falls back to the sweep bound
-    rg = build_realization_graph(BipartiteDegreeSequence((2, 2, 2, 1), (3, 2, 1, 1)))
-    if rg.count <= 20:
+    space = realization_space(BipartiteDegreeSequence((2, 2, 2, 1), (3, 2, 1, 1)))
+    if space.count <= 20:
         pytest.skip("instance smaller than expected")
-    rep = spectral_report(rg)
+    rep = spectral_report(space)
     assert not rep.conductance_exact
     gap = 1.0 - rep.lambda2
     assert rep.conductance ** 2 / 2 <= gap + 1e-9
@@ -115,11 +130,11 @@ def test_sweep_conductance_used_beyond_cap():
 def test_cheeger_violation_raises(monkeypatch):
     # gap = 0.1: a conductance of 1e-6 breaks gap <= 2 phi, one of 0.9
     # breaks phi^2 / 2 <= gap; both raise, under python -O too
-    rg = build_realization_graph(BipartiteDegreeSequence((2, 2, 1), (3, 1, 1)))
+    space = realization_space(BipartiteDegreeSequence((2, 2, 1), (3, 1, 1)))
     for phi in (1e-6, 0.9):
         monkeypatch.setattr(degmix.space, "_exact_conductance", lambda p, phi=phi: phi)
         with pytest.raises(CheegerViolation):
-            spectral_report(rg)
+            spectral_report(space)
 
 
 def test_sweep_path_solves_once(monkeypatch):
@@ -129,9 +144,9 @@ def test_sweep_path_solves_once(monkeypatch):
         orig = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda p, orig=orig, name=name: calls.append(name) or orig(p))
-    rg = build_realization_graph(BipartiteDegreeSequence((2, 2, 2, 1), (3, 2, 1, 1)))
-    assert rg.count > 20
-    rep = spectral_report(rg)
+    space = realization_space(BipartiteDegreeSequence((2, 2, 2, 1), (3, 2, 1, 1)))
+    assert space.count > 20
+    rep = spectral_report(space)
     assert not rep.conductance_exact and calls == ["eigh"]
 
 
@@ -155,8 +170,8 @@ def test_sweep_conductance_matches_cubic_loop():
 def test_sweep_conductance_ignores_the_eigenbasis(monkeypatch):
     # 24 states whose lambda2 eigenspace has dimension 9: any orthonormal
     # basis of it is a valid eigh answer, and the reported phi must not move
-    rg = build_realization_graph(BipartiteDegreeSequence((1, 1, 1, 1), (1, 1, 1, 1)))
-    phi = spectral_report(rg).conductance
+    space = realization_space(BipartiteDegreeSequence((1, 1, 1, 1), (1, 1, 1, 1)))
+    phi = spectral_report(space).conductance
     eigh, rng = np.linalg.eigh, np.random.default_rng(5)
 
     def rotated(p):
@@ -169,7 +184,7 @@ def test_sweep_conductance_ignores_the_eigenbasis(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", rotated)
     for _ in range(5):
-        rep = spectral_report(rg)
+        rep = spectral_report(space)
         assert not rep.conductance_exact
         assert abs(rep.conductance - phi) <= 1e-12
 
@@ -233,9 +248,9 @@ def _count_scans(monkeypatch):
 ], ids=["simple", "bipartite-sweep", "directed-c6"])
 def test_spectral_report_scans_each_state_once(monkeypatch, seq, use_c6):
     calls = _count_scans(monkeypatch)
-    rg = build_realization_graph(seq, use_c6=use_c6)
-    spectral_report(rg)
-    assert sorted(calls) == sorted(rg.vertices)
+    space = realization_space(seq, use_c6=use_c6)
+    spectral_report(space)
+    assert sorted(calls) == sorted(space.masks)
 
 
 def test_product_check_scans_each_state_once(monkeypatch):
@@ -347,6 +362,13 @@ def test_tv_empirical():
 def test_tv_empirical_requires_a_seed():
     with pytest.raises(ValueError, match="seed"):
         tv_distance_audit(DegreeSequence((1, 1, 1, 1)), 10, empirical=True)
+
+
+def test_tv_empirical_requires_a_step():
+    # no trajectory has no occupation frequencies: an error, not nan
+    for steps in (0, -1):
+        with pytest.raises(ValueError, match="at least one step"):
+            tv_distance_audit(DegreeSequence((1, 1, 1, 1)), steps, seed=0, empirical=True)
 
 
 def test_empirical_kernel_matches_exact_three_sigma():

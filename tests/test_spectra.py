@@ -7,10 +7,8 @@ from degmix import (
     InconsistentMatrix,
     LabeledGraph,
     NotGraphical,
-    build_dsm_chain,
     component_sequences,
     degree_spectra,
-    dsm_chain_step,
     dsm_graphical,
     dsm_sample,
     dsm_witness,
@@ -92,8 +90,14 @@ def test_witness_realizes_matrix():
 def test_witness_rejects_nongraphical():
     cols = [list(c) for c in degree_spectra(TRIANGLE).columns]
     cols[0][1] += 1
-    with pytest.raises(NotGraphical):
-        dsm_witness(DegreeSpectraMatrix(2, cols))
+    for m in (
+        DegreeSpectraMatrix(2, cols),  # inconsistent: vertex 0 has degree 3 > delta
+        DegreeSpectraMatrix(3, [(0, 0, 3), (0, 0, 3)]),  # consistent; (3, 3) is not graphical
+    ):
+        assert not dsm_graphical(m)
+        for call in (lambda: dsm_witness(m), lambda: dsm_sample(m, 0, 1, 1, seed=0)):
+            with pytest.raises(NotGraphical, match="^degree spectra matrix is not graphical$"):
+                call()
 
 
 def test_dsm_sample_preserves_matrix():
@@ -121,11 +125,9 @@ def test_dsm_chain_visits_all_component_realizations():
     # multiple realizations; the chain must stay on the fixed matrix
     g = LabeledGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
     m = degree_spectra(g)
-    chain = build_dsm_chain(m, seed=8)
     seen = set()
-    for _ in range(4000):
-        dsm_chain_step(chain)
-        cur = chain.current_graph()
+    # burn_in=0, thin=1: every one of the chain's first 4000 states is a draw
+    for cur in dsm_sample(m, burn_in=0, thin=1, count=4000, seed=8):
         assert degree_spectra(cur) == m
         seen.add(frozenset(cur.edges))
     # 2-regular graphs on 6 labeled vertices: two triangles (10) or a 6-cycle (60)
