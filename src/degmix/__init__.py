@@ -19,7 +19,6 @@ from .decomposition import (
     CanonicalDecomposition,
     GoodPair,
     SplitSequence,
-    SplittedBipartiteSequence,
     bipartite_decomposable,
     canonical_decompose,
     canonical_decompose_bipartite,

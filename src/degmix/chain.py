@@ -25,11 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .decomposition import (
-    SplittedBipartiteSequence,
-    canonical_decompose,
-    canonical_decompose_bipartite,
-)
+from .decomposition import canonical_decompose, canonical_decompose_bipartite
 from .errors import NotGraphical
 from .graphs import Edge, Instance, bipartite_instance, directed_instance, simple_instance
 from .layout import Layout, factor_layout, nested_layout, split_layout
@@ -348,9 +344,7 @@ def _make_plan(d, forbidden: Optional[ForbiddenSet], factorize: str) -> Layout:
             if not gale_ryser(d):
                 raise NotGraphical("sequence is not graphical")
             return _unfactored(bipartite_instance(d.u_degrees, d.w_degrees))
-        factors = canonical_decompose_bipartite(
-            SplittedBipartiteSequence(d.u_degrees, d.w_degrees)
-        )
+        factors = canonical_decompose_bipartite(d)
         u_order, w_order = DegreeSequence(d.u_degrees).order, DegreeSequence(d.w_degrees).order
         return factor_layout(factors, u_order, w_order)
     if not isinstance(d, DegreeSequence):

@@ -23,7 +23,6 @@ from .counting import (
 )
 from .chain import sample
 from .decomposition import (
-    SplittedBipartiteSequence,
     canonical_decompose,
     canonical_decompose_bipartite,
     compose_bipartite_many,
@@ -36,6 +35,7 @@ from .errors import (
     Disconnected,
     DivisibilityError,
     InconsistentMatrix,
+    InvalidSplit,
     ProductMismatch,
     TooLarge,
 )
@@ -93,6 +93,13 @@ def _check_in_classes(path: str, forbidden, seq: BipartiteDegreeSequence) -> Non
             )
 
 
+def _require_one_factor(path: str, forbidden) -> None:
+    """A forbidden set that is not a partial 1-factor is a usage error
+    wherever a swap chain runs over it."""
+    if forbidden is not None and not forbidden.is_partial_one_factor():
+        raise UsageError("%s: forbidden set is not a partial 1-factor" % path)
+
+
 def _at_least(low: int):
     """argparse type: an integer no smaller than ``low``."""
 
@@ -128,24 +135,16 @@ def cmd_decompose(args) -> int:
     if isinstance(seq, DirectedDegreeSequence):
         raise UsageError("directed sequences are not factorized")
     if isinstance(seq, BipartiteDegreeSequence):
-        sb = SplittedBipartiteSequence(seq.u_degrees, seq.w_degrees)
-        factors = canonical_decompose_bipartite(sb)
+        factors = canonical_decompose_bipartite(seq)
         payload = {
             "kind": "bipartite",
             "factors": [
-                {
-                    "primary": list(f.primary_degrees),
-                    "secondary": list(f.secondary_degrees),
-                }
+                {"primary": list(f.u_degrees), "secondary": list(f.w_degrees)}
                 for f in factors
             ],
         }
         lines = ["%d factor(s)" % len(factors)] + [
-            "  [%s / %s]"
-            % (
-                " ".join(map(str, f.primary_degrees)),
-                " ".join(map(str, f.secondary_degrees)),
-            )
+            "  [%s / %s]" % (" ".join(map(str, f.u_degrees)), " ".join(map(str, f.w_degrees)))
             for f in factors
         ]
         _emit(args, payload, "\n".join(lines))
@@ -195,38 +194,33 @@ def cmd_compose(args) -> int:
     heads = seqs[:-1]
     if not all(isinstance(s, BipartiteDegreeSequence) for s in heads):
         raise UsageError("leading operands must be bipartite (splitted)")
-    sb_heads = [SplittedBipartiteSequence(s.u_degrees, s.w_degrees) for s in heads]
     if isinstance(last, DegreeSequence):
         if forb is not None:
             raise UsageError("forbidden sets need all-bipartite operands")
         out = last
-        for sb in reversed(sb_heads):
-            out = compose(psi_inverse(sb), out)
+        for path, head in reversed(list(zip(args.seqs, heads))):
+            try:
+                out = compose(psi_inverse(head), out)
+            except InvalidSplit as exc:
+                raise UsageError("%s: %s" % (path, exc)) from None
         payload = dio.sequence_to_dict(out)
         _emit(args, payload, json.dumps(payload))
         return 0
     if not isinstance(last, BipartiteDegreeSequence):
         raise UsageError("final operand must be simple or bipartite")
-    parts = sb_heads + [SplittedBipartiteSequence(last.u_degrees, last.w_degrees)]
     if forb is None:
-        out = compose_bipartite_many(parts)
-        payload = dio.sequence_to_dict(
-            BipartiteDegreeSequence(out.primary_degrees, out.secondary_degrees)
-        )
+        payload = dio.sequence_to_dict(compose_bipartite_many(seqs))
         _emit(args, payload, json.dumps(payload))
         return 0
     for path, f, seq in zip(args.forbidden, forb, seqs):
         _check_in_classes(path, f, seq)
-        if not f.is_partial_one_factor():
-            raise UsageError("%s: forbidden set is not a partial 1-factor" % path)
+        _require_one_factor(path, f)
     from .decomposition import compose_directed
 
-    cur, curf = parts[-1], forb[-1]
-    for sb, f in zip(reversed(parts[:-1]), reversed(forb[:-1])):
-        cur, curf = compose_directed(sb, f, cur, curf)
-    payload = dio.sequence_to_dict(
-        BipartiteDegreeSequence(cur.primary_degrees, cur.secondary_degrees)
-    )
+    cur, curf = seqs[-1], forb[-1]
+    for head, f in zip(reversed(heads), reversed(forb[:-1])):
+        cur, curf = compose_directed(head, f, cur, curf)
+    payload = dio.sequence_to_dict(cur)
     payload["forbidden"] = dio.forbidden_to_list(curf)
     _emit(args, payload, json.dumps(payload))
     return 0
@@ -258,6 +252,7 @@ def _write_draws(stream, fmt: str, draws) -> None:
 
 def cmd_sample(args) -> int:
     seq, forbidden = _load_inputs(args)
+    _require_one_factor(args.forbidden, forbidden)
     with _open_out(args) as stream:
         try:
             draws = sample(
@@ -279,6 +274,7 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     seq, forbidden = _load_inputs(args)
+    _require_one_factor(args.forbidden, forbidden)
     use_c6 = None if not args.c4_only else False
     try:
         if args.mode == "connectivity":
@@ -335,8 +331,7 @@ def cmd_verify(args) -> int:
                 cd.components[0], rest, max_chords=args.max_chords
             )
         elif isinstance(seq, BipartiteDegreeSequence):
-            sb = SplittedBipartiteSequence(seq.u_degrees, seq.w_degrees)
-            factors = canonical_decompose_bipartite(sb)
+            factors = canonical_decompose_bipartite(seq)
             if len(factors) == 1:
                 _emit(args, {"factors": 1, "ok": True}, "indecomposable; nothing to verify")
                 return 0

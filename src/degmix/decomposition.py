@@ -5,8 +5,9 @@ vertices form a clique and a secondary class W forming an independent set.
 Composing a split sequence with an arbitrary sequence joins every U vertex to
 every vertex of the second operand; the induced arithmetic on degrees is exact
 integer bookkeeping, so decomposition inverts composition exactly.  The same
-algebra is carried over to bipartite sequences through the strip-the-clique
-bijection ``psi`` and, with forbidden 1-factors, to directed sequences.
+algebra is carried over to bipartite sequences, whose ``u`` class is the
+primary one, through the strip-the-clique bijection ``psi`` and, with
+forbidden 1-factors, to directed sequences.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from .sequences import (
     BipartiteDegreeSequence,
     DegreeSequence,
     ForbiddenSet,
+    _coerce_simple,
     erdos_gallai,
-    gale_ryser,
 )
 
 __all__ = [
     "SplitSequence",
-    "SplittedBipartiteSequence",
     "GoodPair",
     "CanonicalDecomposition",
     "is_split",
@@ -105,49 +105,6 @@ class SplitSequence:
 
 
 @dataclass(frozen=True)
-class SplittedBipartiteSequence:
-    """Bipartite degree sequence with designated primary/secondary classes.
-
-    The primary class may contain zero-degree vertices (clique stripping can
-    leave them behind).  Instances keep the given vertex order; comparisons in
-    the decomposition algebra use the sorted class views.
-    """
-
-    primary_degrees: Tuple[int, ...]
-    secondary_degrees: Tuple[int, ...]
-
-    def __init__(self, primary_degrees: Iterable[int], secondary_degrees: Iterable[int]):
-        object.__setattr__(
-            self, "primary_degrees", tuple(int(x) for x in primary_degrees)
-        )
-        object.__setattr__(
-            self, "secondary_degrees", tuple(int(x) for x in secondary_degrees)
-        )
-        if any(x < 0 for x in self.primary_degrees + self.secondary_degrees):
-            raise ValueError("degrees must be non-negative")
-
-    @property
-    def nu(self) -> int:
-        return len(self.primary_degrees)
-
-    @property
-    def nw(self) -> int:
-        return len(self.secondary_degrees)
-
-    def canonical(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        return _sorted_desc(self.primary_degrees), _sorted_desc(self.secondary_degrees)
-
-    def same_sequence(self, other: "SplittedBipartiteSequence") -> bool:
-        return self.canonical() == other.canonical()
-
-    def bipartite(self) -> BipartiteDegreeSequence:
-        return BipartiteDegreeSequence(self.primary_degrees, self.secondary_degrees)
-
-    def is_graphical(self) -> bool:
-        return gale_ryser((self.primary_degrees, self.secondary_degrees))
-
-
-@dataclass(frozen=True)
 class CanonicalDecomposition:
     """Ordered indecomposable split components plus the undesignated tail.
 
@@ -163,12 +120,6 @@ class CanonicalDecomposition:
     top_sums: Tuple[int, ...] = ()
 
 
-def _coerce_degrees(d) -> Tuple[int, ...]:
-    if isinstance(d, DegreeSequence):
-        return d.degrees
-    return tuple(int(x) for x in d)
-
-
 def is_split(d) -> Optional[SplitSequence]:
     """Hammer–Simeone recognition from the degree sequence.
 
@@ -178,7 +129,7 @@ def is_split(d) -> Optional[SplitSequence]:
     the first m vertices in the primary class.  Returns None for non-split
     sequences and raises NotGraphical for non-graphical input.
     """
-    degrees = _coerce_degrees(d)
+    degrees = _coerce_simple(d)
     if not erdos_gallai(degrees):
         raise NotGraphical("sequence is not graphical: %r" % (degrees,))
     ds = _sorted_desc(degrees)
@@ -197,7 +148,7 @@ def good_pairs(d) -> List[GoodPair]:
     sum(d_1..d_p) == p(n-q-1) + sum(d_{n-q+1}..d_n) on the sorted sequence.
 
     O(1) per candidate from prefix sums, O(n^2) in all."""
-    ds = _sorted_desc(_coerce_degrees(d))
+    ds = _sorted_desc(_coerce_simple(d))
     n = len(ds)
     prefix = (0, *accumulate(ds))
     return [
@@ -286,7 +237,7 @@ def _split_head(ds: _Window, p: int, q: int) -> Optional[SplitSequence]:
 def _bipartite_extractions(
     u: _Window, w: _Window, degenerate: bool
 ) -> Iterator[Tuple[int, int]]:
-    """Valid head/rest extractions of a sorted splitted bipartite sequence,
+    """Valid head/rest extractions of a sorted bipartite sequence,
     in ascending (p, q) order.
 
     An extraction at (p, q) takes the p largest primary and the |W|-q smallest
@@ -294,7 +245,7 @@ def _bipartite_extractions(
     (u_{p+1}.., w_1..w_q reduced by p) as the rest; q counts the secondary
     vertices staying on the right.  With ``degenerate`` False, extractions
     whose head or rest carries no edge are dropped (the composition algebra
-    for splitted bipartite sequences does not admit edge-less operands); with
+    for bipartite sequences does not admit edge-less operands); with
     ``degenerate`` True they are kept, which matches decomposability of the
     corresponding designated split graphs.
 
@@ -347,7 +298,7 @@ def canonical_decompose(d) -> CanonicalDecomposition:
     whose extraction passes the range checks has an indecomposable head),
     and only the last step scans its whole remainder.
     """
-    degrees = _coerce_degrees(d)
+    degrees = _coerce_simple(d)
     if not erdos_gallai(degrees):
         raise NotGraphical("sequence is not graphical: %r" % (degrees,))
     ds = _Window(_sorted_desc(degrees))
@@ -378,7 +329,7 @@ def compose(s: SplitSequence, g) -> DegreeSequence:
     primary degrees gain |V(g)|, the second operand's degrees gain |U|."""
     if not isinstance(s, SplitSequence):
         raise InvalidSplit("first operand must be a split sequence")
-    gd = _coerce_degrees(g)
+    gd = _coerce_simple(g)
     merged = (
         [x + len(gd) for x in s.u_degrees]
         + [x + s.nu for x in gd]
@@ -395,15 +346,15 @@ def recompose(cd: CanonicalDecomposition) -> DegreeSequence:
     return DegreeSequence(_sorted_desc(cur))
 
 
-def psi(s: SplitSequence) -> SplittedBipartiteSequence:
+def psi(s: SplitSequence) -> BipartiteDegreeSequence:
     """Strip the clique: primary degrees drop by |U| - 1, secondary unchanged."""
     shift = max(s.nu - 1, 0)
-    return SplittedBipartiteSequence(
+    return BipartiteDegreeSequence(
         tuple(x - shift for x in s.u_degrees), s.w_degrees
     )
 
 
-def psi_inverse(sb: SplittedBipartiteSequence) -> SplitSequence:
+def psi_inverse(sb: BipartiteDegreeSequence) -> SplitSequence:
     """Add the clique back; exact inverse of psi on valid inputs."""
     shift = max(sb.nu - 1, 0)
     u, w = sb.canonical()
@@ -414,23 +365,23 @@ def psi_inverse(sb: SplittedBipartiteSequence) -> SplitSequence:
     return SplitSequence(tuple(x + shift for x in u), w)
 
 
-def split_lift(sb: SplittedBipartiteSequence) -> DegreeSequence:
+def split_lift(sb: BipartiteDegreeSequence) -> DegreeSequence:
     """Full degree sequence of the split graph obtained by completing the
     primary class into a clique."""
     return psi_inverse(sb).degree_sequence()
 
 
 def compose_bipartite(
-    a: SplittedBipartiteSequence, b: SplittedBipartiteSequence
-) -> SplittedBipartiteSequence:
-    """Composition of splitted bipartite sequences: the first operand's
-    primary class is joined completely to the second's secondary class."""
-    primary = tuple(x + b.nw for x in a.primary_degrees) + b.primary_degrees
-    secondary = a.secondary_degrees + tuple(x + a.nu for x in b.secondary_degrees)
-    return SplittedBipartiteSequence(primary, secondary)
+    a: BipartiteDegreeSequence, b: BipartiteDegreeSequence
+) -> BipartiteDegreeSequence:
+    """Composition of bipartite sequences: the first operand's primary
+    class ``u`` is joined completely to the second's secondary class ``w``."""
+    u = tuple(x + b.nw for x in a.u_degrees) + b.u_degrees
+    w = a.w_degrees + tuple(x + a.nu for x in b.w_degrees)
+    return BipartiteDegreeSequence(u, w)
 
 
-def compose_bipartite_many(parts: Iterable[SplittedBipartiteSequence]) -> SplittedBipartiteSequence:
+def compose_bipartite_many(parts: Iterable[BipartiteDegreeSequence]) -> BipartiteDegreeSequence:
     parts = list(parts)
     if not parts:
         raise ValueError("nothing to compose")
@@ -440,7 +391,7 @@ def compose_bipartite_many(parts: Iterable[SplittedBipartiteSequence]) -> Splitt
     return out
 
 
-def bipartite_decomposable(sb: SplittedBipartiteSequence) -> List[GoodPair]:
+def bipartite_decomposable(sb: BipartiteDegreeSequence) -> List[GoodPair]:
     """All (p, q) with 0 < p < |U|, 0 < q < |W| satisfying
     sum(u_1..u_p) == p*q + sum(w_{q+1}..w_{|W|}) on the sorted classes.
 
@@ -456,9 +407,9 @@ def bipartite_decomposable(sb: SplittedBipartiteSequence) -> List[GoodPair]:
 
 
 def canonical_decompose_bipartite(
-    sb: SplittedBipartiteSequence,
-) -> List[SplittedBipartiteSequence]:
-    """Factorization into indecomposable splitted bipartite sequences.
+    sb: BipartiteDegreeSequence,
+) -> List[BipartiteDegreeSequence]:
+    """Factorization into indecomposable bipartite sequences, ``u`` primary.
 
     Heads are extracted in ascending (p, q) order, skipping extractions with
     edge-less operands, taking the first indecomposable head each round; the
@@ -471,30 +422,30 @@ def canonical_decompose_bipartite(
     if not sb.is_graphical():
         raise NotGraphical(
             "not a graphical bipartite sequence: %r / %r"
-            % (sb.primary_degrees, sb.secondary_degrees)
+            % (sb.u_degrees, sb.w_degrees)
         )
     u, w = (_Window(x) for x in sb.canonical())
-    factors: List[SplittedBipartiteSequence] = []
+    factors: List[BipartiteDegreeSequence] = []
     while True:
         for p, q in _bipartite_extractions(u, w, False):
             head = (u.values(0, p, q), w.values(q, len(w)))
             if _bip_indecomposable(*head):
                 break
         else:
-            factors.append(SplittedBipartiteSequence(u.values(0, len(u)), w.values(0, len(w))))
+            factors.append(BipartiteDegreeSequence(u.values(0, len(u)), w.values(0, len(w))))
             return factors
-        factors.append(SplittedBipartiteSequence(*head))
+        factors.append(BipartiteDegreeSequence(*head))
         u.narrow(p, len(u))
         w.narrow(0, q, p)
 
 
 def compose_directed(
-    a: SplittedBipartiteSequence,
+    a: BipartiteDegreeSequence,
     fa: ForbiddenSet,
-    b: SplittedBipartiteSequence,
+    b: BipartiteDegreeSequence,
     fb: ForbiddenSet,
-) -> Tuple[SplittedBipartiteSequence, ForbiddenSet]:
-    """Composition of splitted bipartite sequences carrying forbidden partial
+) -> Tuple[BipartiteDegreeSequence, ForbiddenSet]:
+    """Composition of bipartite sequences carrying forbidden partial
     1-factors; the merged forbidden set is the shifted union and is itself a
     partial 1-factor."""
     for f, operand in ((fa, a), (fb, b)):
@@ -510,7 +461,7 @@ def compose_directed(
 
 def greenhill_condition(d) -> bool:
     """True iff 3 <= d_max <= sqrt(M)/4 with M the degree sum (exact integers)."""
-    degrees = _coerce_degrees(d)
+    degrees = _coerce_simple(d)
     dmax = max(degrees, default=0)
     total = sum(degrees)
     return dmax >= 3 and 16 * dmax * dmax <= total

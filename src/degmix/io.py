@@ -69,6 +69,3 @@ def load_dsm(path: str) -> DegreeSpectraMatrix:
         data = json.load(fh)
     return DegreeSpectraMatrix(data["delta"], data["columns"])
 
-
-def dsm_to_dict(m: DegreeSpectraMatrix) -> dict:
-    return {"delta": m.delta, "columns": [list(c) for c in m.columns]}

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .decomposition import CanonicalDecomposition, SplittedBipartiteSequence, psi
+from .decomposition import CanonicalDecomposition, psi
 from .graphs import Instance, bipartite_instance, simple_instance
-from .sequences import _havel_hakimi_edges, realize_bipartite
+from .sequences import BipartiteDegreeSequence, _havel_hakimi_edges, realize_bipartite
 
 Edge = Tuple[int, int]
 
@@ -124,7 +124,7 @@ def split_layout(cd: CanonicalDecomposition, ids: Sequence[int]) -> Layout:
 
 
 def factor_layout(
-    factors: Sequence[SplittedBipartiteSequence], u_ids: Sequence[int], w_ids: Sequence[int]
+    factors: Sequence[BipartiteDegreeSequence], u_ids: Sequence[int], w_ids: Sequence[int]
 ) -> Layout:
     """Layout of a bipartite sequence over its canonical factors; the ids
     name the vertices at sorted class positions."""

@@ -82,7 +82,13 @@ class DegreeSequence:
 
 @dataclass(frozen=True)
 class BipartiteDegreeSequence:
-    """Degree sequence of a bipartite graph, one vector per vertex class."""
+    """Degree sequence of a bipartite graph, one vector per vertex class.
+
+    ``u`` is the primary class of the composition algebra: composing joins
+    a first operand's ``u`` class to the second operand's ``w`` class.  The
+    classes keep the caller's vertex order; the decomposition reads the
+    sorted views of ``canonical``.
+    """
 
     u_degrees: Tuple[int, ...]
     w_degrees: Tuple[int, ...]
@@ -98,6 +104,13 @@ class BipartiteDegreeSequence:
     @property
     def nw(self) -> int:
         return len(self.w_degrees)
+
+    def canonical(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Both classes sorted non-increasingly."""
+        return (
+            tuple(sorted(self.u_degrees, reverse=True)),
+            tuple(sorted(self.w_degrees, reverse=True)),
+        )
 
     def is_graphical(self) -> bool:
         return gale_ryser(self)
@@ -236,7 +249,8 @@ def gale_ryser(bd) -> bool:
 
 
 class _Dinic:
-    """Small integer max-flow solver (Dinic); instances here are tiny."""
+    """Integer max-flow solver (Dinic).  Each augmenting path is walked with
+    an explicit stack, since its length grows with the number of vertices."""
 
     def __init__(self, n: int):
         self.n = n
@@ -255,40 +269,43 @@ class _Dinic:
         return idx
 
     def max_flow(self, s: int, t: int) -> int:
+        head, to, cap = self.head, self.to, self.cap
         flow = 0
         while True:
             level = [-1] * self.n
             level[s] = 0
             queue = [s]
             for v in queue:
-                for e in self.head[v]:
-                    if self.cap[e] > 0 and level[self.to[e]] < 0:
-                        level[self.to[e]] = level[v] + 1
-                        queue.append(self.to[e])
+                for e in head[v]:
+                    if cap[e] > 0 and level[to[e]] < 0:
+                        level[to[e]] = level[v] + 1
+                        queue.append(to[e])
             if level[t] < 0:
                 return flow
             it = [0] * self.n
-
-            def dfs(v: int, f: int) -> int:
-                if v == t:
-                    return f
-                while it[v] < len(self.head[v]):
-                    e = self.head[v][it[v]]
-                    u = self.to[e]
-                    if self.cap[e] > 0 and level[u] == level[v] + 1:
-                        got = dfs(u, min(f, self.cap[e]))
-                        if got > 0:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[v] += 1
-                return 0
-
+            path = []  # arcs from s to v; a dead end pops its arc
+            v = s
             while True:
-                pushed = dfs(s, 1 << 60)
-                if pushed == 0:
+                if v == t:
+                    pushed = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= pushed
+                        cap[e ^ 1] += pushed
+                    flow += pushed
+                    path.clear()
+                    v = s
+                elif it[v] < len(head[v]):
+                    e = head[v][it[v]]
+                    if cap[e] > 0 and level[to[e]] == level[v] + 1:
+                        path.append(e)
+                        v = to[e]
+                    else:
+                        it[v] += 1
+                elif path:
+                    v = to[path.pop() ^ 1]
+                    it[v] += 1
+                else:
                     break
-                flow += pushed
 
 
 def _chord_flow(u, w, forbidden: Optional[ForbiddenSet]):

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from .chain import ChainState, _make_plan, step
 from .decomposition import (
     SplitSequence,
-    SplittedBipartiteSequence,
     compose,
     compose_bipartite,
     compose_directed,
@@ -56,9 +55,6 @@ def _instance_for(d, f: Optional[ForbiddenSet], use_c6: Optional[bool]) -> Insta
         return directed_instance(d, True if use_c6 is None else use_c6)
     if isinstance(d, BipartiteDegreeSequence):
         return bipartite_instance(d.u_degrees, d.w_degrees, f, use_c6)
-    if isinstance(d, SplittedBipartiteSequence):
-        u, w = d.canonical()
-        return bipartite_instance(u, w, f, use_c6)
     if isinstance(d, SplitSequence):
         return simple_instance(d.degree_sequence().sorted_degrees)
     if isinstance(d, DegreeSequence):
@@ -336,11 +332,11 @@ def verify_cartesian_product(
         c6 = directed or None
         # Keep operand vertex order (no sorting) so forbidden sets line up:
         # the first factor's secondaries come first, not last as in slots.
-        composed = bipartite_instance(cs.primary_degrees, cs.secondary_degrees, merged, c6)
+        composed = bipartite_instance(cs.u_degrees, cs.w_degrees, merged, c6)
         layout = nested_layout(
             [
-                bipartite_instance(a.primary_degrees, a.secondary_degrees, fa, c6),
-                bipartite_instance(b.primary_degrees, b.secondary_degrees, fb, c6),
+                bipartite_instance(a.u_degrees, a.w_degrees, fa, c6),
+                bipartite_instance(b.u_degrees, b.w_degrees, fb, c6),
             ],
             None,
             range(composed.nu),
@@ -436,8 +432,6 @@ def swap_locality_report(d, max_chords: Optional[int] = None) -> dict:
     """Exhaustively verify that every swap of every realization of ``d``
     touches vertices of exactly one canonical component (tail included).
     The components are the sampler's own factor layout."""
-    if isinstance(d, SplittedBipartiteSequence):
-        d = BipartiteDegreeSequence(d.primary_degrees, d.secondary_degrees)
     layout = _make_plan(d, None, "auto")
     inst = _make_plan(d, None, "off").factors[0]
     masks = _enumerate_masks(inst, max_chords)

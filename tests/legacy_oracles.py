@@ -21,13 +21,16 @@ from degmix.decomposition import (
     CanonicalDecomposition,
     GoodPair,
     SplitSequence,
-    SplittedBipartiteSequence,
-    _coerce_degrees,
     _sorted_desc,
     psi,
 )
 from degmix.errors import InvalidSplit, NotGraphical
-from degmix.sequences import DegreeSequence, _coerce_bipartite, _coerce_simple
+from degmix.sequences import (
+    BipartiteDegreeSequence,
+    DegreeSequence,
+    _coerce_bipartite,
+    _coerce_simple,
+)
 
 
 def erdos_gallai(d) -> bool:
@@ -71,7 +74,7 @@ def gale_ryser(bd) -> bool:
 def good_pairs(d) -> List[GoodPair]:
     """All (p, q) with 0 < p+q < n satisfying the decomposability identity
     sum(d_1..d_p) == p(n-q-1) + sum(d_{n-q+1}..d_n) on the sorted sequence."""
-    ds = _sorted_desc(_coerce_degrees(d))
+    ds = _sorted_desc(_coerce_simple(d))
     n = len(ds)
     out = []
     for p in range(0, n + 1):
@@ -171,7 +174,7 @@ def canonical_decompose(d) -> CanonicalDecomposition:
     remainder continues until no good pair is left.  The final remainder is
     the undesignated tail.
     """
-    degrees = _coerce_degrees(d)
+    degrees = _coerce_simple(d)
     if not erdos_gallai(degrees):
         raise NotGraphical("sequence is not graphical: %r" % (degrees,))
     cur = _sorted_desc(degrees)
@@ -197,7 +200,7 @@ def canonical_decompose(d) -> CanonicalDecomposition:
     return CanonicalDecomposition(tuple(components), tail, tuple(used))
 
 
-def bipartite_decomposable(sb: SplittedBipartiteSequence) -> List[GoodPair]:
+def bipartite_decomposable(sb: BipartiteDegreeSequence) -> List[GoodPair]:
     """All (p, q) with 0 < p < |U|, 0 < q < |W| satisfying
     sum(u_1..u_p) == p*q + sum(w_{q+1}..w_{|W|}) on the sorted classes."""
     u, w = sb.canonical()
@@ -211,8 +214,8 @@ def bipartite_decomposable(sb: SplittedBipartiteSequence) -> List[GoodPair]:
 
 
 def canonical_decompose_bipartite(
-    sb: SplittedBipartiteSequence,
-) -> List[SplittedBipartiteSequence]:
+    sb: BipartiteDegreeSequence,
+) -> List[BipartiteDegreeSequence]:
     """Factorization into indecomposable splitted bipartite sequences.
 
     Heads are extracted in ascending (p, q) order, skipping extractions with
@@ -222,10 +225,10 @@ def canonical_decompose_bipartite(
     if not sb.is_graphical():
         raise NotGraphical(
             "not a graphical bipartite sequence: %r / %r"
-            % (sb.primary_degrees, sb.secondary_degrees)
+            % (sb.u_degrees, sb.w_degrees)
         )
     cur = sb.canonical()
-    factors: List[SplittedBipartiteSequence] = []
+    factors: List[BipartiteDegreeSequence] = []
     while True:
         u, w = cur
         found = None
@@ -235,10 +238,10 @@ def canonical_decompose_bipartite(
                 found = (head, rest)
                 break
         if found is None:
-            factors.append(SplittedBipartiteSequence(u, w))
+            factors.append(BipartiteDegreeSequence(u, w))
             return factors
         head, rest = found
-        factors.append(SplittedBipartiteSequence(*head))
+        factors.append(BipartiteDegreeSequence(*head))
         cur = rest
 
 

@@ -14,7 +14,6 @@ from degmix import (
     DirectedDegreeSequence,
     ForbiddenSet,
     LabeledGraph,
-    SplittedBipartiteSequence,
     bipartite_instance,
     canonical_decompose,
     canonical_decompose_bipartite,
@@ -50,26 +49,26 @@ def _report(criterion, ok, detail):
     assert ok, "criterion %s failed: %s" % (criterion, detail)
 
 
-A = SplittedBipartiteSequence((1, 1), (1, 1))
-B = SplittedBipartiteSequence((3, 1, 1), (2, 2, 1))
-C = SplittedBipartiteSequence((2, 2, 1), (3, 1, 1))
-EDGE = SplittedBipartiteSequence((1,), (1,))
+A = BipartiteDegreeSequence((1, 1), (1, 1))
+B = BipartiteDegreeSequence((3, 1, 1), (2, 2, 1))
+C = BipartiteDegreeSequence((2, 2, 1), (3, 1, 1))
+EDGE = BipartiteDegreeSequence((1,), (1,))
 
 
 def test_criterion_01_composition_examples():
     t0 = time.time()
     rhs1 = compose_bipartite(A, B)
     rhs2 = compose_bipartite(C, A)
-    ok = rhs1.primary_degrees == (4, 4, 3, 1, 1)
-    ok &= rhs1.secondary_degrees == (1, 1, 4, 4, 3)
-    ok &= rhs1.same_sequence(rhs2)
+    ok = rhs1.u_degrees == (4, 4, 3, 1, 1)
+    ok &= rhs1.w_degrees == (1, 1, 4, 4, 3)
+    ok &= rhs1.canonical() == rhs2.canonical()
     factors = canonical_decompose_bipartite(rhs1)
-    ok &= [(f.primary_degrees, f.secondary_degrees) for f in factors] == [
+    ok &= [(f.u_degrees, f.w_degrees) for f in factors] == [
         ((1, 1), (1, 1)),
         ((1,), (1,)),
         ((1, 1), (1, 1)),
     ]
-    ok &= compose_bipartite_many(factors).same_sequence(rhs1)
+    ok &= compose_bipartite_many(factors).canonical() == rhs1.canonical()
     elapsed = time.time() - t0
     _report(1, ok and elapsed < 1.0,
             "both worked examples + 3-factor decomposition, %.3fs" % elapsed)
@@ -145,7 +144,7 @@ def _random_bipartite_pool(rng, max_class, max_count):
             for u in nonincreasing_sequences(nu, nw):
                 for w in nonincreasing_sequences(nw, nu):
                     if gale_ryser((u, w)):
-                        pool.append(SplittedBipartiteSequence(u, w))
+                        pool.append(BipartiteDegreeSequence(u, w))
     rng.shuffle(pool)
     return pool[:max_count]
 
@@ -193,9 +192,9 @@ def test_criterion_05_cartesian_products():
             verified += 1
             break
     # directed o directed (forbidden 1-factors merge)
-    d2 = SplittedBipartiteSequence((1, 1), (1, 1))
-    d3 = SplittedBipartiteSequence((1, 1, 1), (1, 1, 1))
-    d3b = SplittedBipartiteSequence((2, 1, 1), (2, 1, 1))
+    d2 = BipartiteDegreeSequence((1, 1), (1, 1))
+    d3 = BipartiteDegreeSequence((1, 1, 1), (1, 1, 1))
+    d3b = BipartiteDegreeSequence((2, 1, 1), (2, 1, 1))
     diag2 = ForbiddenSet([(0, 0), (1, 1)])
     diag3 = ForbiddenSet([(0, 0), (1, 1), (2, 2)])
     for f1, ff1, f2, ff2 in (
@@ -208,10 +207,10 @@ def test_criterion_05_cartesian_products():
         details.append(rep["composed_count"])
         verified += 1
     # larger spaces, up to the 5000-realization cap
-    r22 = SplittedBipartiteSequence((2, 2, 2), (2, 2, 2))
-    m4 = SplittedBipartiteSequence((1, 1, 1, 1), (1, 1, 1, 1))
-    m5 = SplittedBipartiteSequence((1, 1, 1, 1, 1), (1, 1, 1, 1, 1))
-    r5 = SplittedBipartiteSequence((2, 2, 2, 2, 2), (2, 2, 2, 2, 2))
+    r22 = BipartiteDegreeSequence((2, 2, 2), (2, 2, 2))
+    m4 = BipartiteDegreeSequence((1, 1, 1, 1), (1, 1, 1, 1))
+    m5 = BipartiteDegreeSequence((1, 1, 1, 1, 1), (1, 1, 1, 1, 1))
+    r5 = BipartiteDegreeSequence((2, 2, 2, 2, 2), (2, 2, 2, 2, 2))
     for f1, f2, cap in ((r22, r22, 36), (m4, r22, 49), (m5, r22, 64), (r5, A, 49)):
         rep = verify_cartesian_product(f1, f2, max_chords=cap)
         assert rep["composed_count"] <= 5000
@@ -273,7 +272,7 @@ def test_criterion_08_swap_locality():
         if checked >= 6:
             break
         composed = compose_bipartite(pool[k], pool[k + 1])
-        if len(composed.primary_degrees) * len(composed.secondary_degrees) > 30:
+        if len(composed.u_degrees) * len(composed.w_degrees) > 30:
             continue
         rep = swap_locality_report(composed, max_chords=30)
         if rep["components"] < 2:
@@ -296,7 +295,7 @@ def test_criterion_08_swap_locality():
     rep = swap_locality_report(compose_bipartite_many([A, EDGE, A]), max_chords=25)
     swaps += rep["swaps_checked"]
     checked += 1
-    r22 = SplittedBipartiteSequence((2, 2, 2), (2, 2, 2))
+    r22 = BipartiteDegreeSequence((2, 2, 2), (2, 2, 2))
     for composed, cap in (
         (compose_bipartite(r22, B), 36),
         (compose_bipartite(r22, r22), 36),
@@ -320,7 +319,7 @@ def test_criterion_09_greenhill_violation():
                 for w in group:
                     if not gale_ryser((u, w)):
                         continue
-                    lift = split_lift(SplittedBipartiteSequence(u, w))
+                    lift = split_lift(BipartiteDegreeSequence(u, w))
                     assert not greenhill_condition(lift), (m, u, w)
                     checked += 1
     _report(9, checked > 15584,

@@ -236,12 +236,11 @@ def test_factorized_and_single_chain_agree_on_support():
 def test_factor_marginals_independent_chi_square():
     # composing two copies of the 2x2 matching block gives independent factor
     # marginals under the product chain; chi-square on the 2x2 joint
-    from degmix import SplittedBipartiteSequence, compose_bipartite
+    from degmix import compose_bipartite
 
-    a = SplittedBipartiteSequence((1, 1), (1, 1))
+    a = BipartiteDegreeSequence((1, 1), (1, 1))
     comp = compose_bipartite(a, a)
-    bd = BipartiteDegreeSequence(comp.primary_degrees, comp.secondary_degrees)
-    draws = sample(bd, burn_in=200, thin=15, count=4000, seed=13)
+    draws = sample(comp, burn_in=200, thin=15, count=4000, seed=13)
     cnt = Counter()
     for e in draws:
         es = set(map(tuple, e))

@@ -50,6 +50,8 @@ def test_exit_codes(files, capsys):
                  id="malformed-json"),
     pytest.param(["sample", "--seq", "{block}", "--forbidden", "{file}"], [[1, 1], [3, 2]],
                  id="forbidden-out-of-range"),
+    pytest.param(["sample", "--seq", "{block}", "--forbidden", "{file}"], [[1, 1], [1, 2]],
+                 id="sample-forbidden-not-matching"),
     pytest.param(["sample", "--seq", "{matching}", "--thin", "0"], None, id="thin-zero"),
     pytest.param(["sample", "--seq", "{matching}", "--count", "-3"], None,
                  id="negative-count"),
@@ -65,6 +67,8 @@ def test_exit_codes(files, capsys):
     pytest.param(["compose", "{block}", "{matching}", "--forbidden", "{forb}",
                   "--forbidden", "{forb}"], None, id="compose-forbidden-simple-last"),
     pytest.param(["compose", "{block}", "{directed}"], None, id="compose-directed-last"),
+    pytest.param(["compose", "{file}", "{matching}"], {"kind": "bipartite", "u": [3], "w": [1, 1]},
+                 id="compose-invalid-split-head"),
     pytest.param(["compose", "{block}", "{block}", "--forbidden", "{diag}",
                   "--forbidden", "{file}"], [[5, 5]], id="compose-forbidden-out-of-range"),
     pytest.param(["compose", "{block}", "{block}", "--forbidden", "{diag}",
@@ -102,6 +106,22 @@ def test_usage_error_exits_2(files, tmp_path, capsys, monkeypatch, argv, payload
     assert len(err.splitlines()) == 1 and "error:" in err
     if argv[0] == "verify":
         assert "--max-chords" in err
+
+
+@pytest.mark.parametrize("mode", ["connectivity", "spectral", "tv"])
+def test_verify_forbidden_not_matching_exits_2(files, tmp_path, capsys, monkeypatch, mode):
+    # found before any realization is enumerated
+    def never(*args, **kwargs):
+        raise AssertionError("enumerated before the usage error")
+
+    monkeypatch.setattr("degmix.cli.realization_space", never)
+    monkeypatch.setattr("degmix.cli.tv_distance_audit", never)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([[1, 1], [1, 2]]))
+    argv = ["verify", "--seq", files["block"], "--forbidden", str(path), "--mode", mode]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "degmix verify: error: %s: forbidden set is not a partial 1-factor\n" % path
 
 
 @pytest.mark.parametrize("mode", ["spectral", "connectivity", "tv"])

@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 
 from degmix import (
+    BipartiteDegreeSequence,
     DivisibilityError,
-    SplittedBipartiteSequence,
     TooLarge,
     compose_bipartite_many,
     count_almost_half_regular,
@@ -91,7 +91,7 @@ def test_block_distinctness_backs_the_power_bound():
     for u in nonincreasing_sequences(2, 2):
         for w in nonincreasing_sequences(2, 2):
             if gale_ryser((u, w)):
-                blocks.append(SplittedBipartiteSequence(u, w))
+                blocks.append(BipartiteDegreeSequence(u, w))
     assert len(blocks) == count_bipartite_graphical(2).count
     for r in (2, 3):
         seen = set()

@@ -7,11 +7,11 @@ from functools import lru_cache
 import pytest
 
 from degmix import (
+    BipartiteDegreeSequence,
     ForbiddenSet,
     InvalidSplit,
     NotGraphical,
     SplitSequence,
-    SplittedBipartiteSequence,
     bipartite_decomposable,
     canonical_decompose,
     canonical_decompose_bipartite,
@@ -240,9 +240,9 @@ def test_split_sequence_validation():
 
 
 def test_psi_examples():
-    assert psi(SplitSequence((2, 2, 2), ())).primary_degrees == (0, 0, 0)
+    assert psi(SplitSequence((2, 2, 2), ())).u_degrees == (0, 0, 0)
     sb = psi(SplitSequence((2,), (1, 1)))
-    assert (sb.primary_degrees, sb.secondary_degrees) == ((2,), (1, 1))
+    assert (sb.u_degrees, sb.w_degrees) == ((2,), (1, 1))
 
 
 def random_split_sequences(rng, count):
@@ -268,40 +268,40 @@ def test_psi_round_trip_random():
 
 def test_psi_inverse_bounds():
     with pytest.raises(InvalidSplit):
-        psi_inverse(SplittedBipartiteSequence((3,), (1, 1)))  # 3 > |W| = 2
+        psi_inverse(BipartiteDegreeSequence((3,), (1, 1)))  # 3 > |W| = 2
 
 
 # ---------------------------------------------------------------------------
 # bipartite composition and decomposition (the worked composition examples)
 
 
-A = SplittedBipartiteSequence((1, 1), (1, 1))
-B = SplittedBipartiteSequence((3, 1, 1), (2, 2, 1))
-C = SplittedBipartiteSequence((2, 2, 1), (3, 1, 1))
-EDGE = SplittedBipartiteSequence((1,), (1,))
+A = BipartiteDegreeSequence((1, 1), (1, 1))
+B = BipartiteDegreeSequence((3, 1, 1), (2, 2, 1))
+C = BipartiteDegreeSequence((2, 2, 1), (3, 1, 1))
+EDGE = BipartiteDegreeSequence((1,), (1,))
 
 
 def test_compose_bipartite_first_example():
     rhs = compose_bipartite(A, B)
-    assert rhs.primary_degrees == (4, 4, 3, 1, 1)
-    assert rhs.secondary_degrees == (1, 1, 4, 4, 3)
+    assert rhs.u_degrees == (4, 4, 3, 1, 1)
+    assert rhs.w_degrees == (1, 1, 4, 4, 3)
 
 
 def test_compose_bipartite_second_example_same_multiset():
-    assert compose_bipartite(C, A).same_sequence(compose_bipartite(A, B))
+    assert compose_bipartite(C, A).canonical() == compose_bipartite(A, B).canonical()
 
 
 def test_three_factor_decomposition():
     rhs = compose_bipartite(A, B)
     factors = canonical_decompose_bipartite(rhs)
-    assert [(f.primary_degrees, f.secondary_degrees) for f in factors] == [
+    assert [(f.u_degrees, f.w_degrees) for f in factors] == [
         ((1, 1), (1, 1)),
         ((1,), (1,)),
         ((1, 1), (1, 1)),
     ]
-    assert compose_bipartite_many(factors).same_sequence(rhs)
+    assert compose_bipartite_many(factors).canonical() == rhs.canonical()
     # and the three-factor composition reproduces the right-hand side directly
-    assert compose_bipartite_many([A, EDGE, A]).same_sequence(rhs)
+    assert compose_bipartite_many([A, EDGE, A]).canonical() == rhs.canonical()
 
 
 def test_bipartite_decomposable_examples():
@@ -321,12 +321,12 @@ def test_bipartite_round_trip_exhaustive():
                 for w in nonincreasing_sequences(nw, nu):
                     if not gale_ryser((u, w)):
                         continue
-                    sb = SplittedBipartiteSequence(u, w)
+                    sb = BipartiteDegreeSequence(u, w)
                     factors = canonical_decompose_bipartite(sb)
-                    assert compose_bipartite_many(factors).same_sequence(sb)
+                    assert compose_bipartite_many(factors).canonical() == sb.canonical()
                     if len(factors) == 1:
                         # indecomposable input comes back as a singleton
-                        assert factors[0].same_sequence(sb)
+                        assert factors[0].canonical() == sb.canonical()
 
 
 def test_bipartite_decompose_deterministic_and_factors_indecomposable():
@@ -340,12 +340,12 @@ def test_bipartite_decompose_deterministic_and_factors_indecomposable():
 
 def test_compose_bipartite_associative():
     rng = random.Random(77)
-    pool = [A, B, C, EDGE, SplittedBipartiteSequence((2, 1, 1), (2, 2))]
+    pool = [A, B, C, EDGE, BipartiteDegreeSequence((2, 1, 1), (2, 2))]
     for _ in range(100):
         x, y, z = rng.choice(pool), rng.choice(pool), rng.choice(pool)
         left = compose_bipartite(compose_bipartite(x, y), z)
         right = compose_bipartite(x, compose_bipartite(y, z))
-        assert left.same_sequence(right)
+        assert left.canonical() == right.canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +353,17 @@ def test_compose_bipartite_associative():
 
 
 def test_compose_directed_examples():
-    one = SplittedBipartiteSequence((1,), (1,))
+    one = BipartiteDegreeSequence((1,), (1,))
     f = ForbiddenSet([(0, 0)])
     composed, merged = compose_directed(one, f, one, f)
-    assert composed.same_sequence(SplittedBipartiteSequence((2, 1), (1, 2)))
+    assert composed.canonical() == BipartiteDegreeSequence((2, 1), (1, 2)).canonical()
     assert sorted(merged.pairs) == [(0, 0), (1, 1)]
     assert len(merged) == len(f) + len(f)
 
     # empty forbidden sets reduce to the plain bipartite composition
     empty = ForbiddenSet()
     composed2, merged2 = compose_directed(A, empty, B, empty)
-    assert composed2.same_sequence(compose_bipartite(A, B))
+    assert composed2.canonical() == compose_bipartite(A, B).canonical()
     assert len(merged2) == 0
 
 
@@ -375,6 +375,17 @@ def test_compose_directed_rejects_bad_one_factor():
 
 # ---------------------------------------------------------------------------
 # Greenhill window
+
+
+def test_negative_degrees_raise_value_error():
+    calls = [
+        lambda: good_pairs((2, -1, 1)),
+        lambda: compose(SplitSequence((1,), (1,)), (1, -1)),
+        lambda: greenhill_condition((3, -1)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="degrees must be non-negative"):
+            call()
 
 
 def test_greenhill_examples():
@@ -391,5 +402,5 @@ def test_greenhill_fails_for_all_split_lifts_m2_m3():
         for u in nonincreasing_sequences(m, m):
             for w in nonincreasing_sequences(m, m):
                 if gale_ryser((u, w)):
-                    lift = split_lift(SplittedBipartiteSequence(u, w))
+                    lift = split_lift(BipartiteDegreeSequence(u, w))
                     assert not greenhill_condition(lift), (u, w)

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import legacy_oracles as old
 from degmix import (
+    BipartiteDegreeSequence,
     NotGraphical,
     SplitSequence,
-    SplittedBipartiteSequence,
     bipartite_decomposable,
     canonical_decompose,
     canonical_decompose_bipartite,
@@ -75,7 +75,7 @@ def composed_degrees(draw, max_parts):
 @st.composite
 def composed_bipartite(draw, max_parts):
     parts = draw(st.lists(bipartite_graph_degrees(4), min_size=1, max_size=max_parts))
-    return compose_bipartite_many(SplittedBipartiteSequence(u, w) for u, w in parts)
+    return compose_bipartite_many(BipartiteDegreeSequence(u, w) for u, w in parts)
 
 
 def any_degrees(max_n):
@@ -153,7 +153,7 @@ def test_canonical_decompose_matches_old_scan_large(d):
 
 @settings(max_examples=200, **SETTINGS)
 @given(st.one_of(
-    bipartite_graph_degrees(8).map(lambda uw: SplittedBipartiteSequence(*uw)),
+    bipartite_graph_degrees(8).map(lambda uw: BipartiteDegreeSequence(*uw)),
     composed_bipartite(10),
 ))
 def test_canonical_decompose_bipartite_matches_old_scan(sb):
@@ -162,7 +162,7 @@ def test_canonical_decompose_bipartite_matches_old_scan(sb):
 
 @settings(max_examples=10, **SETTINGS)
 @given(st.one_of(
-    bipartite_graph_degrees(100).map(lambda uw: SplittedBipartiteSequence(*uw)),
+    bipartite_graph_degrees(100).map(lambda uw: BipartiteDegreeSequence(*uw)),
     composed_bipartite(40),
 ))
 def test_canonical_decompose_bipartite_matches_old_scan_large(sb):
@@ -187,5 +187,5 @@ def test_decomposition_scales_past_quadratic():
     n = 50_000
     cd = canonical_decompose([4] * n)
     assert cd.components == () and cd.tail.degrees == (4,) * n
-    factors = canonical_decompose_bipartite(SplittedBipartiteSequence([4] * n, [4] * n))
+    factors = canonical_decompose_bipartite(BipartiteDegreeSequence([4] * n, [4] * n))
     assert len(factors) == 1 and factors[0].nu == n

@@ -1,5 +1,9 @@
 """Graphicality tests against exhaustive enumeration, plus realize audits."""
 
+import inspect
+import random
+import sys
+
 import pytest
 
 from degmix import (
@@ -199,6 +203,27 @@ def test_realize_bipartite_and_forbidden():
     assert all((a, b) not in banned for a, b in edges)
     with pytest.raises(NotGraphical):
         realize_bipartite(((1, 1), (1, 1)), ForbiddenSet([(0, 0), (0, 1)]))
+
+
+def test_realize_bipartite_long_augmenting_paths():
+    # The staircase n..1 is its own conjugate and has one realization; in a
+    # shuffled vertex order the max flow walks augmenting paths longer than
+    # the recursion limit allows a recursive search.
+    rng = random.Random(1)
+    u, w = list(range(120, 0, -1)), list(range(120, 0, -1))
+    rng.shuffle(u)
+    rng.shuffle(w)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        edges = realize_bipartite(BipartiteDegreeSequence(u, w))
+    finally:
+        sys.setrecursionlimit(limit)
+    du, dw = [0] * 120, [0] * 120
+    for a, b in set(edges):
+        du[a] += 1
+        dw[b] += 1
+    assert du == u and dw == w
 
 
 def test_realize_directed():

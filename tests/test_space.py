@@ -18,7 +18,6 @@ from degmix import (
     NotGraphical,
     ProductMismatch,
     SplitSequence,
-    SplittedBipartiteSequence,
     TooLarge,
     compose_bipartite,
     enumerate_realizations,
@@ -202,8 +201,8 @@ def test_product_simple_composition():
 
 
 def test_product_bipartite_composition():
-    a = SplittedBipartiteSequence((1, 1), (1, 1))
-    b = SplittedBipartiteSequence((3, 1, 1), (2, 2, 1))
+    a = BipartiteDegreeSequence((1, 1), (1, 1))
+    b = BipartiteDegreeSequence((3, 1, 1), (2, 2, 1))
     rep = verify_cartesian_product(a, b, max_chords=25)
     assert rep["ok"] and rep["composed_count"] == 4
     # |E| = |V1||E2| + |V2||E1|
@@ -212,17 +211,17 @@ def test_product_bipartite_composition():
 
 def test_product_identity_factor():
     # a rigid factor: the product graph is isomorphic to the live factor's
-    a = SplittedBipartiteSequence((1, 1), (1, 1))
-    rigid = SplittedBipartiteSequence((2, 2), (2, 2))  # complete 2x2, unique
+    a = BipartiteDegreeSequence((1, 1), (1, 1))
+    rigid = BipartiteDegreeSequence((2, 2), (2, 2))  # complete 2x2, unique
     rep = verify_cartesian_product(a, rigid, max_chords=25)
     assert rep["factor_counts"] == (2, 1) and rep["composed_count"] == 2
     assert rep["edges"] == 1
 
 
 def test_product_directed_with_merged_one_factor():
-    d = SplittedBipartiteSequence((1, 1), (1, 1))
+    d = BipartiteDegreeSequence((1, 1), (1, 1))
     diag = ForbiddenSet([(0, 0), (1, 1)])
-    d3 = SplittedBipartiteSequence((1, 1, 1), (1, 1, 1))
+    d3 = BipartiteDegreeSequence((1, 1, 1), (1, 1, 1))
     diag3 = ForbiddenSet([(0, 0), (1, 1), (2, 2)])
     rep = verify_cartesian_product(d3, d3, forbidden1=diag3, forbidden2=diag3,
                                    max_chords=30)
@@ -257,8 +256,8 @@ def test_product_check_scans_each_state_once(monkeypatch):
     # the verify-exact benchmark's product instance: 1404 = 234 x 6
     calls = _count_scans(monkeypatch)
     rep = verify_cartesian_product(
-        SplittedBipartiteSequence((3, 2, 2, 2), (2, 2, 2, 2, 1)),
-        SplittedBipartiteSequence((2, 2, 2), (2, 2, 2)),
+        BipartiteDegreeSequence((3, 2, 2, 2), (2, 2, 2, 2, 1)),
+        BipartiteDegreeSequence((2, 2, 2), (2, 2, 2)),
         max_chords=64,
     )
     assert rep["composed_count"] == 1404 and rep["factor_counts"] == (234, 6)
@@ -281,8 +280,8 @@ def test_product_check_catches_a_tampered_factor_kernel(monkeypatch, scale, mess
             rows[0] = {} if scale is None else {j: w * scale}
         return tuple(rows)
 
-    a = SplittedBipartiteSequence((1, 1), (1, 1))
-    b = SplittedBipartiteSequence((3, 1, 1), (2, 2, 1))
+    a = BipartiteDegreeSequence((1, 1), (1, 1))
+    b = BipartiteDegreeSequence((3, 1, 1), (2, 2, 1))
     assert verify_cartesian_product(a, b, max_chords=25)["ok"]
     monkeypatch.setattr(Space, "kernel", property(tampered))
     with pytest.raises(ProductMismatch, match=message) as err:
@@ -305,8 +304,8 @@ def test_product_mismatch_carries_witness():
 def test_swap_locality_simple_and_bipartite():
     rep = swap_locality_report(DegreeSequence((6, 6, 4, 4, 3, 3, 1, 1)), max_chords=28)
     assert rep["ok"] and rep["components"] >= 2 and rep["swaps_checked"] > 0
-    a = SplittedBipartiteSequence((1, 1), (1, 1))
-    b = SplittedBipartiteSequence((3, 1, 1), (2, 2, 1))
+    a = BipartiteDegreeSequence((1, 1), (1, 1))
+    b = BipartiteDegreeSequence((3, 1, 1), (2, 2, 1))
     rep2 = swap_locality_report(compose_bipartite(a, b), max_chords=25)
     assert rep2["ok"] and rep2["components"] == 3 and rep2["swaps_checked"] > 0
 
