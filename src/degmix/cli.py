@@ -114,7 +114,7 @@ def _at_least(low: int):
 
 
 def _emit(args, payload: dict, human: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps({"schema": SCHEMA, **payload}, indent=2, default=str))
     else:
         print(human)
@@ -273,12 +273,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.mode == "product" and args.forbidden:
+        raise UsageError("--mode product does not take --forbidden")
     seq, forbidden = _load_inputs(args)
     _require_one_factor(args.forbidden, forbidden)
-    use_c6 = None if not args.c4_only else False
     try:
         if args.mode == "connectivity":
-            space = realization_space(seq, forbidden, args.max_chords, use_c6)
+            space = realization_space(seq, forbidden, args.max_chords, args.c4_only)
             ok = space.connected()
             _emit(
                 args,
@@ -288,7 +289,7 @@ def cmd_verify(args) -> int:
             )
             return 0 if ok or not args.strict else 1
         if args.mode == "spectral":
-            rep = spectral_report(realization_space(seq, forbidden, args.max_chords, use_c6))
+            rep = spectral_report(realization_space(seq, forbidden, args.max_chords, args.c4_only))
             payload = {
                 "realizations": rep.realization_count,
                 "lambda2": rep.lambda2,
@@ -312,8 +313,7 @@ def cmd_verify(args) -> int:
             return 0
         if args.mode == "tv":
             tv = tv_distance_audit(
-                seq, args.steps, seed=args.seed, f=forbidden,
-                max_chords=args.max_chords, use_c6=use_c6,
+                seq, args.steps, f=forbidden, max_chords=args.max_chords, c4_only=args.c4_only
             )
             _emit(args, {"steps": args.steps, "tv": tv}, "TV after %d steps: %.3g" % (args.steps, tv))
             return 0
@@ -426,31 +426,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 1 on domain-negative findings")
-        if seed:
+    def common(p, *names):
+        """The shared options ``names`` (of json, strict, seed) that ``p`` reads."""
+        if "json" in names:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+        if "strict" in names:
+            p.add_argument("--strict", action="store_true",
+                           help="exit 1 on domain-negative findings")
+        if "seed" in names:
             p.add_argument("--seed", type=int, default=0, help="master seed")
 
     p = sub.add_parser("test", help="graphicality test")
     p.add_argument("--seq", required=True)
     p.add_argument("--forbidden")
-    common(p)
+    common(p, "json", "strict")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("decompose", help="canonical decomposition report")
     p.add_argument("--seq", required=True)
     p.add_argument("--certificate", action="store_true",
                    help="emit the good-pair arithmetic per extraction")
-    common(p)
+    common(p, "json", "strict")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("compose", help="compose sequences (first operands splitted bipartite)")
     p.add_argument("seqs", nargs="+", metavar="SEQ.json")
     p.add_argument("--forbidden", action="append",
                    help="one per operand; yields the directed composition")
-    common(p)
+    common(p, "json")
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("sample", help="sample realizations via the product chain")
@@ -464,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="workers for the logical chains; output is identical for any value")
-    common(p, seed=True)
+    common(p, "strict", "seed")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="exhaustive verification on desk-scale instances")
@@ -477,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kernel power for --mode tv")
     p.add_argument("--c4-only", action="store_true", dest="c4_only",
                    help="disable C6 swaps (directed/restricted instances)")
-    common(p, seed=True)
+    common(p, "json", "strict")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dsm", help="degree spectra matrix tools")
@@ -490,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thin", type=_at_least(1), default=10)
     p.add_argument("--format", choices=("edges", "jsonl"), default="edges")
     p.add_argument("--out")
-    common(p, seed=True)
+    common(p, "json", "strict", "seed")
     p.set_defaults(func=cmd_dsm)
 
     p = sub.add_parser("count", help="census counts")
@@ -500,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="cross-check census instead of the closed form (ahr)")
     p.add_argument("--csv", action="store_true")
-    common(p)
+    common(p, "json")
     p.set_defaults(func=cmd_count)
     return top
 

@@ -77,18 +77,18 @@ def count_almost_half_regular_exhaustive(m: int) -> CountReport:
     return CountReport(m, total, "exhaustive")
 
 
-def count_bipartite_graphical(n: int, max_n: int = DEFAULT_MAX_CENSUS) -> CountReport:
+def count_bipartite_graphical(n: int) -> CountReport:
     """Number of graphical bipartite degree sequences on n+n vertices:
     ordered pairs of non-increasing vectors, entries <= n, equal sums,
     passing Gale-Ryser.  n = 6 gives 15584."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > max_n:
-        raise TooLarge("census capped at n = %d" % max_n)
+    if n > DEFAULT_MAX_CENSUS:
+        raise TooLarge("census capped at n = %d" % DEFAULT_MAX_CENSUS)
     return CountReport(n, _census(n, lambda a, b: gale_ryser((a, b))), "exhaustive")
 
 
-def count_composed_class(n: int, block: int, max_block: int = DEFAULT_MAX_CENSUS) -> CountReport:
+def count_composed_class(n: int, block: int) -> CountReport:
     """Lower bound on composable fast-mixing sequences on n+n vertices:
     distinct ordered tuples of graphical blocks compose to distinct
     sequences, so the count is census(block) ** (n // block)."""
@@ -96,5 +96,5 @@ def count_composed_class(n: int, block: int, max_block: int = DEFAULT_MAX_CENSUS
         raise ValueError("sizes must be >= 1")
     if n % block != 0:
         raise DivisibilityError("block %d does not divide n %d" % (block, n))
-    base = count_bipartite_graphical(block, max_block).count
+    base = count_bipartite_graphical(block).count
     return CountReport(n, base ** (n // block), "formula")

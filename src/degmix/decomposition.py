@@ -450,9 +450,7 @@ def compose_directed(
     partial 1-factor."""
     for f, operand in ((fa, a), (fb, b)):
         f.require_one_factor()
-        for (i, j) in f.pairs:
-            if not (0 <= i < operand.nu and 0 <= j < operand.nw):
-                raise ValueError("forbidden pair out of range: %r" % ((i, j),))
+        f.require_in_range(operand.nu, operand.nw)
     composed = compose_bipartite(a, b)
     merged = ForbiddenSet(set(fa.pairs) | set(fb.shifted(a.nu, a.nw).pairs))
     merged.require_one_factor()

@@ -27,7 +27,6 @@ from functools import cached_property
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import ForbiddenSetNotMatching
 from .sequences import ForbiddenSet
 
 __all__ = [
@@ -106,14 +105,16 @@ class SwapMove:
 
 class Instance:
     """A fixed degree-sequence problem: degrees, forbidden pairs, swap kinds,
-    and, built on first use by the exhaustive engine, chords and moves."""
+    and, built on first use by the exhaustive engine, chords and moves.  C6
+    swaps run exactly when a forbidden partial 1-factor is present (only a
+    bipartite instance takes one), unless ``c4_only`` turns them off."""
 
     def __init__(
         self,
         kind: str,
         degrees,
         forbidden: Optional[ForbiddenSet] = None,
-        use_c6: Optional[bool] = None,
+        c4_only: bool = False,
     ):
         if kind not in ("simple", "bipartite"):
             raise ValueError("kind must be 'simple' or 'bipartite'")
@@ -137,11 +138,8 @@ class Instance:
             all_deg = self.u_degrees + self.w_degrees
             if len(self.forbidden):
                 self.forbidden.require_one_factor()
-        if use_c6 is None:
-            use_c6 = kind == "bipartite" and len(self.forbidden) > 0
-        if use_c6 and kind != "bipartite":
-            raise ValueError("C6 swaps apply to bipartite instances only")
-        self.use_c6 = bool(use_c6)
+                self.forbidden.require_in_range(self.nu, self.nw)
+        self.use_c6 = len(self.forbidden) > 0 and not c4_only
         # Vertex-disjoint edge-pair count; a function of the degrees alone.
         self.disjoint_pairs = self.m * (self.m - 1) // 2 - sum(
             d * (d - 1) // 2 for d in all_deg
@@ -285,15 +283,15 @@ def simple_instance(degrees) -> Instance:
 
 
 def bipartite_instance(
-    u, w, forbidden: Optional[ForbiddenSet] = None, use_c6: Optional[bool] = None
+    u, w, forbidden: Optional[ForbiddenSet] = None, c4_only: bool = False
 ) -> Instance:
-    return Instance("bipartite", (u, w), forbidden, use_c6)
+    return Instance("bipartite", (u, w), forbidden, c4_only)
 
 
-def directed_instance(dd, use_c6: bool = True) -> Instance:
+def directed_instance(dd, c4_only: bool = False) -> Instance:
     """Gale representation: out-stubs vs in-stubs with the diagonal forbidden."""
     bd, f = dd.gale_representation()
-    return Instance("bipartite", (bd.u_degrees, bd.w_degrees), f, use_c6)
+    return Instance("bipartite", (bd.u_degrees, bd.w_degrees), f, c4_only)
 
 
 def enumerate_swaps(g, f: Optional[ForbiddenSet] = None) -> List[SwapMove]:
@@ -310,8 +308,6 @@ def enumerate_swaps(g, f: Optional[ForbiddenSet] = None) -> List[SwapMove]:
         _require_in_range(g.edges, g.n, g.n)
         inst = simple_instance(g.degrees())
     elif isinstance(g, LabeledBipartiteGraph):
-        if f is not None and len(f) and not f.is_partial_one_factor():
-            raise ForbiddenSetNotMatching("forbidden set is not a partial 1-factor")
         _require_in_range(g.edges, g.nu, g.nw)
         inst = bipartite_instance(g.u_degrees(), g.w_degrees(), f)
     else:

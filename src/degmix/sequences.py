@@ -174,6 +174,12 @@ class ForbiddenSet:
                 "forbidden set is not a partial 1-factor: %r" % (sorted(self.pairs),)
             )
 
+    def require_in_range(self, nu: int, nw: int) -> None:
+        """Raise ValueError for a pair outside classes of sizes ``nu`` and ``nw``."""
+        for u, w in self.pairs:
+            if not (0 <= u < nu and 0 <= w < nw):
+                raise ValueError("forbidden pair out of range: %r" % ((u, w),))
+
     def shifted(self, du: int, dw: int) -> "ForbiddenSet":
         return ForbiddenSet((u + du, w + dw) for u, w in self.pairs)
 
@@ -312,9 +318,8 @@ def _chord_flow(u, w, forbidden: Optional[ForbiddenSet]):
     """Build the source/U/W/sink flow network over allowed chords."""
     banned = forbidden.pairs if forbidden is not None else frozenset()
     nu, nw = len(u), len(w)
-    for (i, j) in banned:
-        if not (0 <= i < nu and 0 <= j < nw):
-            raise ValueError("forbidden pair out of range: %r" % ((i, j),))
+    if forbidden is not None:
+        forbidden.require_in_range(nu, nw)
     net = _Dinic(nu + nw + 2)
     src, snk = nu + nw, nu + nw + 1
     for i, ui in enumerate(u):
@@ -330,16 +335,13 @@ def _chord_flow(u, w, forbidden: Optional[ForbiddenSet]):
 
 
 def restricted_bipartite_graphical(bd, f: Optional[ForbiddenSet] = None) -> bool:
-    """Graphicality of a bipartite sequence avoiding the forbidden chords.
-
-    Decided by max-flow feasibility on the chord network: a realization
-    exists iff the flow saturates every degree, i.e. equals sum(u) = sum(w).
-    """
-    u, w = _coerce_bipartite(bd)
-    if sum(u) != sum(w):
+    """Graphicality of a bipartite sequence avoiding the forbidden chords:
+    whether ``realize_bipartite`` finds a realization."""
+    try:
+        realize_bipartite(bd, f)
+    except NotGraphical:
         return False
-    net, src, snk, _ = _chord_flow(u, w, f)
-    return net.max_flow(src, snk) == sum(u)
+    return True
 
 
 def directed_graphical(dd) -> bool:

@@ -18,7 +18,6 @@ from .chain import ChainState, _make_plan, step
 from .decomposition import (
     SplitSequence,
     compose,
-    compose_bipartite,
     compose_directed,
     psi,
 )
@@ -50,11 +49,11 @@ __all__ = [
 DEFAULT_MAX_CHORDS = 24
 
 
-def _instance_for(d, f: Optional[ForbiddenSet], use_c6: Optional[bool]) -> Instance:
+def _instance_for(d, f: Optional[ForbiddenSet], c4_only: bool) -> Instance:
     if isinstance(d, DirectedDegreeSequence):
-        return directed_instance(d, True if use_c6 is None else use_c6)
+        return directed_instance(d, c4_only)
     if isinstance(d, BipartiteDegreeSequence):
-        return bipartite_instance(d.u_degrees, d.w_degrees, f, use_c6)
+        return bipartite_instance(d.u_degrees, d.w_degrees, f, c4_only)
     if isinstance(d, SplitSequence):
         return simple_instance(d.degree_sequence().sorted_degrees)
     if isinstance(d, DegreeSequence):
@@ -173,9 +172,9 @@ def realization_space(
     d,
     f: Optional[ForbiddenSet] = None,
     max_chords: Optional[int] = None,
-    use_c6: Optional[bool] = None,
+    c4_only: bool = False,
 ) -> Space:
-    inst = _instance_for(d, f, use_c6)
+    inst = _instance_for(d, f, c4_only)
     return Space(inst, _enumerate_masks(inst, max_chords))
 
 
@@ -322,21 +321,16 @@ def verify_cartesian_product(
         )
     else:
         a, b = factor1, factor2
-        directed = forbidden1 is not None or forbidden2 is not None
         fa = forbidden1 if forbidden1 is not None else ForbiddenSet()
         fb = forbidden2 if forbidden2 is not None else ForbiddenSet()
-        if directed:
-            cs, merged = compose_directed(a, fa, b, fb)
-        else:
-            cs, merged = compose_bipartite(a, b), ForbiddenSet()
-        c6 = directed or None
+        cs, merged = compose_directed(a, fa, b, fb)
         # Keep operand vertex order (no sorting) so forbidden sets line up:
         # the first factor's secondaries come first, not last as in slots.
-        composed = bipartite_instance(cs.u_degrees, cs.w_degrees, merged, c6)
+        composed = bipartite_instance(cs.u_degrees, cs.w_degrees, merged)
         layout = nested_layout(
             [
-                bipartite_instance(a.u_degrees, a.w_degrees, fa, c6),
-                bipartite_instance(b.u_degrees, b.w_degrees, fb, c6),
+                bipartite_instance(a.u_degrees, a.w_degrees, fa),
+                bipartite_instance(b.u_degrees, b.w_degrees, fb),
             ],
             None,
             range(composed.nu),
@@ -461,7 +455,7 @@ def tv_distance_audit(
     seed: Optional[int] = None,
     f: Optional[ForbiddenSet] = None,
     max_chords: Optional[int] = None,
-    use_c6: Optional[bool] = None,
+    c4_only: bool = False,
     empirical: bool = False,
 ) -> float:
     """Total-variation distance to uniform on an enumerable instance.
@@ -476,7 +470,7 @@ def tv_distance_audit(
         raise ValueError("the empirical audit requires a seed")
     if empirical and steps < 1:
         raise ValueError("the empirical audit requires at least one step")
-    space = realization_space(d, f, max_chords, use_c6)
+    space = realization_space(d, f, max_chords, c4_only)
     n = space.count
     if n == 0:
         raise NotGraphical("no realizations")

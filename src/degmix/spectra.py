@@ -148,12 +148,12 @@ def component_sequences(m: DegreeSpectraMatrix) -> List[ComponentSequence]:
 
 def dsm_graphical(m: DegreeSpectraMatrix) -> bool:
     """True iff the matrix is structurally consistent and every component
-    sequence is graphical."""
+    sequence is graphical: whether ``_dsm_plan`` succeeds."""
     try:
-        comps = component_sequences(m)
-    except InconsistentMatrix:
+        _dsm_plan(m)
+    except NotGraphical:
         return False
-    return all(c.is_graphical() for c in comps)
+    return True
 
 
 def _dsm_plan(m: DegreeSpectraMatrix) -> Layout:

@@ -240,8 +240,8 @@ def test_criterion_06_irreducibility_suite():
                     sp = realization_space(BipartiteDegreeSequence(u, w), max_chords=25)
                     assert sp.connected(), (u, w)
     dd = DirectedDegreeSequence((1, 1, 1), (1, 1, 1))
-    c4_disconnected = not realization_space(dd, use_c6=False).connected()
-    c6_connected = realization_space(dd, use_c6=True).connected()
+    c4_disconnected = not realization_space(dd, c4_only=True).connected()
+    c6_connected = realization_space(dd).connected()
     elapsed = time.time() - t0
     ok = simple_checked == 493 and bip_checked == 3744 and c4_disconnected and c6_connected
     _report(6, ok,

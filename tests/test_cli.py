@@ -1,10 +1,13 @@
 """CLI behavior: exit codes, output formats, and golden outputs."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from degmix.cli import main
+from degmix.cli import build_parser, main
 
 
 @pytest.fixture
@@ -134,6 +137,58 @@ def test_verify_no_realizations_is_a_finding(tmp_path, capsys, mode):
     got = capsys.readouterr()
     assert got.out == ""
     assert got.err.splitlines() == ["verify: no realizations"] * 2
+
+
+def test_verify_product_forbidden_exits_2(tmp_path, capsys, monkeypatch):
+    # product mode checks the unrestricted factors, so a forbidden set is
+    # rejected before the sequence is decomposed
+    def never(*args, **kwargs):
+        raise AssertionError("decomposed before the usage error")
+
+    monkeypatch.setattr("degmix.cli.canonical_decompose_bipartite", never)
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"kind": "bipartite", "u": [3, 3, 1, 1], "w": [1, 1, 3, 3]}))
+    diag = tmp_path / "diag.json"
+    diag.write_text(json.dumps([[1, 1], [2, 2], [3, 3], [4, 4]]))
+    argv = ["verify", "--seq", str(seq), "--forbidden", str(diag), "--mode", "product"]
+    assert main(argv) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == "degmix verify: error: --mode product does not take --forbidden\n"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sample", "--seq", "{matching}", "--json"], id="sample-json"),
+    pytest.param(["verify", "--seq", "{matching}", "--mode", "tv", "--seed", "7"],
+                 id="verify-seed"),
+    pytest.param(["compose", "{block}", "{operand}", "--strict"], id="compose-strict"),
+    pytest.param(["count", "--kind", "ahr", "--n", "2", "--strict"], id="count-strict"),
+])
+def test_removed_flags_exit_2(files, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**files) for a in argv])
+    assert exc.value.code == 2
+    flag = next(a for a in argv if a in ("--json", "--seed", "--strict"))
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("degmix: error: unrecognized arguments: " + flag)
+
+
+def test_readme_synopsis_matches_parser():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    documented = {}
+    command = None
+    for line in block.splitlines():
+        if line.startswith("degmix "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z0-9-]*", line))
+    documented.pop(None, None)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, p in sub.choices.items()
+    }
+    assert documented == parsed
 
 
 def test_verify_product_directed_exits_2(files, capsys):

@@ -77,7 +77,7 @@ def test_census_cap():
 
 
 def test_composed_class_counts():
-    assert count_composed_class(6, 6, max_block=6).count == count_bipartite_graphical(6).count
+    assert count_composed_class(6, 6).count == count_bipartite_graphical(6).count
     base = count_bipartite_graphical(2).count
     assert count_composed_class(4, 2).count == base ** 2
     with pytest.raises(DivisibilityError):

@@ -61,9 +61,9 @@ def test_realization_graph_triangle():
 
 def test_directed_triangle_connectivity():
     dd = DirectedDegreeSequence((1, 1, 1), (1, 1, 1))
-    space_c4 = realization_space(dd, use_c6=False)
+    space_c4 = realization_space(dd, c4_only=True)
     assert space_c4.count == 2 and _meta_edges(space_c4) == []
-    space_c6 = realization_space(dd, use_c6=True)
+    space_c6 = realization_space(dd)
     assert space_c6.connected()
     with pytest.raises(Disconnected):
         spectral_report(space_c4)
@@ -240,14 +240,14 @@ def _count_scans(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("seq, use_c6", [
-    (DegreeSequence((1, 1, 1, 1)), None),
-    (BipartiteDegreeSequence((2, 2, 2, 1), (3, 2, 1, 1)), None),  # 26 states: sweep
-    (DirectedDegreeSequence((1, 1, 1), (1, 1, 1)), True),  # C6 moves
+@pytest.mark.parametrize("seq", [
+    DegreeSequence((1, 1, 1, 1)),
+    BipartiteDegreeSequence((2, 2, 2, 1), (3, 2, 1, 1)),  # 26 states: sweep
+    DirectedDegreeSequence((1, 1, 1), (1, 1, 1)),  # C6 moves
 ], ids=["simple", "bipartite-sweep", "directed-c6"])
-def test_spectral_report_scans_each_state_once(monkeypatch, seq, use_c6):
+def test_spectral_report_scans_each_state_once(monkeypatch, seq):
     calls = _count_scans(monkeypatch)
-    space = realization_space(seq, use_c6=use_c6)
+    space = realization_space(seq)
     spectral_report(space)
     assert sorted(calls) == sorted(space.masks)
 
@@ -333,7 +333,7 @@ def test_directed_connected_with_c6_up_to_four_vertices():
             if not directed_graphical(dd):
                 continue
             checked += 1
-            assert realization_space(dd, use_c6=True).connected(), (out_deg, in_deg)
+            assert realization_space(dd).connected(), (out_deg, in_deg)
     assert checked == 189
 
 
@@ -350,7 +350,17 @@ def test_tv_kernel_power_mixes():
 def test_tv_disconnected_stays_away_from_zero():
     dd = DirectedDegreeSequence((1, 1, 1), (1, 1, 1))
     for steps in (10, 100, 1000):
-        assert tv_distance_audit(dd, steps, use_c6=False) >= 0.5 - 1e-12
+        assert tv_distance_audit(dd, steps, c4_only=True) >= 0.5 - 1e-12
+
+
+def test_forbidden_pair_out_of_range_raises():
+    # (5, 5) lies outside the 2 x 2 classes, so it forbids nothing and must
+    # not turn C6 swaps on
+    bd, f = BipartiteDegreeSequence((1, 1), (1, 1)), ForbiddenSet([(5, 5)])
+    with pytest.raises(ValueError, match="forbidden pair out of range"):
+        realization_space(bd, f)
+    with pytest.raises(ValueError, match="forbidden pair out of range"):
+        tv_distance_audit(bd, 3, f=f)
 
 
 def test_tv_empirical():
