@@ -96,5 +96,7 @@ def count_composed_class(n: int, block: int) -> CountReport:
         raise ValueError("sizes must be >= 1")
     if n % block != 0:
         raise DivisibilityError("block %d does not divide n %d" % (block, n))
+    if block > DEFAULT_MAX_CENSUS:
+        raise TooLarge("census capped at block = %d" % DEFAULT_MAX_CENSUS)
     base = count_bipartite_graphical(block).count
     return CountReport(n, base ** (n // block), "formula")

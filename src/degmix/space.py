@@ -1,14 +1,18 @@
 """Desk-scale verification engine over exhaustively enumerated realizations.
 
 Everything here is exact: realization spaces are enumerated by a pruned
-depth-first search over chords, each computes its kernel with one move-table
-scan per realization for connectivity, transition matrices and the product
-check, eigenvalues come from a dense symmetric solve, and the product and
-swap-locality theorems are checked realization by realization with bijections.
+depth-first search over chords, each computes its kernel with one scan per
+realization of the move-table rows over its free chords, for connectivity,
+transition matrices and the product check.  Up to 20 realizations the
+spectrum and the conductance come from the dense transition matrix; beyond
+that, lambda2 and the sweep cut come from Lanczos iteration on the sparse
+kernel, which builds no n x n array.  The product and swap-locality theorems
+are checked realization by realization with bijections.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -125,10 +129,21 @@ class Space:
     def kernel(self) -> Tuple[Dict[int, float], ...]:
         """Each state's off-diagonal transitions, neighbor index -> weight, in
         move-table order.  A move's bits are the state XOR the neighbor, so no
-        two valid moves share a neighbor; the rest of a row's mass is the stay."""
+        two valid moves share a neighbor; the rest of a row's mass is the stay.
+
+        A valid move joins two realizations, and realizations differ only in
+        free chords (those set in some but not all of them), so only the
+        table's rows over free chords are scanned, in table order."""
+        free = 0
+        for mask in self.masks:
+            free |= mask ^ self.masks[0]
+        pruned = copy.copy(self.instance)
+        pruned.move_table = [
+            row for row in self.instance.move_table if not (row[0] | row[1]) & ~free
+        ]
         idx = self.index()
         return tuple(
-            {idx[nxt]: w for nxt, w in self.instance.weighted_neighbors(mask)}
+            {idx[nxt]: w for nxt, w in pruned.weighted_neighbors(mask)}
             for mask in self.masks
         )
 
@@ -206,34 +221,82 @@ def _exact_conductance(p: np.ndarray) -> float:
     return best
 
 
-def _sweep_vector(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """A lambda2 eigenvector that does not depend on the solver's basis: the
-    projection of a fixed seeded vector onto the eigenspace spanned by the
-    columns of ``vecs`` (below the top one) whose eigenvalues lie within
-    1e-9 of lambda2.  When lambda2 is degenerate, column -2 alone is an
-    arbitrary member of that space and varies with the BLAS build."""
+def _sparse(kernel) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's off-diagonal entries as (rows, cols, vals), and its
+    diagonal, the stay probabilities."""
     import numpy as np
 
-    basis = vecs[:, :-1][:, np.abs(vals[:-1] - vals[-2]) <= 1e-9]
-    probe = np.random.default_rng(0).standard_normal(vecs.shape[0])
-    return basis @ (basis.T @ probe)
+    n = len(kernel)
+    nnz = sum(map(len, kernel))
+    rows = np.repeat(np.arange(n), [len(row) for row in kernel])
+    cols = np.fromiter((j for row in kernel for j in row), np.intp, nnz)
+    vals = np.fromiter((w for row in kernel for w in row.values()), float, nnz)
+    return rows, cols, vals, 1.0 - np.bincount(rows, vals, minlength=n)
 
 
-def _sweep_conductance(p: np.ndarray, x: np.ndarray) -> float:
-    """Best sweep cut along ``x``, in O(n^2).
+def _sweep_spectrum(rows, cols, vals, diag) -> Tuple[float, np.ndarray]:
+    """lambda2 of the symmetric stochastic matrix given in sparse form, and
+    a lambda2 eigenvector that does not depend on any solver's basis.
 
-    The states are ordered by ``x`` (rounded, stably, so near-ties do not
-    depend on rounding noise).  With ``p`` permuted into that order, the
-    boundary of the first k + 1 states gains row k's mass right of the
-    diagonal and loses column k's mass above it.
+    Lanczos iteration with full reorthogonalization, from a fixed seeded
+    probe with the uniform (top) eigenvector projected out, runs until the
+    top Ritz pair's residual bound beta_k |s_k| drops below 1e-12 or the
+    Krylov space is exhausted, where the Ritz pairs are exact.  lambda2 is
+    the top Ritz value.  The vector is the probe's projection onto the Ritz
+    vectors within 1e-9 of lambda2: a degenerate eigenspace meets the Krylov
+    space of the probe in one vector, the probe's projection onto it.
     """
     import numpy as np
 
-    n = p.shape[0]
+    n = len(diag)
+    probe = np.random.default_rng(0).standard_normal(n)
+    q = probe - probe.mean()
+    q /= np.linalg.norm(q)
+    basis = np.empty((min(32, n - 1), n))  # the Krylov space has dim <= n - 1
+    alpha: List[float] = []
+    beta: List[float] = []
+    k = 0
+    while True:
+        basis[k] = q
+        k += 1
+        w = diag * q + np.bincount(rows, vals * q[cols], minlength=n)
+        alpha.append(float(q @ w))
+        for _ in range(2):  # twice keeps w orthogonal to 1 and the basis
+            w -= w.mean()
+            w -= basis[:k].T @ (basis[:k] @ w)
+        b = float(np.linalg.norm(w))
+        t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        theta, s = np.linalg.eigh(t)
+        if b * abs(s[-1, -1]) < 1e-12 or k == n - 1:
+            break
+        beta.append(b)
+        q = w / b
+        if k == len(basis):
+            grown = np.empty((min(2 * k, n - 1), n))
+            grown[:k] = basis
+            basis = grown
+    ritz = s[:, np.abs(theta - theta[-1]) <= 1e-9].T @ basis[:k]
+    return float(theta[-1]), ritz.T @ (ritz @ probe)
+
+
+def _sweep_conductance(rows, cols, vals, x: np.ndarray) -> float:
+    """Best sweep cut along ``x``, in O(nnz + n log n).
+
+    The states are ordered by ``x`` (rounded, stably, so near-ties do not
+    depend on rounding noise).  An entry from sweep position a to a later
+    position b crosses the boundary of the first k + 1 states for
+    a <= k < b, so a difference array over positions sums the boundaries.
+    """
+    import numpy as np
+
+    n = len(x)
     order = np.argsort(np.round(x, 9), kind="stable")
-    q = p[np.ix_(order, order)]
-    q[np.tri(n, dtype=bool)] = 0.0  # keep the strict upper triangle
-    boundary = np.cumsum(q.sum(axis=1) - q.sum(axis=0))[: n - 1]
+    pos = np.empty(n, np.intp)
+    pos[order] = np.arange(n)
+    a, b = pos[rows], pos[cols]
+    up = a < b
+    delta = np.bincount(a[up], vals[up], minlength=n) - np.bincount(b[up], vals[up], minlength=n)
+    boundary = np.cumsum(delta)[: n - 1]
     k = np.arange(1, n)
     return float(np.min(boundary / np.minimum(k, n - k)))
 
@@ -253,15 +316,16 @@ def spectral_report(space: Space) -> SpectralReport:
         return SpectralReport(0.0, 1.0, 1.0, 1, True, trivial=True)
     if not space.connected():
         raise Disconnected("realization graph has more than one component")
-    p = space.transition_matrix()
     exact = n <= 20
     if exact:
-        vals = np.linalg.eigvalsh(p)
+        p = space.transition_matrix()
+        lam2 = np.linalg.eigvalsh(p)[-2]
         phi = _exact_conductance(p)
     else:
-        vals, vecs = np.linalg.eigh(p)
-        phi = _sweep_conductance(p, _sweep_vector(vals, vecs))
-    lam2 = float(min(max(vals[-2], -1.0), 1.0))
+        rows, cols, vals, diag = _sparse(space.kernel)
+        lam2, x = _sweep_spectrum(rows, cols, vals, diag)
+        phi = _sweep_conductance(rows, cols, vals, x)
+    lam2 = float(min(max(lam2, -1.0), 1.0))
     gap = 1.0 - lam2
     if not phi * phi / 2.0 <= gap + 1e-9:
         raise CheegerViolation("Cheeger lower bound violated: phi=%r, gap=%r" % (phi, gap))

@@ -3,14 +3,19 @@
 These deliberately avoid the library's own algorithms so the tests compare
 two independent routes to the same answer.  ``split_head_and_rest`` is the
 exception: it adapts the library's head extraction to the tuple-in,
-pair-out form that the factorization-search oracles take.
+pair-out form that the factorization-search oracles take.  The
+``kernel_oracle`` fixture checks each realization-space kernel against the
+full move-table scan of ``legacy_oracles``.
 """
 
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+import legacy_oracles
 from degmix.decomposition import _split_head, _Window
+from degmix.space import Space
 
 
 def all_simple_graphs(n):
@@ -105,3 +110,23 @@ def nonincreasing_sequences(length, cap):
 def graphical_simple_by_n():
     """Brute-force graphical sets for n <= 6 (oracle for Erdos-Gallai)."""
     return {n: brute_simple_degree_sequences(n) for n in range(1, 7)}
+
+
+@pytest.fixture
+def kernel_oracle(monkeypatch):
+    """Checks every ``Space.kernel`` built under it against the full move-table
+    scan it replaced: the same rows, keys, weights and insertion order."""
+    pruned = Space.kernel.func
+    built = []
+
+    def checked(space):
+        got = pruned(space)
+        want = legacy_oracles.full_scan_kernel(space)
+        assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+        built.append(space)
+        return got
+
+    prop = cached_property(checked)
+    prop.__set_name__(Space, "kernel")
+    monkeypatch.setattr(Space, "kernel", prop)
+    return built

@@ -8,8 +8,15 @@ remainder.  ``test_scan_oracles.py`` checks that the library agrees with them.
 
 ``_havel_hakimi_edges`` re-sorts every round, O(n^2 log n), where the
 library now keeps a heap; ``_sweep_conductance`` recomputes every prefix's
-boundary with a matrix-vector product, O(n^3), where the library now takes
-cumulative sums, and it sorts by column -2 of ``vecs``.
+boundary with a matrix-vector product, O(n^3), where the library now sums a
+difference array over the sparse kernel, and it sorts by column -2 of
+``vecs``.
+
+``dense_sweep_report`` is the sweep path of ``spectral_report`` before it
+moved to Lanczos iteration on the sparse kernel: a dense ``eigh`` of the
+n x n transition matrix, the probe projected onto the lambda2 eigenspace,
+and an O(n^2) sweep cut.  ``full_scan_kernel`` is ``Space.kernel`` before it
+pruned the move table to the free chords: every state scans every row.
 """
 
 from functools import lru_cache
@@ -276,3 +283,51 @@ def _sweep_conductance(p: np.ndarray, vecs: np.ndarray) -> float:
         boundary = float(((ind @ p) * (1.0 - ind)).sum())
         best = min(best, boundary / min(k + 1, n - k - 1))
     return best
+
+
+def _sweep_vector(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """A lambda2 eigenvector that does not depend on the solver's basis: the
+    projection of a fixed seeded vector onto the eigenspace spanned by the
+    columns of ``vecs`` (below the top one) whose eigenvalues lie within
+    1e-9 of lambda2.  When lambda2 is degenerate, column -2 alone is an
+    arbitrary member of that space and varies with the BLAS build."""
+    basis = vecs[:, :-1][:, np.abs(vals[:-1] - vals[-2]) <= 1e-9]
+    probe = np.random.default_rng(0).standard_normal(vecs.shape[0])
+    return basis @ (basis.T @ probe)
+
+
+def _dense_sweep_conductance(p: np.ndarray, x: np.ndarray) -> float:
+    """Best sweep cut along ``x``, in O(n^2).
+
+    The states are ordered by ``x`` (rounded, stably, so near-ties do not
+    depend on rounding noise).  With ``p`` permuted into that order, the
+    boundary of the first k + 1 states gains row k's mass right of the
+    diagonal and loses column k's mass above it.
+    """
+    n = p.shape[0]
+    order = np.argsort(np.round(x, 9), kind="stable")
+    q = p[np.ix_(order, order)]
+    q[np.tri(n, dtype=bool)] = 0.0  # keep the strict upper triangle
+    boundary = np.cumsum(q.sum(axis=1) - q.sum(axis=0))[: n - 1]
+    k = np.arange(1, n)
+    return float(np.min(boundary / np.minimum(k, n - k)))
+
+
+def dense_sweep_report(space) -> Tuple[float, float]:
+    """(lambda2, sweep conductance) of a space from one dense solve."""
+    p = space.transition_matrix()
+    vals, vecs = np.linalg.eigh(p)
+    phi = _dense_sweep_conductance(p, _sweep_vector(vals, vecs))
+    return float(min(max(vals[-2], -1.0), 1.0)), phi
+
+
+def full_scan_kernel(space):
+    """Each state's neighbor index -> weight, from a scan of the whole move
+    table per state."""
+    idx = space.index()
+    table = space.instance.move_table
+    return tuple(
+        {idx[mask ^ rm ^ add]: w for rm, add, _, w in table
+         if mask & rm == rm and not mask & add}
+        for mask in space.masks
+    )

@@ -7,6 +7,7 @@ import random
 import time
 
 import numpy as np
+import pytest
 
 from degmix import (
     BipartiteDegreeSequence,
@@ -42,6 +43,9 @@ from degmix.decomposition import good_pairs as _good_pairs
 from degmix.space import Space, _enumerate_masks, verify_cartesian_product
 
 from conftest import all_simple_graphs, nonincreasing_sequences, split_head_and_rest
+
+# every kernel built here is checked against the full move-table scan
+pytestmark = pytest.mark.usefixtures("kernel_oracle")
 
 
 def _report(criterion, ok, detail):

@@ -89,6 +89,8 @@ def test_exit_codes(files, capsys):
                  id="count-ahr-exhaustive-over-cap"),
     pytest.param(["count", "--kind", "composed", "--n", "6", "--block", "4"], None,
                  id="count-block-not-dividing"),
+    pytest.param(["count", "--kind", "composed", "--n", "22", "--block", "11"], None,
+                 id="count-block-over-cap"),
 ])
 def test_usage_error_exits_2(files, tmp_path, capsys, monkeypatch, argv, payload):
     # a usage error is found before any chain runs, --out included
@@ -109,6 +111,8 @@ def test_usage_error_exits_2(files, tmp_path, capsys, monkeypatch, argv, payload
     assert len(err.splitlines()) == 1 and "error:" in err
     if argv[0] == "verify":
         assert "--max-chords" in err
+    if "--block" in argv:
+        assert "block" in err
 
 
 @pytest.mark.parametrize("mode", ["connectivity", "spectral", "tv"])

@@ -74,6 +74,9 @@ def test_census_cap():
         count_bipartite_graphical(11)
     with pytest.raises(TooLarge):
         count_almost_half_regular_exhaustive(11)
+    # the cap is on the block, not on n
+    with pytest.raises(TooLarge, match="census capped at block = 10"):
+        count_composed_class(22, 11)
 
 
 def test_composed_class_counts():

@@ -2,6 +2,8 @@
 
 import math
 import random
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -30,6 +32,9 @@ from degmix import (
 from degmix.chain import ChainState, step
 from degmix.graphs import Instance
 from degmix.space import Space, _exact_conductance, _sweep_conductance
+
+# every kernel built here is checked against the full move-table scan
+pytestmark = pytest.mark.usefixtures("kernel_oracle")
 
 
 def test_enumerate_counts():
@@ -136,17 +141,43 @@ def test_cheeger_violation_raises(monkeypatch):
             spectral_report(space)
 
 
-def test_sweep_path_solves_once(monkeypatch):
-    # the sweep cut reuses the eigenvectors of the one solve that gives lambda2
-    calls = []
+@lru_cache(maxsize=None)
+def _big_masks(u, w):
+    space = realization_space(BipartiteDegreeSequence(u, w), max_chords=64)
+    return space.instance, space.masks
+
+
+def _big_space(u, w):
+    """A fresh space, with no kernel yet, over masks enumerated once."""
+    return Space(*_big_masks(u, w))
+
+
+def test_sweep_path_builds_no_n_by_n_array(monkeypatch):
+    # 1170 states: the only eigensolves are of Lanczos' small tridiagonal
+    # matrices, no transition matrix is built, and the peak allocation stays
+    # below half of one n x n float array
+    space = _big_space((2, 2, 2, 2, 2), (3, 2, 2, 2, 1))
+    n = space.count
+    shapes = []
     for name in ("eigh", "eigvalsh"):
         orig = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
-                            lambda p, orig=orig, name=name: calls.append(name) or orig(p))
-    space = realization_space(BipartiteDegreeSequence((2, 2, 2, 1), (3, 2, 1, 1)))
-    assert space.count > 20
-    rep = spectral_report(space)
-    assert not rep.conductance_exact and calls == ["eigh"]
+                            lambda a, orig=orig: shapes.append(a.shape) or orig(a))
+
+    def never(self):
+        raise AssertionError("built the n x n transition matrix")
+
+    monkeypatch.setattr(Space, "transition_matrix", never)
+    space.connected()  # the kernel's dicts are O(nnz); built outside the trace
+    tracemalloc.start()
+    try:
+        rep = spectral_report(space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not rep.conductance_exact
+    assert shapes and max(max(s) for s in shapes) < n
+    assert peak < 8 * n * n / 2
 
 
 def test_sweep_conductance_matches_cubic_loop():
@@ -156,21 +187,26 @@ def test_sweep_conductance_matches_cubic_loop():
         w = np.triu(rng.random((n, n)) ** 4, 1)
         p = (w + w.T) / (n * 1.01)
         np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+        rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+        vals = p[rows, cols]
         _, vecs = np.linalg.eigh(p)
         for x in (vecs[:, -2], rng.standard_normal(n)):
             ref = old._sweep_conductance(p, np.column_stack([x, np.zeros(n)]))
-            assert abs(_sweep_conductance(p, x) - ref) <= 1e-12
+            assert abs(_sweep_conductance(rows, cols, vals, x) - ref) <= 1e-12
         # tied entries keep their index order under rounding noise
         ties = rng.integers(0, 3, n) / 7.0
         noisy = ties + 1e-13 * rng.standard_normal(n)
-        assert _sweep_conductance(p, noisy) == _sweep_conductance(p, ties)
+        assert (_sweep_conductance(rows, cols, vals, noisy)
+                == _sweep_conductance(rows, cols, vals, ties))
 
 
 def test_sweep_conductance_ignores_the_eigenbasis(monkeypatch):
     # 24 states whose lambda2 eigenspace has dimension 9: any orthonormal
-    # basis of it is a valid eigh answer, and the reported phi must not move
+    # basis of it is a valid eigh answer, the dense oracle's cut must not
+    # move with it, and the Lanczos report must match that cut
     space = realization_space(BipartiteDegreeSequence((1, 1, 1, 1), (1, 1, 1, 1)))
-    phi = spectral_report(space).conductance
+    rep = spectral_report(space)
+    assert not rep.conductance_exact
     eigh, rng = np.linalg.eigh, np.random.default_rng(5)
 
     def rotated(p):
@@ -183,9 +219,55 @@ def test_sweep_conductance_ignores_the_eigenbasis(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", rotated)
     for _ in range(5):
-        rep = spectral_report(space)
-        assert not rep.conductance_exact
+        lam2, phi = old.dense_sweep_report(space)
+        assert abs(rep.lambda2 - lam2) <= 1e-12
         assert abs(rep.conductance - phi) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: realization_space(BipartiteDegreeSequence((2, 2, 2, 1), (3, 2, 1, 1))),
+    # lambda2 has a 9-dimensional eigenspace
+    lambda: realization_space(BipartiteDegreeSequence((1, 1, 1, 1), (1, 1, 1, 1))),
+    lambda: realization_space(DegreeSequence((2, 2, 2, 2, 2, 2))),
+    lambda: realization_space(DirectedDegreeSequence((1,) * 5, (1,) * 5)),
+    lambda: _big_space((2, 2, 2, 2, 2), (3, 2, 2, 2, 1)),
+    lambda: _big_space((2, 2, 2, 2, 2), (2, 2, 2, 2, 2)),
+], ids=["bipartite-27", "degenerate-24", "simple-70", "directed-c6-44", "bench-1170",
+        "regular-2040"])
+def test_sweep_report_matches_dense_oracle(make):
+    space = make()
+    assert space.count > 20
+    rep = spectral_report(space)
+    lam2, phi = old.dense_sweep_report(space)
+    assert not rep.conductance_exact
+    assert abs(rep.lambda2 - lam2) <= 1e-12
+    assert abs(rep.conductance - phi) <= 1e-12
+    assert rep.relaxation_time == 1.0 / (1.0 - rep.lambda2)
+
+
+def test_pruned_kernel_matches_full_scan(monkeypatch, kernel_oracle):
+    # C4 and C6 spaces, and the product instance, whose 1176-row move table
+    # has only 138 rows over its free chords; kernel_oracle compares them
+    scanned = set()
+    valid = Instance._valid
+    monkeypatch.setattr(Instance, "_valid", lambda self, mask: scanned.add(
+        len(self.move_table)) or valid(self, mask))
+    spaces = [
+        realization_space(DegreeSequence((2, 2, 2, 1, 1))),
+        realization_space(DirectedDegreeSequence((1, 1, 1, 1), (1, 1, 1, 1))),
+        realization_space(BipartiteDegreeSequence((3, 1, 1), (2, 2, 1)), max_chords=25),
+    ]
+    for space in spaces:
+        assert space.kernel
+    product = verify_cartesian_product(
+        BipartiteDegreeSequence((3, 2, 2, 2), (2, 2, 2, 2, 1)),
+        BipartiteDegreeSequence((2, 2, 2), (2, 2, 2)),
+        max_chords=64,
+    )
+    assert product["composed_count"] == 1404
+    assert kernel_oracle[:3] == spaces
+    assert sorted(s.count for s in kernel_oracle[3:]) == [6, 234, 1404]
+    assert 138 in scanned and 1176 not in scanned
 
 
 # ---------------------------------------------------------------------------
