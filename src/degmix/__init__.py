@@ -7,7 +7,7 @@ desk-scale verification engine (exhaustive realization graphs, spectral
 gaps, Cartesian-product and swap-locality checks).
 """
 
-from .chain import ChainState, ProductChain, derive_seed, product_step, sample, step
+from .chain import ChainState, ProductChain, derive_seed, sample
 from .counting import (
     CountReport,
     count_almost_half_regular,

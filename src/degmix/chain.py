@@ -9,13 +9,17 @@ everything to its right.  Those forced edges never participate in swaps, so
 the product of the factor chains walks exactly the realization space of the
 composed sequence.
 
-``run`` is the hot loop: ``sample`` and ``dsm_sample`` take every burn-in
-and thinning step through it.  It inlines what ``product_step`` does and
-makes each draw from ``getrandbits`` the way CPython's ``random`` module
-makes it, so it consumes every RNG call for call like ``product_step`` and
-leaves the same edges and RNG states.  ``step`` and ``product_step`` stay
-as the one-step reference, and ``tests/test_chain.py`` pins ``run`` to them
-on the running interpreter.
+Bipartite, directed and forbidden-set factors start from the greedy
+``realize_bipartite``, which also decides their graphicality; simple ones
+start from Havel–Hakimi.
+
+``run`` is the only step loop: ``sample``, ``dsm_sample`` and the empirical
+TV audit take every step through it.  It draws from ``getrandbits`` the way
+CPython's ``random`` module does, so a one-step reference written with
+``Random.sample`` and ``Random.randrange`` (``tests/legacy_oracles.py``)
+consumes every RNG call for call like it and leaves the same edges and RNG
+states; ``tests/test_chain.py`` pins ``run`` to that reference on the
+running interpreter.
 """
 
 from __future__ import annotations
@@ -42,8 +46,6 @@ from .sequences import (
 __all__ = [
     "ChainState",
     "ProductChain",
-    "step",
-    "product_step",
     "run",
     "sample",
     "derive_seed",
@@ -91,62 +93,6 @@ class ChainState:
             edges.append(e)
 
 
-def _try_c4(state: ChainState) -> None:
-    inst = state.instance
-    if inst.disjoint_pairs == 0 or len(state.edges) < 2:
-        return
-    rng = state.rng
-    while True:  # uniform over vertex-disjoint pairs, by rejection
-        e1, e2 = rng.sample(state.edges, 2)
-        if e1[0] == e2[0] or e1[1] == e2[1]:
-            continue
-        if inst.kind == "simple" and (e1[0] == e2[1] or e1[1] == e2[0]):
-            continue
-        break
-    pick = rng.randrange(inst.matchings)
-    if pick == 0:
-        return  # drew the current matching
-    alts = inst._alts(e1, e2)
-    if pick - 1 >= len(alts):
-        return  # target pair includes a forbidden pair
-    f1, f2 = alts[pick - 1]
-    if f1 in state._pos or f2 in state._pos:
-        return  # would create a multi-edge
-    state._apply((e1, e2), (f1, f2))
-
-
-def _try_c6(state: ChainState) -> None:
-    inst = state.instance
-    if len(state.edges) < 3:
-        return
-    rng = state.rng
-    triple = rng.sample(state.edges, 3)  # ordered triple
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        if triple[a][0] == triple[b][0] or triple[a][1] == triple[b][1]:
-            return
-    targets = inst._hexagon(triple)
-    if targets is None:
-        return
-    if any(t in state._pos for t in targets):
-        return
-    state._apply(triple, targets)
-
-
-def step(state: ChainState) -> ChainState:
-    """One lazy transition in place; returns the state for chaining."""
-    rng = state.rng
-    if rng.random() < 0.5:
-        return state  # lazy half
-    if state.instance.use_c6:
-        if rng.random() < 0.5:
-            _try_c4(state)
-        else:
-            _try_c6(state)
-    else:
-        _try_c4(state)
-    return state
-
-
 @dataclass
 class ProductChain:
     """Independent coordinate chains advanced one uniformly chosen at a time."""
@@ -156,12 +102,6 @@ class ProductChain:
 
     def masks(self) -> Tuple[int, ...]:
         return tuple(c.mask for c in self.coordinates)
-
-
-def product_step(chain: ProductChain) -> ProductChain:
-    if chain.coordinates:  # a graph without factors has nothing to step
-        step(chain.coordinates[chain.rng.randrange(len(chain.coordinates))])
-    return chain
 
 
 # Random.sample keeps a pool list for populations up to this size and a set
@@ -191,13 +131,14 @@ def _fixed(state: ChainState):
 
 
 def run(chain: ProductChain, steps: int) -> ProductChain:
-    """``steps`` calls of ``product_step`` in one loop; the sampler's hot loop.
+    """``steps`` lazy transitions of the product chain; the sampler's hot loop.
 
-    The coordinate choice, the lazy half, ``_try_c4`` and ``_try_c6`` are
-    inlined, and every draw goes through ``getrandbits`` exactly as
-    CPython's ``Random._randbelow_with_getrandbits`` and ``Random.sample``
-    make it.  So each RNG is consumed call for call as ``product_step``
-    consumes it, and the edges, positions and RNG states come out the same.
+    Each step picks a coordinate uniformly, stays with probability 1/2, and
+    otherwise proposes a C4 swap (or, on a forbidden 1-factor, a C4 or a C6
+    swap with probability 1/2 each).  Every draw goes through ``getrandbits``
+    exactly as CPython's ``Random._randbelow_with_getrandbits`` and
+    ``Random.sample`` make it, so seeded draws match a reference written
+    with ``Random.sample`` and ``Random.randrange``.
     """
     coords = chain.coordinates
     k = len(coords)
@@ -317,8 +258,8 @@ def _unfactored(inst: Instance, start: Optional[List[Edge]] = None) -> Layout:
     return plan
 
 
-def _flow_start(bd, forbidden: ForbiddenSet, message: str) -> List[Edge]:
-    """A start realization from one max flow, which also decides
+def _greedy_start(bd, forbidden: ForbiddenSet, message: str) -> List[Edge]:
+    """A start realization from the greedy, which also decides
     graphicality: NotGraphical(message) when there is none."""
     try:
         return realize_bipartite(bd, forbidden)
@@ -328,17 +269,17 @@ def _flow_start(bd, forbidden: ForbiddenSet, message: str) -> List[Edge]:
 
 def _make_plan(d, forbidden: Optional[ForbiddenSet], factorize: str) -> Layout:
     # The canonical decompositions test graphicality themselves, and so does
-    # the max flow that realizes a forbidden-set start; only the
+    # the greedy that realizes a directed or forbidden-set start; only the
     # factorize-off paths test it here.
     if isinstance(d, DirectedDegreeSequence):
-        start = _flow_start(*d.gale_representation(), "directed sequence is not graphical")
+        start = _greedy_start(*d.gale_representation(), "directed sequence is not graphical")
         # No factorization path for directed input: the composition theory
         # builds directed classes from given factors, it does not factor an
         # arbitrary forbidden-1-factor instance.
         return _unfactored(directed_instance(d), start)
     if isinstance(d, BipartiteDegreeSequence):
         if forbidden is not None and len(forbidden):
-            start = _flow_start(d, forbidden, "no realization avoids the forbidden set")
+            start = _greedy_start(d, forbidden, "no realization avoids the forbidden set")
             return _unfactored(bipartite_instance(d.u_degrees, d.w_degrees, forbidden), start)
         if factorize == "off":
             if not gale_ryser(d):

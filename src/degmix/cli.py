@@ -34,6 +34,7 @@ from .errors import (
     DegmixError,
     Disconnected,
     DivisibilityError,
+    ForbiddenSetNotMatching,
     InconsistentMatrix,
     InvalidSplit,
     ProductMismatch,
@@ -67,7 +68,8 @@ def _load(loader, path: str):
         return loader(path)
     except KeyError as exc:
         raise UsageError("%s: missing field %s" % (path, exc)) from None
-    except (OSError, ValueError, TypeError, AttributeError, InconsistentMatrix) as exc:
+    except (OSError, ValueError, TypeError, AttributeError, InconsistentMatrix,
+            ForbiddenSetNotMatching) as exc:
         raise UsageError("%s: %s" % (path, exc)) from None
 
 
@@ -91,13 +93,6 @@ def _check_in_classes(path: str, forbidden, seq: BipartiteDegreeSequence) -> Non
                 "%s: forbidden pair [%d, %d] is outside the %d x %d classes"
                 % (path, u + 1, w + 1, seq.nu, seq.nw)
             )
-
-
-def _require_one_factor(path: str, forbidden) -> None:
-    """A forbidden set that is not a partial 1-factor is a usage error
-    wherever a swap chain runs over it."""
-    if forbidden is not None and not forbidden.is_partial_one_factor():
-        raise UsageError("%s: forbidden set is not a partial 1-factor" % path)
 
 
 def _at_least(low: int):
@@ -214,7 +209,6 @@ def cmd_compose(args) -> int:
         return 0
     for path, f, seq in zip(args.forbidden, forb, seqs):
         _check_in_classes(path, f, seq)
-        _require_one_factor(path, f)
     from .decomposition import compose_directed
 
     cur, curf = seqs[-1], forb[-1]
@@ -252,7 +246,6 @@ def _write_draws(stream, fmt: str, draws) -> None:
 
 def cmd_sample(args) -> int:
     seq, forbidden = _load_inputs(args)
-    _require_one_factor(args.forbidden, forbidden)
     with _open_out(args) as stream:
         try:
             draws = sample(
@@ -276,7 +269,6 @@ def cmd_verify(args) -> int:
     if args.mode == "product" and args.forbidden:
         raise UsageError("--mode product does not take --forbidden")
     seq, forbidden = _load_inputs(args)
-    _require_one_factor(args.forbidden, forbidden)
     try:
         if args.mode == "connectivity":
             space = realization_space(seq, forbidden, args.max_chords, args.c4_only)

@@ -448,13 +448,9 @@ def compose_directed(
     """Composition of bipartite sequences carrying forbidden partial
     1-factors; the merged forbidden set is the shifted union and is itself a
     partial 1-factor."""
-    for f, operand in ((fa, a), (fb, b)):
-        f.require_one_factor()
-        f.require_in_range(operand.nu, operand.nw)
-    composed = compose_bipartite(a, b)
-    merged = ForbiddenSet(set(fa.pairs) | set(fb.shifted(a.nu, a.nw).pairs))
-    merged.require_one_factor()
-    return composed, merged
+    fa.require_in_range(a.nu, a.nw)
+    fb.require_in_range(b.nu, b.nw)
+    return compose_bipartite(a, b), ForbiddenSet(fa.pairs | fb.shifted(a.nu, a.nw).pairs)
 
 
 def greenhill_condition(d) -> bool:

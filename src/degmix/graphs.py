@@ -136,9 +136,7 @@ class Instance:
             if self.m != sum(self.w_degrees):
                 raise ValueError("class degree sums differ")
             all_deg = self.u_degrees + self.w_degrees
-            if len(self.forbidden):
-                self.forbidden.require_one_factor()
-                self.forbidden.require_in_range(self.nu, self.nw)
+            self.forbidden.require_in_range(self.nu, self.nw)
         self.use_c6 = len(self.forbidden) > 0 and not c4_only
         # Vertex-disjoint edge-pair count; a function of the degrees alone.
         self.disjoint_pairs = self.m * (self.m - 1) // 2 - sum(

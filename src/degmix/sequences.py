@@ -4,7 +4,9 @@ Covers simple, bipartite, directed, and forbidden-edge-restricted bipartite
 degree sequences.  Directed sequences are handled through their Gale bipartite
 representation (out-stubs in one class, in-stubs in the other, diagonal pairs
 excluded), which reduces directed graphicality to a restricted bipartite
-problem.
+problem.  A forbidden set is a partial 1-factor, checked when it is built.
+Restricted bipartite, and so directed, sequences are realized and tested
+by one greedy pass, Kleitman–Wang on the directed reduction.
 """
 
 from __future__ import annotations
@@ -147,32 +149,25 @@ class DirectedDegreeSequence:
 
 @dataclass(frozen=True)
 class ForbiddenSet:
-    """Set of (u-index, w-index) pairs excluded from realizations (non-chords)."""
+    """Set of (u-index, w-index) pairs excluded from realizations (non-chords).
+
+    A partial 1-factor by construction: no u-index and no w-index occurs in
+    two pairs, else ForbiddenSetNotMatching.
+    """
 
     pairs: frozenset = field(default_factory=frozenset)
 
     def __init__(self, pairs: Iterable[Tuple[int, int]] = ()):
-        object.__setattr__(
-            self, "pairs", frozenset((int(u), int(w)) for u, w in pairs)
-        )
+        pairs = frozenset((int(u), int(w)) for u, w in pairs)
+        if len({u for u, _ in pairs}) < len(pairs) or len({w for _, w in pairs}) < len(pairs):
+            raise ForbiddenSetNotMatching("forbidden set is not a partial 1-factor")
+        object.__setattr__(self, "pairs", pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def __contains__(self, pair) -> bool:
         return pair in self.pairs
-
-    def is_partial_one_factor(self) -> bool:
-        """True iff no u-index and no w-index occurs in more than one pair."""
-        us = [u for u, _ in self.pairs]
-        ws = [w for _, w in self.pairs]
-        return len(us) == len(set(us)) and len(ws) == len(set(ws))
-
-    def require_one_factor(self) -> None:
-        if not self.is_partial_one_factor():
-            raise ForbiddenSetNotMatching(
-                "forbidden set is not a partial 1-factor: %r" % (sorted(self.pairs),)
-            )
 
     def require_in_range(self, nu: int, nw: int) -> None:
         """Raise ValueError for a pair outside classes of sizes ``nu`` and ``nw``."""
@@ -254,89 +249,9 @@ def gale_ryser(bd) -> bool:
     return True
 
 
-class _Dinic:
-    """Integer max-flow solver (Dinic).  Each augmenting path is walked with
-    an explicit stack, since its length grows with the number of vertices."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head = [[] for _ in range(n)]
-        self.to = []
-        self.cap = []
-
-    def add_edge(self, a: int, b: int, cap: int) -> int:
-        idx = len(self.to)
-        self.head[a].append(idx)
-        self.to.append(b)
-        self.cap.append(cap)
-        self.head[b].append(idx + 1)
-        self.to.append(a)
-        self.cap.append(0)
-        return idx
-
-    def max_flow(self, s: int, t: int) -> int:
-        head, to, cap = self.head, self.to, self.cap
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for v in queue:
-                for e in head[v]:
-                    if cap[e] > 0 and level[to[e]] < 0:
-                        level[to[e]] = level[v] + 1
-                        queue.append(to[e])
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-            path = []  # arcs from s to v; a dead end pops its arc
-            v = s
-            while True:
-                if v == t:
-                    pushed = min(cap[e] for e in path)
-                    for e in path:
-                        cap[e] -= pushed
-                        cap[e ^ 1] += pushed
-                    flow += pushed
-                    path.clear()
-                    v = s
-                elif it[v] < len(head[v]):
-                    e = head[v][it[v]]
-                    if cap[e] > 0 and level[to[e]] == level[v] + 1:
-                        path.append(e)
-                        v = to[e]
-                    else:
-                        it[v] += 1
-                elif path:
-                    v = to[path.pop() ^ 1]
-                    it[v] += 1
-                else:
-                    break
-
-
-def _chord_flow(u, w, forbidden: Optional[ForbiddenSet]):
-    """Build the source/U/W/sink flow network over allowed chords."""
-    banned = forbidden.pairs if forbidden is not None else frozenset()
-    nu, nw = len(u), len(w)
-    if forbidden is not None:
-        forbidden.require_in_range(nu, nw)
-    net = _Dinic(nu + nw + 2)
-    src, snk = nu + nw, nu + nw + 1
-    for i, ui in enumerate(u):
-        net.add_edge(src, i, ui)
-    for j, wj in enumerate(w):
-        net.add_edge(nu + j, snk, wj)
-    chord_edges = {}
-    for i in range(nu):
-        for j in range(nw):
-            if (i, j) not in banned:
-                chord_edges[(i, j)] = net.add_edge(i, nu + j, 1)
-    return net, src, snk, chord_edges
-
-
 def restricted_bipartite_graphical(bd, f: Optional[ForbiddenSet] = None) -> bool:
-    """Graphicality of a bipartite sequence avoiding the forbidden chords:
-    whether ``realize_bipartite`` finds a realization."""
+    """Graphicality of a bipartite sequence avoiding the forbidden partial
+    1-factor: whether ``realize_bipartite`` finds a realization."""
     try:
         realize_bipartite(bd, f)
     except NotGraphical:
@@ -395,14 +310,47 @@ def realize(d, f: Optional[ForbiddenSet] = None):
 
 
 def realize_bipartite(bd, f: Optional[ForbiddenSet] = None):
-    """One bipartite realization avoiding ``f``, extracted from a max flow."""
+    """One bipartite realization avoiding ``f``, in O(m log n).
+
+    Kleitman–Wang on the directed reduction: each u_i is merged with its
+    partner in ``f`` (a partial 1-factor), so the forbidden pairs become the
+    loops.  The tails u_i are taken in index order; each is joined to the
+    w's of largest remaining in-degree, ties going to the larger remaining
+    out-degree of the merged vertex and then to the lower index, skipping
+    its own partner.  Any tail order works with heads in that order (Erdős,
+    Miklós & Toroczkai 2010), so a tail short of heads means that no
+    realization exists.  A lazy heap holds the keys (-in, -out, index).
+    """
     u, w = _coerce_bipartite(bd)
     if sum(u) != sum(w):
         raise NotGraphical("class degree sums differ")
-    net, src, snk, chord_edges = _chord_flow(u, w, f)
-    if net.max_flow(src, snk) != sum(u):
-        raise NotGraphical("no realization avoids the forbidden set")
-    return sorted(pair for pair, e in chord_edges.items() if net.cap[e] == 0)
+    partner, out, need = [-1] * len(u), [0] * len(w), list(w)
+    if f is not None:
+        f.require_in_range(len(u), len(w))
+        for i, j in f.pairs:
+            partner[i], out[j] = j, u[i]
+    heap = [(-need[j], -out[j], j) for j in range(len(w)) if need[j]]
+    heapq.heapify(heap)
+    edges = []
+    for i, d in enumerate(u):
+        p, heads = partner[i], []
+        while len(heads) < d and heap:
+            key = heapq.heappop(heap)
+            j = key[2]
+            if j != p and key == (-need[j], -out[j], j):  # else stale, or i's partner
+                heads.append(j)
+        if len(heads) < d:
+            raise NotGraphical("no realization avoids the forbidden set")
+        for j in heads:
+            edges.append((i, j))
+            need[j] -= 1
+            if need[j]:
+                heapq.heappush(heap, (-need[j], -out[j], j))
+        if p >= 0 and d:  # the partner's merged vertex has no out-degree left
+            out[p] = 0
+            if need[p]:
+                heapq.heappush(heap, (-need[p], 0, p))
+    return sorted(edges)
 
 
 def realize_directed(dd):

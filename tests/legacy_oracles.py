@@ -17,6 +17,13 @@ moved to Lanczos iteration on the sparse kernel: a dense ``eigh`` of the
 n x n transition matrix, the probe projected onto the lambda2 eigenspace,
 and an O(n^2) sweep cut.  ``full_scan_kernel`` is ``Space.kernel`` before it
 pruned the move table to the free chords: every state scans every row.
+
+``_Dinic`` is the max flow that realized restricted bipartite sequences
+before the Kleitman–Wang greedy; ``flow_realize`` is that realization, over
+one arc per allowed pair, and it accepts any forbidden set.  ``step`` and
+``product_step`` (with ``_try_c4`` and ``_try_c6``) are the one-step
+reference of the swap chain, written with ``Random.sample`` and
+``Random.randrange``; ``chain.run`` must consume every RNG as they do.
 """
 
 from functools import lru_cache
@@ -24,6 +31,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from degmix.chain import ChainState, ProductChain
 from degmix.decomposition import (
     CanonicalDecomposition,
     GoodPair,
@@ -331,3 +339,147 @@ def full_scan_kernel(space):
          if mask & rm == rm and not mask & add}
         for mask in space.masks
     )
+
+
+class _Dinic:
+    """Integer max-flow solver (Dinic).  Each augmenting path is walked with
+    an explicit stack, since its length grows with the number of vertices."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.head = [[] for _ in range(n)]
+        self.to = []
+        self.cap = []
+
+    def add_edge(self, a: int, b: int, cap: int) -> int:
+        idx = len(self.to)
+        self.head[a].append(idx)
+        self.to.append(b)
+        self.cap.append(cap)
+        self.head[b].append(idx + 1)
+        self.to.append(a)
+        self.cap.append(0)
+        return idx
+
+    def max_flow(self, s: int, t: int) -> int:
+        head, to, cap = self.head, self.to, self.cap
+        flow = 0
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            for v in queue:
+                for e in head[v]:
+                    if cap[e] > 0 and level[to[e]] < 0:
+                        level[to[e]] = level[v] + 1
+                        queue.append(to[e])
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+            path = []  # arcs from s to v; a dead end pops its arc
+            v = s
+            while True:
+                if v == t:
+                    pushed = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= pushed
+                        cap[e ^ 1] += pushed
+                    flow += pushed
+                    path.clear()
+                    v = s
+                elif it[v] < len(head[v]):
+                    e = head[v][it[v]]
+                    if cap[e] > 0 and level[to[e]] == level[v] + 1:
+                        path.append(e)
+                        v = to[e]
+                    else:
+                        it[v] += 1
+                elif path:
+                    v = to[path.pop() ^ 1]
+                    it[v] += 1
+                else:
+                    break
+
+
+def flow_realize(u, w, banned):
+    """One bipartite realization avoiding the pairs ``banned``, from a max
+    flow over the allowed pairs; None when there is none."""
+    nu, nw = len(u), len(w)
+    if sum(u) != sum(w):
+        return None
+    net = _Dinic(nu + nw + 2)
+    src, snk = nu + nw, nu + nw + 1
+    for i, ui in enumerate(u):
+        net.add_edge(src, i, ui)
+    for j, wj in enumerate(w):
+        net.add_edge(nu + j, snk, wj)
+    chord_edges = {}
+    for i in range(nu):
+        for j in range(nw):
+            if (i, j) not in banned:
+                chord_edges[(i, j)] = net.add_edge(i, nu + j, 1)
+    if net.max_flow(src, snk) != sum(u):
+        return None
+    return sorted(pair for pair, e in chord_edges.items() if net.cap[e] == 0)
+
+
+def _try_c4(state: ChainState) -> None:
+    inst = state.instance
+    if inst.disjoint_pairs == 0 or len(state.edges) < 2:
+        return
+    rng = state.rng
+    while True:  # uniform over vertex-disjoint pairs, by rejection
+        e1, e2 = rng.sample(state.edges, 2)
+        if e1[0] == e2[0] or e1[1] == e2[1]:
+            continue
+        if inst.kind == "simple" and (e1[0] == e2[1] or e1[1] == e2[0]):
+            continue
+        break
+    pick = rng.randrange(inst.matchings)
+    if pick == 0:
+        return  # drew the current matching
+    alts = inst._alts(e1, e2)
+    if pick - 1 >= len(alts):
+        return  # target pair includes a forbidden pair
+    f1, f2 = alts[pick - 1]
+    if f1 in state._pos or f2 in state._pos:
+        return  # would create a multi-edge
+    state._apply((e1, e2), (f1, f2))
+
+
+def _try_c6(state: ChainState) -> None:
+    inst = state.instance
+    if len(state.edges) < 3:
+        return
+    rng = state.rng
+    triple = rng.sample(state.edges, 3)  # ordered triple
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        if triple[a][0] == triple[b][0] or triple[a][1] == triple[b][1]:
+            return
+    targets = inst._hexagon(triple)
+    if targets is None:
+        return
+    if any(t in state._pos for t in targets):
+        return
+    state._apply(triple, targets)
+
+
+def step(state: ChainState) -> ChainState:
+    """One lazy transition in place; returns the state for chaining."""
+    rng = state.rng
+    if rng.random() < 0.5:
+        return state  # lazy half
+    if state.instance.use_c6:
+        if rng.random() < 0.5:
+            _try_c4(state)
+        else:
+            _try_c6(state)
+    else:
+        _try_c4(state)
+    return state
+
+
+def product_step(chain: ProductChain) -> ProductChain:
+    if chain.coordinates:  # a graph without factors has nothing to step
+        step(chain.coordinates[chain.rng.randrange(len(chain.coordinates))])
+    return chain

@@ -18,15 +18,14 @@ from degmix import (
     NotGraphical,
     degree_spectra,
     derive_seed,
-    product_step,
     sample,
-    step,
 )
 from degmix import sequences
 from degmix.chain import ProductChain, build_product_chain, _make_plan, run
 from degmix.space import realization_space
 from degmix.spectra import _dsm_plan
 
+from legacy_oracles import product_step, step
 from test_golden_draws import CASES as GOLDEN_CASES
 
 
@@ -157,16 +156,25 @@ def test_sample_flow_paths_reject_with_their_messages(d, forbidden, message):
 
 
 def test_sample_flow_paths_run_one_max_flow(monkeypatch):
-    # the max flow that realizes the start also decides graphicality
+    # the greedy that realizes the start also decides graphicality: each
+    # call realizes its start once and runs no separate graphicality test
     calls = []
-    max_flow = sequences._Dinic.max_flow
-    monkeypatch.setattr(sequences._Dinic, "max_flow",
-                        lambda net, s, t: calls.append(1) or max_flow(net, s, t))
+
+    def counting(name, orig):
+        return lambda *args: calls.append(name) or orig(*args)
+
+    modules = [m for n, m in sys.modules.items() if n == "degmix" or n.startswith("degmix.")]
+    for name in ("realize_bipartite", "restricted_bipartite_graphical", "directed_graphical",
+                 "gale_ryser"):
+        orig = getattr(sequences, name)
+        for mod in modules:
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counting(name, orig))
     sample(DirectedDegreeSequence((1, 1, 1), (1, 1, 1)), burn_in=5, thin=1, count=3, seed=0)
-    assert len(calls) == 1
+    assert calls == ["realize_bipartite"]
     sample(BipartiteDegreeSequence((2, 1, 1), (2, 1, 1)), burn_in=5, thin=1, count=3, seed=0,
            forbidden=ForbiddenSet([(0, 0), (1, 1), (2, 2)]))
-    assert len(calls) == 2
+    assert calls == ["realize_bipartite"] * 2
 
 
 def test_sample_degree_recount_simple():

@@ -55,6 +55,8 @@ def test_exit_codes(files, capsys):
                  id="forbidden-out-of-range"),
     pytest.param(["sample", "--seq", "{block}", "--forbidden", "{file}"], [[1, 1], [1, 2]],
                  id="sample-forbidden-not-matching"),
+    pytest.param(["test", "--seq", "{block}", "--forbidden", "{file}"], [[1, 1], [1, 2]],
+                 id="test-forbidden-not-matching"),
     pytest.param(["sample", "--seq", "{matching}", "--thin", "0"], None, id="thin-zero"),
     pytest.param(["sample", "--seq", "{matching}", "--count", "-3"], None,
                  id="negative-count"),
@@ -113,6 +115,8 @@ def test_usage_error_exits_2(files, tmp_path, capsys, monkeypatch, argv, payload
         assert "--max-chords" in err
     if "--block" in argv:
         assert "block" in err
+    if payload == [[1, 1], [1, 2]]:
+        assert err.endswith("%s: forbidden set is not a partial 1-factor" % path)
 
 
 @pytest.mark.parametrize("mode", ["connectivity", "spectral", "tv"])

@@ -9,6 +9,7 @@ import pytest
 from degmix import (
     BipartiteDegreeSequence,
     ForbiddenSet,
+    ForbiddenSetNotMatching,
     InvalidSplit,
     NotGraphical,
     SplitSequence,
@@ -368,9 +369,12 @@ def test_compose_directed_examples():
 
 
 def test_compose_directed_rejects_bad_one_factor():
-    bad = ForbiddenSet([(0, 0), (0, 1)])
-    with pytest.raises(Exception):
-        compose_directed(A, bad, A, ForbiddenSet())
+    # a set that is not a partial 1-factor cannot be built; one outside its
+    # operand's classes is refused
+    with pytest.raises(ForbiddenSetNotMatching):
+        compose_directed(A, ForbiddenSet([(0, 0), (0, 1)]), A, ForbiddenSet())
+    with pytest.raises(ValueError, match="out of range"):
+        compose_directed(A, ForbiddenSet(), A, ForbiddenSet([(0, 5)]))
 
 
 # ---------------------------------------------------------------------------

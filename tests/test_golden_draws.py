@@ -46,9 +46,9 @@ CASES = {
 
 GOLDEN = {
     "bipartite-auto": "dfc3680ec5e452988e3bceee67fb89eb1868068d909df2a8724b6b2a918d3ad3",
-    "bipartite-off": "cbf18e6579db9416ee4305250dcac52ac00520056ba51d1ee7502d0eb31f76e3",
-    "directed": "8e98998c79c216a621b99eff6693c8925ccfe29aa403641471842530aaae266c",
-    "restricted": "132c1cae9cb86e4fcf29b53a01c7f4cacc6cdc2359165bf561e7bf070982407f",
+    "bipartite-off": "2182912cdd73478f175f0eb658c958c7c8dff47cddc8b043ec19adbad6675bf8",
+    "directed": "9d870cf37a3cba69de577fcb7c530f99cc83cfc46f5810fc4233c144c3924a2a",
+    "restricted": "bc10577365c8c5373be85bdd03696e11bd2e74251a89e9c2acd848c908e83d75",
     "simple-auto": "0240a513d6f44034441f61a22c7598fbf93cebed3e2f23db1fa09f1e58cf8b0d",
     "simple-off": "d83ce1cbcbedca1ad9f41a2cc82de2491e5c4120ce24037761937c2535eb24d7",
 }

@@ -1,20 +1,23 @@
 """The prefix-sum validators and decomposition scans against the quadratic
-and cubic scans they replaced (``legacy_oracles``) and against networkx, and
-the heap Havel–Hakimi against the re-sorting one.
+and cubic scans they replaced (``legacy_oracles``) and against networkx, the
+heap Havel–Hakimi against the re-sorting one, and the Kleitman–Wang
+restricted realization against the max flow.
 
 Random inputs go up to n = 200; composed inputs fold many random split
 components over a random tail, so their decompositions have many steps.
 """
 
+import random
 from itertools import combinations
 
 import networkx as nx
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import legacy_oracles as old
 from degmix import (
     BipartiteDegreeSequence,
+    ForbiddenSet,
     NotGraphical,
     SplitSequence,
     bipartite_decomposable,
@@ -25,6 +28,7 @@ from degmix import (
     erdos_gallai,
     gale_ryser,
     good_pairs,
+    realize_bipartite,
     recompose,
 )
 from degmix.sequences import _havel_hakimi_edges
@@ -189,3 +193,60 @@ def test_decomposition_scales_past_quadratic():
     assert cd.components == () and cd.tail.degrees == (4,) * n
     factors = canonical_decompose_bipartite(BipartiteDegreeSequence([4] * n, [4] * n))
     assert len(factors) == 1 and factors[0].nu == n
+
+
+@st.composite
+def restricted_instances(draw, max_n):
+    """A partial 1-factor (the full diagonal, a random matching, or none)
+    and the degrees of a random graph avoiding it, then up to nu + nw unit
+    moves onto the largest degree of a class, which may leave no
+    realization."""
+    nu, nw = draw(st.integers(0, max_n)), draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(["diagonal", "matching", "none"]))
+    density = draw(st.floats(0, 1))
+    skew = draw(st.floats(0, 1))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))  # a graph's worth of draws is too much data
+    if kind == "diagonal":
+        nw = nu
+        pairs = [(i, i) for i in range(nu)]
+    elif kind == "matching":
+        k = rnd.randint(0, min(nu, nw))
+        pairs = list(zip(rnd.sample(range(nu), k), rnd.sample(range(nw), k)))
+    else:
+        pairs = []
+    banned = set(pairs)
+    u, w = [0] * nu, [0] * nw
+    for i in range(nu):
+        for j in range(nw):
+            if (i, j) not in banned and rnd.random() < density:
+                u[i] += 1
+                w[j] += 1
+    for _ in range(int(skew * (nu + nw))):  # a unit to the largest degree of a class
+        side = rnd.choice((u, w))
+        a = rnd.randrange(len(side)) if side else 0
+        if side and side[a]:
+            side[a] -= 1
+            side[max(range(len(side)), key=side.__getitem__)] += 1
+    return u, w, pairs
+
+
+# On the diagonal case, heads taken without the out-degree tie-break give
+# the wrong verdict.
+@example(inst=([1, 1, 2], [2, 1, 1], [(0, 0), (1, 1), (2, 2)]))
+@settings(max_examples=150, **SETTINGS)
+@given(inst=restricted_instances(200))
+def test_realize_bipartite_matches_max_flow(inst):
+    u, w, pairs = inst
+    want = old.flow_realize(u, w, set(pairs))
+    try:
+        got = realize_bipartite((u, w), ForbiddenSet(pairs))
+    except NotGraphical:
+        got = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert len(set(got)) == len(got) and not set(got) & set(pairs)
+        du, dw = [0] * len(u), [0] * len(w)
+        for a, b in got:
+            du[a] += 1
+            dw[b] += 1
+        assert du == u and dw == w

@@ -11,6 +11,7 @@ from degmix import (
     DegreeSequence,
     DirectedDegreeSequence,
     ForbiddenSet,
+    ForbiddenSetNotMatching,
     NotGraphical,
     directed_graphical,
     erdos_gallai,
@@ -128,7 +129,8 @@ def test_gale_ryser_matches_brute_force():
 def test_restricted_examples():
     bd = BipartiteDegreeSequence((1, 1), (1, 1))
     assert restricted_bipartite_graphical(bd, ForbiddenSet([(0, 0), (1, 1)]))
-    assert not restricted_bipartite_graphical(bd, ForbiddenSet([(0, 0), (0, 1)]))
+    with pytest.raises(ForbiddenSetNotMatching):  # not a partial 1-factor
+        restricted_bipartite_graphical(bd, ForbiddenSet([(0, 0), (0, 1)]))
     bd2 = BipartiteDegreeSequence((2, 1, 1), (2, 1, 1))
     diag = ForbiddenSet([(0, 0), (1, 1), (2, 2)])
     assert restricted_bipartite_graphical(bd2, diag)
@@ -201,14 +203,17 @@ def test_realize_bipartite_and_forbidden():
     banned = ForbiddenSet([(0, 0), (1, 1), (2, 2)])
     edges = realize_bipartite(((2, 1, 1), (2, 1, 1)), banned)
     assert all((a, b) not in banned for a, b in edges)
-    with pytest.raises(NotGraphical):
+    with pytest.raises(ForbiddenSetNotMatching):
         realize_bipartite(((1, 1), (1, 1)), ForbiddenSet([(0, 0), (0, 1)]))
+    with pytest.raises(NotGraphical):
+        realize_bipartite(((1, 0), (1, 0)), ForbiddenSet([(0, 0)]))
 
 
 def test_realize_bipartite_long_augmenting_paths():
     # The staircase n..1 is its own conjugate and has one realization; in a
-    # shuffled vertex order the max flow walks augmenting paths longer than
-    # the recursion limit allows a recursive search.
+    # shuffled vertex order a max flow walks augmenting paths longer than
+    # the recursion limit allows a recursive search.  The greedy must find
+    # it under the same limit.
     rng = random.Random(1)
     u, w = list(range(120, 0, -1)), list(range(120, 0, -1))
     rng.shuffle(u)
@@ -245,5 +250,8 @@ def test_degree_sequence_order_round_trips():
 
 
 def test_forbidden_set_one_factor():
-    assert ForbiddenSet([(0, 0), (1, 1)]).is_partial_one_factor()
-    assert not ForbiddenSet([(0, 0), (0, 1)]).is_partial_one_factor()
+    assert ForbiddenSet([(0, 0), (1, 1)]).pairs == {(0, 0), (1, 1)}
+    for pairs in ([(0, 0), (0, 1)], [(0, 1), (1, 1)]):
+        with pytest.raises(ForbiddenSetNotMatching,
+                           match="^forbidden set is not a partial 1-factor$"):
+            ForbiddenSet(pairs)

@@ -29,7 +29,7 @@ from degmix import (
     tv_distance_audit,
     verify_cartesian_product,
 )
-from degmix.chain import ChainState, step
+from degmix.chain import ChainState
 from degmix.graphs import Instance
 from degmix.space import Space, _exact_conductance, _sweep_conductance
 
@@ -245,6 +245,19 @@ def test_sweep_report_matches_dense_oracle(make):
     assert rep.relaxation_time == 1.0 / (1.0 - rep.lambda2)
 
 
+@pytest.mark.parametrize("u, w", [((2, 2, 2, 1), (3, 2, 1, 1)),
+                                  ((2, 2, 2, 2, 2), (3, 2, 2, 2, 1))], ids=["27", "1170"])
+def test_sweep_path_calls_eigh_once(monkeypatch, u, w):
+    # eigh's eigenvectors cost threads under a multithreaded BLAS: the
+    # Lanczos steps take eigvalsh, and only the final step takes eigh
+    space = _big_space(u, w)
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    rep = spectral_report(space)
+    assert space.count > 20 and not rep.conductance_exact
+    assert len(calls) <= 1
+
+
 def test_pruned_kernel_matches_full_scan(monkeypatch, kernel_oracle):
     # C4 and C6 spaces, and the product instance, whose 1176-row move table
     # has only 138 rows over its free chords; kernel_oracle compares them
@@ -450,6 +463,26 @@ def test_tv_empirical():
     assert tv < 0.02
 
 
+@pytest.mark.parametrize("seq", [
+    DegreeSequence((2, 2, 2, 1, 1)),
+    BipartiteDegreeSequence((2, 2, 1), (2, 2, 1)),
+    DirectedDegreeSequence((1, 1, 1, 1), (1, 1, 1, 1)),  # C6 swaps
+], ids=["simple", "bipartite", "directed-c6"])
+def test_tv_empirical_matches_one_step_reference(seq):
+    # the audit steps a one-coordinate product chain through run; the
+    # reference step gives the same trajectory from the same seed
+    for seed in (0, 7):
+        space = realization_space(seq)
+        state = ChainState(space.instance, space.instance.edges_of_mask(space.masks[0]),
+                           random.Random(seed))
+        idx, counts = space.index(), np.zeros(space.count)
+        for _ in range(3000):
+            old.step(state)
+            counts[idx[state.mask]] += 1
+        want = float(0.5 * np.abs(counts / 3000 - 1.0 / space.count).sum())
+        assert tv_distance_audit(seq, 3000, seed=seed, empirical=True) == want
+
+
 def test_tv_empirical_requires_a_seed():
     with pytest.raises(ValueError, match="seed"):
         tv_distance_audit(DegreeSequence((1, 1, 1, 1)), 10, empirical=True)
@@ -474,7 +507,7 @@ def test_empirical_kernel_matches_exact_three_sigma():
     trans = np.zeros((3, 3))
     prev = idx[state.mask]
     for _ in range(steps):
-        step(state)
+        old.step(state)
         cur = idx[state.mask]
         trans[prev, cur] += 1
         prev = cur
