@@ -24,7 +24,6 @@ running interpreter.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -55,6 +54,8 @@ __all__ = [
 
 def derive_seed(master: int, index: int) -> int:
     """Counter-based child seed: sha256("degmix:<master>:<index>") first 8 bytes."""
+    import hashlib  # loads OpenSSL; only the jobs that seed a chain pay for it
+
     digest = hashlib.sha256(b"degmix:%d:%d" % (master, index)).digest()
     return int.from_bytes(digest[:8], "big")
 

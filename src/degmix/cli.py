@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbidden")
     p.add_argument("--mode", choices=("product", "spectral", "connectivity", "tv"),
                    default="spectral")
-    p.add_argument("--max-chords", type=int, default=None, dest="max_chords")
+    p.add_argument("--max-chords", type=_at_least(0), default=None, dest="max_chords")
     p.add_argument("--steps", type=_at_least(0), default=200,
                    help="kernel power for --mode tv")
     p.add_argument("--c4-only", action="store_true", dest="c4_only",

@@ -4,10 +4,12 @@ Everything here is exact: realization spaces are enumerated by a pruned
 depth-first search over chords, each computes its kernel with one scan per
 realization of the move-table rows over its free chords, for connectivity,
 transition matrices and the product check.  Up to 20 realizations the
-spectrum and the conductance come from the dense transition matrix; beyond
+spectrum comes from the dense transition matrix, and the conductance from a
+recurrence that fills the boundaries of all 2^n state sets in O(2^n); beyond
 that, lambda2 and the sweep cut come from Lanczos iteration on the sparse
-kernel, which builds no n x n array.  The product and swap-locality theorems
-are checked realization by realization with bijections.
+kernel, which builds no n x n array.  The exact TV audit powers the
+deviation of the kernel from uniform.  The product and swap-locality
+theorems are checked realization by realization with bijections.
 """
 
 from __future__ import annotations
@@ -202,23 +204,35 @@ def enumerate_realizations(
 
 
 def _exact_conductance(p: np.ndarray) -> float:
+    """min over state sets S with 1 <= |S| <= n/2 of B(S) / |S|, where
+    B(S) = sum of p[i, j] over i in S, j not in S.
+
+    Bit i of a mask is state i.  The boundaries fill one array by doubling:
+    when state k joins a set S of lower states,
+    B(S + k) = B(S) + sum_{j != k} p[k, j] - sum_{i in S} (p[i, k] + p[k, i]),
+    and the last sum fills the upper half first, by doubling over i < k.
+    O(2^n) time; one float64 and one int8 array of 2^n entries.
+    """
     import numpy as np
 
     n = p.shape[0]
-    best = np.inf
-    row_ids = np.arange(1, 2 ** n - 1, dtype=np.uint64)
-    for lo in range(0, len(row_ids), 1 << 16):
-        chunk = row_ids[lo: lo + (1 << 16)]
-        ind = (chunk[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
-        sizes = ind.sum(axis=1)
-        keep = 2 * sizes <= n  # stationary mass of S at most 1/2
-        ind = ind[keep].astype(float)
-        sizes = sizes[keep]
-        if not len(sizes):
-            continue
-        boundary = ((ind @ p) * (1.0 - ind)).sum(axis=1)
-        best = min(best, float(np.min(boundary / sizes)))
-    return best
+    off = np.array(p, dtype=float)
+    np.fill_diagonal(off, 0.0)
+    leave = off.sum(axis=1)
+    cross = off + off.T
+    boundary = np.zeros(1 << n)
+    sizes = np.zeros(1 << n, np.int8)
+    for k in range(n):
+        lo, hi = boundary[: 1 << k], boundary[1 << k: 2 << k]
+        for i in range(k):  # hi[S] = sum_{i in S} cross[i, k]
+            np.add(hi[: 1 << i], cross[i, k], out=hi[1 << i: 2 << i])
+        np.subtract(lo, hi, out=hi)
+        hi += leave[k]
+        np.add(sizes[: 1 << k], 1, out=sizes[1 << k: 2 << k])
+    keep = sizes <= n // 2  # stationary mass of S at most 1/2
+    keep[0] = False
+    np.divide(boundary, sizes, out=boundary, where=keep)
+    return float(np.min(boundary, where=keep, initial=np.inf))
 
 
 def _sparse(kernel) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -540,9 +554,13 @@ def tv_distance_audit(
 ) -> float:
     """Total-variation distance to uniform on an enumerable instance.
 
-    Exact mode: worst-start TV of the k-step kernel power.  Empirical mode
-    (requires ``seed`` and ``steps`` >= 1): TV between the occupation
-    frequencies of one ``steps``-long seeded trajectory and uniform.
+    Exact mode: worst-start TV of the k-step kernel power.  The kernel P is
+    doubly stochastic, so P^k - J/n = (P - J/n)^k for k >= 1 (J the all-ones
+    matrix): the deviation is powered directly, and its rounding error
+    shrinks with it instead of building up in the row sums of P^k.  Zero
+    steps give 1 - 1/n.  Empirical mode (requires ``seed`` and ``steps``
+    >= 1): TV between the occupation frequencies of one ``steps``-long
+    seeded trajectory and uniform.
     """
     import numpy as np
 
@@ -555,9 +573,9 @@ def tv_distance_audit(
     if n == 0:
         raise NotGraphical("no realizations")
     if not empirical:
-        p = space.transition_matrix()
-        pk = np.linalg.matrix_power(p, steps)
-        return float(0.5 * np.max(np.abs(pk - 1.0 / n).sum(axis=1)))
+        dev = space.transition_matrix() - 1.0 / n
+        dev = np.linalg.matrix_power(dev, steps) if steps else np.eye(n) - 1.0 / n
+        return float(0.5 * np.max(np.abs(dev).sum(axis=1)))
     rng = random.Random(seed)
     state = ChainState(space.instance, space.instance.edges_of_mask(space.masks[0]), rng)
     pc = ProductChain([state], random.Random(0))  # the choice of coordinate has its own stream

@@ -5,7 +5,9 @@ two independent routes to the same answer.  ``split_head_and_rest`` is the
 exception: it adapts the library's head extraction to the tuple-in,
 pair-out form that the factorization-search oracles take.  The
 ``kernel_oracle`` fixture checks each realization-space kernel against the
-full move-table scan of ``legacy_oracles``.
+full move-table scan of ``legacy_oracles``, and the ``conductance_oracle``
+fixture checks the exact conductance of each small one against the subset
+enumeration of ``legacy_oracles``.
 """
 
 from functools import cached_property
@@ -15,7 +17,7 @@ import pytest
 
 import legacy_oracles
 from degmix.decomposition import _split_head, _Window
-from degmix.space import Space
+from degmix.space import Space, _exact_conductance
 
 
 def all_simple_graphs(n):
@@ -130,3 +132,26 @@ def kernel_oracle(monkeypatch):
     prop.__set_name__(Space, "kernel")
     monkeypatch.setattr(Space, "kernel", prop)
     return built
+
+
+@pytest.fixture
+def conductance_oracle(monkeypatch):
+    """After the test, checks the exact conductance of every space of 2 to
+    20 states built under it against the subset enumeration it replaced,
+    within 1e-12.  Returns the transition matrices it checked."""
+    spaces = []
+    init = Space.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        spaces.append(self)
+
+    monkeypatch.setattr(Space, "__init__", recorded)
+    checked = {}
+    yield checked
+    for space in spaces:
+        if 2 <= space.count <= 20:
+            p = space.transition_matrix()
+            checked.setdefault(p.tobytes(), p)
+    for p in checked.values():
+        assert abs(_exact_conductance(p) - legacy_oracles._exact_conductance(p)) <= 1e-12

@@ -12,6 +12,10 @@ boundary with a matrix-vector product, O(n^3), where the library now sums a
 difference array over the sparse kernel, and it sorts by column -2 of
 ``vecs``.
 
+``_exact_conductance`` multiplies a 0/1 chunk of 65,536 subsets by the
+transition matrix at a time, O(n^2 2^n), where the library now fills the
+boundaries of all 2^n subsets by a recurrence in O(2^n).
+
 ``dense_sweep_report`` is the sweep path of ``spectral_report`` before it
 moved to Lanczos iteration on the sparse kernel: a dense ``eigh`` of the
 n x n transition matrix, the probe projected onto the lambda2 eigenspace,
@@ -290,6 +294,26 @@ def _sweep_conductance(p: np.ndarray, vecs: np.ndarray) -> float:
         ind[order[k]] = 1.0
         boundary = float(((ind @ p) * (1.0 - ind)).sum())
         best = min(best, boundary / min(k + 1, n - k - 1))
+    return best
+
+
+def _exact_conductance(p: np.ndarray) -> float:
+    import numpy as np
+
+    n = p.shape[0]
+    best = np.inf
+    row_ids = np.arange(1, 2 ** n - 1, dtype=np.uint64)
+    for lo in range(0, len(row_ids), 1 << 16):
+        chunk = row_ids[lo: lo + (1 << 16)]
+        ind = (chunk[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1
+        sizes = ind.sum(axis=1)
+        keep = 2 * sizes <= n  # stationary mass of S at most 1/2
+        ind = ind[keep].astype(float)
+        sizes = sizes[keep]
+        if not len(sizes):
+            continue
+        boundary = ((ind @ p) * (1.0 - ind)).sum(axis=1)
+        best = min(best, float(np.min(boundary / sizes)))
     return best
 
 

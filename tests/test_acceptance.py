@@ -44,8 +44,9 @@ from degmix.space import Space, _enumerate_masks, verify_cartesian_product
 
 from conftest import all_simple_graphs, nonincreasing_sequences, split_head_and_rest
 
-# every kernel built here is checked against the full move-table scan
-pytestmark = pytest.mark.usefixtures("kernel_oracle")
+# every kernel built here is checked against the full move-table scan, and
+# every exact conductance of at most 20 states against the subset enumeration
+pytestmark = pytest.mark.usefixtures("kernel_oracle", "conductance_oracle")
 
 
 def _report(criterion, ok, detail):

@@ -64,6 +64,8 @@ def test_exit_codes(files, capsys):
                  {"delta": 2, "columns": [[1, 0], [1]]}, id="dsm-column-length"),
     pytest.param(["verify", "--seq", "{rhs}", "--mode", "product"], None,
                  id="verify-over-chord-cap"),
+    pytest.param(["verify", "--seq", "{matching}", "--max-chords", "-1"], None,
+                 id="verify-negative-max-chords"),
     pytest.param(["decompose", "--seq", "{directed}"], None, id="decompose-directed"),
     pytest.param(["compose", "{block}"], None, id="compose-one-operand"),
     pytest.param(["compose", "{block}", "{operand}", "--forbidden", "{forb}"], None,
@@ -113,6 +115,8 @@ def test_usage_error_exits_2(files, tmp_path, capsys, monkeypatch, argv, payload
     assert len(err.splitlines()) == 1 and "error:" in err
     if argv[0] == "verify":
         assert "--max-chords" in err
+    if "-1" in argv:  # refused as an argument, not read as a cap of -1
+        assert err.endswith("argument --max-chords: must be at least 0, got -1")
     if "--block" in argv:
         assert "block" in err
     if payload == [[1, 1], [1, 2]]:

@@ -119,6 +119,41 @@ def test_exact_conductance_two_state():
     assert abs(_exact_conductance(p) - 0.25) < 1e-12
 
 
+def _random_stochastic(rng, n, symmetric):
+    # sparse random rates, scaled so that every row keeps some stay mass
+    w = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+    if symmetric:
+        w = w + w.T
+    np.fill_diagonal(w, 0.0)
+    p = w / (1.01 * max(w.sum(axis=1).max(), 1e-9))
+    np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+    return p
+
+
+def test_exact_conductance_matches_subset_enumeration():
+    # symmetric and asymmetric chains; no stationary law is assumed
+    rng = np.random.default_rng(13)
+    for n in [1, 2, 3, 4, 7, 11, 14] * 6:
+        for symmetric in (True, False):
+            p = _random_stochastic(rng, n, symmetric)
+            want = old._exact_conductance(p)
+            got = _exact_conductance(p)
+            assert got == want if n == 1 else abs(got - want) <= 1e-12, (n, symmetric)
+
+
+def test_exact_conductance_memory_at_twenty_states():
+    # one float64 and one int8 array over the 2^20 subsets, about 9 MiB;
+    # the 65,536-subset matmul chunks peaked at 37.9 MiB
+    p = _random_stochastic(np.random.default_rng(5), 20, True)
+    tracemalloc.start()
+    try:
+        _exact_conductance(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+
+
 def test_sweep_conductance_used_beyond_cap():
     # 26 realizations > 20: conductance falls back to the sweep bound
     space = realization_space(BipartiteDegreeSequence((2, 2, 2, 1), (3, 2, 1, 1)))
@@ -440,6 +475,31 @@ def test_tv_step_zero_is_one_minus_inverse():
 def test_tv_kernel_power_mixes():
     assert tv_distance_audit(DegreeSequence((1, 1, 1, 1)), 100) < 1e-6
     assert tv_distance_audit(BipartiteDegreeSequence((2, 2, 1), (3, 1, 1)), 200) < 1e-6
+
+
+@pytest.mark.parametrize("seq, count", [
+    (DegreeSequence((2, 2, 1, 1, 1, 1)), 18),
+    (DirectedDegreeSequence((1,) * 5, (1,) * 5), 44),
+], ids=["simple-18", "directed-44"])
+def test_tv_far_past_mixing_meets_spectral_bound(seq, count):
+    # powering P itself doubled the rounding error of its row sums with each
+    # squaring: 7.7e-12 at 10^6 steps on the 18 states, 2.6e6 at 10^18
+    lam2 = spectral_report(realization_space(seq)).lambda2
+    for steps in (10 ** 6, 10 ** 18):
+        tv = tv_distance_audit(seq, steps)
+        bound = 0.5 * math.sqrt(count - 1) * lam2 ** steps
+        assert 0.0 <= tv <= bound + 1e-12, (steps, tv)
+
+
+def test_tv_deviation_power_matches_kernel_power():
+    # (P - J/n)^t = P^t - J/n for a doubly stochastic P; the kernel power
+    # carries about 1e-15 of rounding noise by t = 200
+    seq = DegreeSequence((2, 2, 1, 1, 1, 1))
+    p = realization_space(seq).transition_matrix()
+    for steps in (1, 2, 5, 40, 200):
+        pk = np.linalg.matrix_power(p, steps)
+        want = 0.5 * np.max(np.abs(pk - 1.0 / len(p)).sum(axis=1))
+        assert abs(tv_distance_audit(seq, steps) - want) <= 1e-12 * want + 1e-14
 
 
 def test_tv_disconnected_stays_away_from_zero():

@@ -1,4 +1,5 @@
-"""numpy is loaded only by the ``verify`` modes that compute with it.
+"""numpy is loaded only by the ``verify`` modes that compute with it, and
+hashlib (with OpenSSL) only by the jobs that derive chain seeds.
 
 Every CLI job is its own process, so an import that a job does not use is
 paid on every run.  These tests start fresh interpreters and read
@@ -15,14 +16,16 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs one CLI job in-process, then reports on stderr whether numpy was loaded.
+# Runs one CLI job in-process, then reports on stderr whether numpy and
+# hashlib were loaded.
 WRAPPER = """\
 import sys
 from degmix.cli import main
 try:
     code = main(sys.argv[1:])
 finally:
-    sys.stderr.write("numpy loaded: %s\\n" % ("numpy" in sys.modules))
+    for name in ("numpy", "hashlib"):
+        sys.stderr.write("%s loaded: %s\\n" % (name, name in sys.modules))
 sys.exit(code)
 """
 
@@ -53,3 +56,21 @@ def test_cli_jobs_load_numpy_only_to_compute(tmp_path, argv, loads_numpy):
     got = run_python("-c", WRAPPER, *argv, cwd=tmp_path)
     assert got.returncode == 0, got.stderr
     assert "numpy loaded: %s" % loads_numpy in got.stderr
+
+
+@pytest.mark.parametrize("argv, loads_hashlib", [
+    (["decompose", "--seq", "seq.json"], False),
+    (["verify", "--seq", "seq.json", "--mode", "connectivity"], False),
+    # the control: sample derives its chains' seeds with sha256
+    (["sample", "--seq", "seq.json", "--count", "1"], True),
+], ids=["decompose", "verify-connectivity", "sample"])
+def test_cli_jobs_load_hashlib_only_to_seed(tmp_path, argv, loads_hashlib):
+    bare = run_python("-c", "import sys; print('hashlib' in sys.modules)", cwd=tmp_path)
+    assert bare.returncode == 0, bare.stderr
+    if not loads_hashlib and bare.stdout.strip() == "True":
+        pytest.skip("this interpreter loads hashlib at startup")
+    (tmp_path / "seq.json").write_text(json.dumps({"kind": "simple",
+                                                   "degrees": [3, 3, 2, 2, 2, 1, 1]}))
+    got = run_python("-c", WRAPPER, *argv, cwd=tmp_path)
+    assert got.returncode == 0, got.stderr
+    assert "hashlib loaded: %s" % loads_hashlib in got.stderr
