@@ -138,11 +138,11 @@ def test_exact_conductance_matches_subset_enumeration():
             p = _random_stochastic(rng, n, symmetric)
             want = old._exact_conductance(p)
             got = _exact_conductance(p)
-            assert got == want if n == 1 else abs(got - want) <= 1e-12, (n, symmetric)
+            assert got == want or abs(got - want) <= 1e-12, (n, symmetric)  # inf at n = 1
 
 
 def test_exact_conductance_memory_at_twenty_states():
-    # one float64 and one int8 array over the 2^20 subsets, about 9 MiB;
+    # one float64, one int8 and one bool array over the 2^20 subsets, 10 MiB;
     # the 65,536-subset matmul chunks peaked at 37.9 MiB
     p = _random_stochastic(np.random.default_rng(5), 20, True)
     tracemalloc.start()
