@@ -25,7 +25,6 @@ running interpreter.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .decomposition import canonical_decompose, canonical_decompose_bipartite
@@ -94,12 +93,12 @@ class ChainState:
             edges.append(e)
 
 
-@dataclass
 class ProductChain:
     """Independent coordinate chains advanced one uniformly chosen at a time."""
 
-    coordinates: List[ChainState]
-    rng: random.Random
+    def __init__(self, coordinates: List[ChainState], rng: random.Random):
+        self.coordinates = coordinates
+        self.rng = rng
 
     def masks(self) -> Tuple[int, ...]:
         return tuple(c.mask for c in self.coordinates)

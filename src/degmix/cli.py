@@ -4,6 +4,10 @@ Subcommands: test, decompose, compose, sample, verify, dsm, count.
 Exit codes: 0 success, 1 domain-negative finding under --strict (not
 graphical, disconnected, product mismatch), 2 usage error (bad arguments,
 unreadable or malformed input files, an instance over the enumeration cap).
+
+Each job is its own process, so each command imports the modules it
+computes with: no job loads the sampler, the exhaustive engine or the
+census code that it does not run.
 """
 
 from __future__ import annotations
@@ -15,21 +19,6 @@ import sys
 from typing import List, Optional
 
 from . import io as dio
-from .counting import (
-    count_almost_half_regular,
-    count_almost_half_regular_exhaustive,
-    count_bipartite_graphical,
-    count_composed_class,
-)
-from .chain import sample
-from .decomposition import (
-    canonical_decompose,
-    canonical_decompose_bipartite,
-    compose_bipartite_many,
-    compose,
-    psi_inverse,
-    recompose,
-)
 from .errors import (
     DegmixError,
     Disconnected,
@@ -46,14 +35,6 @@ from .sequences import (
     DirectedDegreeSequence,
     restricted_bipartite_graphical,
 )
-from .space import (
-    realization_space,
-    spectral_report,
-    tv_distance_audit,
-    verify_cartesian_product,
-)
-from .spectra import dsm_graphical, dsm_sample
-
 
 SCHEMA = "degmix/1"
 
@@ -126,6 +107,8 @@ def cmd_test(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .decomposition import canonical_decompose, canonical_decompose_bipartite
+
     seq = _load(dio.load_sequence, args.seq)
     if isinstance(seq, DirectedDegreeSequence):
         raise UsageError("directed sequences are not factorized")
@@ -179,6 +162,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    from .decomposition import compose, compose_bipartite_many, compose_directed, psi_inverse
+
     seqs = [_load(dio.load_sequence, p) for p in args.seqs]
     if len(seqs) < 2:
         raise UsageError("need at least two sequence files")
@@ -209,8 +194,6 @@ def cmd_compose(args) -> int:
         return 0
     for path, f, seq in zip(args.forbidden, forb, seqs):
         _check_in_classes(path, f, seq)
-    from .decomposition import compose_directed
-
     cur, curf = seqs[-1], forb[-1]
     for head, f in zip(reversed(heads), reversed(forb[:-1])):
         cur, curf = compose_directed(head, f, cur, curf)
@@ -245,6 +228,8 @@ def _write_draws(stream, fmt: str, draws) -> None:
 
 
 def cmd_sample(args) -> int:
+    from .chain import sample
+
     seq, forbidden = _load_inputs(args)
     with _open_out(args) as stream:
         try:
@@ -266,6 +251,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .space import (
+        realization_space,
+        spectral_report,
+        tv_distance_audit,
+        verify_cartesian_product,
+    )
+
     if args.mode == "product" and args.forbidden:
         raise UsageError("--mode product does not take --forbidden")
     seq, forbidden = _load_inputs(args)
@@ -311,13 +303,19 @@ def cmd_verify(args) -> int:
             return 0
         # product mode: split off the leading canonical factor and check the
         # composed realization graph against the factor product.
+        from .decomposition import (
+            CanonicalDecomposition,
+            canonical_decompose,
+            canonical_decompose_bipartite,
+            compose_bipartite_many,
+            recompose,
+        )
+
         if isinstance(seq, DegreeSequence):
             cd = canonical_decompose(seq)
             if not cd.components:
                 _emit(args, {"factors": 1, "ok": True}, "indecomposable; nothing to verify")
                 return 0
-            from .decomposition import CanonicalDecomposition
-
             rest = recompose(CanonicalDecomposition(cd.components[1:], cd.tail))
             report = verify_cartesian_product(
                 cd.components[0], rest, max_chords=args.max_chords
@@ -363,6 +361,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dsm(args) -> int:
+    from .spectra import dsm_graphical, dsm_sample
+
     matrix = _load(dio.load_dsm, args.matrix)
     if args.check:
         ok = dsm_graphical(matrix)
@@ -377,6 +377,13 @@ def cmd_dsm(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .counting import (
+        count_almost_half_regular,
+        count_almost_half_regular_exhaustive,
+        count_bipartite_graphical,
+        count_composed_class,
+    )
+
     try:
         if args.kind == "ahr":
             rep = (

@@ -8,11 +8,11 @@ designated convention is pinned by the 6+6 census value 15584.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Dict, List, Tuple
 
+from ._value import Value
 from .errors import DivisibilityError, TooLarge
 from .sequences import gale_ryser
 
@@ -27,11 +27,14 @@ __all__ = [
 DEFAULT_MAX_CENSUS = 10
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(Value):
+    _fields = ("parameter", "count", "method")
     parameter: int
     count: int
     method: str
+
+    def __init__(self, parameter: int, count: int, method: str):
+        self._set(parameter, count, method)
 
 
 def count_almost_half_regular(m: int) -> CountReport:

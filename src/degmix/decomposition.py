@@ -13,10 +13,10 @@ forbidden 1-factors, to directed sequences.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, List, Optional, Tuple
 
+from ._value import Value
 from .errors import InvalidSplit, NotGraphical
 from .sequences import (
     BipartiteDegreeSequence,
@@ -51,16 +51,18 @@ def _sorted_desc(xs: Iterable[int]) -> Tuple[int, ...]:
     return tuple(sorted((int(x) for x in xs), reverse=True))
 
 
-@dataclass(frozen=True)
-class GoodPair:
+class GoodPair(Value):
     """Certificate (p, q) that a sorted sequence splits head/rest at p, q."""
 
+    _fields = ("p", "q")
     p: int
     q: int
 
+    def __init__(self, p: int, q: int):
+        self._set(p, q)
 
-@dataclass(frozen=True)
-class SplitSequence:
+
+class SplitSequence(Value):
     """Degree sequence of a split graph with a designated ordered partition.
 
     ``u_degrees`` are degrees in the full split graph (clique edges included),
@@ -68,14 +70,14 @@ class SplitSequence:
     not both.
     """
 
+    _fields = ("u_degrees", "w_degrees")
     u_degrees: Tuple[int, ...]
     w_degrees: Tuple[int, ...]
 
     def __init__(self, u_degrees: Iterable[int], w_degrees: Iterable[int]):
         u = _sorted_desc(u_degrees)
         w = _sorted_desc(w_degrees)
-        object.__setattr__(self, "u_degrees", u)
-        object.__setattr__(self, "w_degrees", w)
+        self._set(u, w)
         if not u and not w:
             raise InvalidSplit("both classes empty")
         p = len(u)
@@ -104,8 +106,7 @@ class SplitSequence:
         return DegreeSequence(self.u_degrees + self.w_degrees)
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
+class CanonicalDecomposition(Value):
     """Ordered indecomposable split components plus the undesignated tail.
 
     For the k-th extraction, ``remainder_sizes[k]`` is the length n of the
@@ -113,11 +114,22 @@ class CanonicalDecomposition:
     sequence's p largest degrees: the left side of the good-pair identity.
     """
 
+    _fields = ("components", "tail", "good_pairs_used", "remainder_sizes", "top_sums")
     components: Tuple[SplitSequence, ...]
     tail: Optional[DegreeSequence]
-    good_pairs_used: Tuple[GoodPair, ...] = ()
-    remainder_sizes: Tuple[int, ...] = ()
-    top_sums: Tuple[int, ...] = ()
+    good_pairs_used: Tuple[GoodPair, ...]
+    remainder_sizes: Tuple[int, ...]
+    top_sums: Tuple[int, ...]
+
+    def __init__(
+        self,
+        components: Tuple[SplitSequence, ...],
+        tail: Optional[DegreeSequence],
+        good_pairs_used: Tuple[GoodPair, ...] = (),
+        remainder_sizes: Tuple[int, ...] = (),
+        top_sums: Tuple[int, ...] = (),
+    ):
+        self._set(components, tail, good_pairs_used, remainder_sizes, top_sums)
 
 
 def is_split(d) -> Optional[SplitSequence]:

@@ -22,11 +22,11 @@ triple of distinct edges tested against the alternating-hexagon pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ._value import Value
 from .sequences import ForbiddenSet
 
 __all__ = [
@@ -43,17 +43,15 @@ __all__ = [
 Edge = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(Value):
     """Simple graph on labeled vertices 0..n-1; edges stored as (i, j), i < j."""
 
+    _fields = ("n", "edges")
     n: int
     edges: frozenset
 
     def __init__(self, n: int, edges: Iterable[Edge]):
-        norm = frozenset((min(a, b), max(a, b)) for a, b in edges)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "edges", norm)
+        self._set(int(n), frozenset((min(a, b), max(a, b)) for a, b in edges))
 
     def degrees(self) -> Tuple[int, ...]:
         deg = [0] * self.n
@@ -63,18 +61,16 @@ class LabeledGraph:
         return tuple(deg)
 
 
-@dataclass(frozen=True)
-class LabeledBipartiteGraph:
+class LabeledBipartiteGraph(Value):
     """Bipartite graph with classes 0..nu-1 and 0..nw-1; edges are (u, w)."""
 
+    _fields = ("nu", "nw", "edges")
     nu: int
     nw: int
     edges: frozenset
 
     def __init__(self, nu: int, nw: int, edges: Iterable[Edge]):
-        object.__setattr__(self, "nu", int(nu))
-        object.__setattr__(self, "nw", int(nw))
-        object.__setattr__(self, "edges", frozenset((int(u), int(w)) for u, w in edges))
+        self._set(int(nu), int(nw), frozenset((int(u), int(w)) for u, w in edges))
 
     def u_degrees(self) -> Tuple[int, ...]:
         deg = [0] * self.nu
@@ -89,8 +85,7 @@ class LabeledBipartiteGraph:
         return tuple(deg)
 
 
-@dataclass(frozen=True)
-class SwapMove:
+class SwapMove(Value):
     """A degree-preserving rewiring: remove ``removed``, add ``added``.
 
     C4 moves exchange two edges for the other matching on their endpoints;
@@ -98,9 +93,13 @@ class SwapMove:
     three vertex pairs are forbidden chords.
     """
 
+    _fields = ("kind", "removed", "added")
     kind: str  # "C4" or "C6"
     removed: Tuple[Edge, ...]
     added: Tuple[Edge, ...]
+
+    def __init__(self, kind: str, removed: Tuple[Edge, ...], added: Tuple[Edge, ...]):
+        self._set(kind, removed, added)
 
 
 class Instance:

@@ -10,7 +10,7 @@ Spectra files: {"delta": D, "columns": [[...], ...]}.
 from __future__ import annotations
 
 import json
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .sequences import (
     BipartiteDegreeSequence,
@@ -18,7 +18,9 @@ from .sequences import (
     DirectedDegreeSequence,
     ForbiddenSet,
 )
-from .spectra import DegreeSpectraMatrix
+
+if TYPE_CHECKING:  # only ``load_dsm`` needs the spectra module, and imports it
+    from .spectra import DegreeSpectraMatrix
 
 AnySequence = Union[DegreeSequence, BipartiteDegreeSequence, DirectedDegreeSequence]
 
@@ -56,8 +58,7 @@ def load_sequence(path: str) -> AnySequence:
 def load_forbidden(path: str) -> ForbiddenSet:
     """Forbidden pairs are 1-based in files, 0-based in memory."""
     with open(path) as fh:
-        pairs = json.load(fh)
-    return ForbiddenSet((int(u) - 1, int(w) - 1) for u, w in pairs)
+        return ForbiddenSet(json.load(fh)).shifted(-1, -1)
 
 
 def forbidden_to_list(f: ForbiddenSet) -> list:
@@ -65,6 +66,8 @@ def forbidden_to_list(f: ForbiddenSet) -> list:
 
 
 def load_dsm(path: str) -> DegreeSpectraMatrix:
+    from .spectra import DegreeSpectraMatrix
+
     with open(path) as fh:
         data = json.load(fh)
     return DegreeSpectraMatrix(data["delta"], data["columns"])

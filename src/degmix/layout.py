@@ -15,7 +15,6 @@ permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -26,7 +25,6 @@ from .sequences import BipartiteDegreeSequence, _havel_hakimi_edges, realize_bip
 Edge = Tuple[int, int]
 
 
-@dataclass
 class Layout:
     """Factor instances, their local-to-global vertex maps, and the forced
     edges.  ``u_maps[k][a]`` names factor k's vertex a on its first side
@@ -34,11 +32,19 @@ class Layout:
     second.  On a simple graph an edge is an increasing id pair; on a
     bipartite one it is (u id, w id)."""
 
-    factors: List[Instance]
-    u_maps: List[Sequence[int]]
-    w_maps: List[Sequence[int]]
-    forced: List[Edge] = field(default_factory=list)
-    simple: bool = True
+    def __init__(
+        self,
+        factors: List[Instance],
+        u_maps: List[Sequence[int]],
+        w_maps: List[Sequence[int]],
+        forced: Optional[List[Edge]] = None,
+        simple: bool = True,
+    ):
+        self.factors = factors
+        self.u_maps = u_maps
+        self.w_maps = w_maps
+        self.forced: List[Edge] = [] if forced is None else forced
+        self.simple = simple
 
     @cached_property
     def starts(self) -> List[List[Edge]]:

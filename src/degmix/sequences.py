@@ -12,10 +12,11 @@ by one greedy pass, Kleitman–Wang on the directed reduction.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import operator
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Tuple
 
+from ._value import Value
 from .errors import ForbiddenSetNotMatching, NotGraphical
 
 __all__ = [
@@ -33,15 +34,28 @@ __all__ = [
 ]
 
 
+def _as_int(x) -> int:
+    """``x`` as an int: an integer, or a float with an integral value.
+    Anything else (1.5, infinity, NaN, a string) raises ValueError."""
+    if isinstance(x, float):
+        if x.is_integer():  # False for infinity and NaN
+            return int(x)
+    else:
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError("not an integer: %r" % (x,))
+
+
 def _as_tuple(degrees: Iterable[int]) -> Tuple[int, ...]:
-    out = tuple(int(d) for d in degrees)
+    out = tuple(_as_int(d) for d in degrees)
     if any(d < 0 for d in out):
         raise ValueError("degrees must be non-negative")
     return out
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(Value):
     """A labeled simple-graph degree sequence.
 
     ``degrees`` keeps the caller's vertex order; ``sorted_degrees`` is the
@@ -50,10 +64,11 @@ class DegreeSequence:
     reported back in user order.
     """
 
+    _fields = ("degrees",)
     degrees: Tuple[int, ...]
 
     def __init__(self, degrees: Iterable[int]):
-        object.__setattr__(self, "degrees", _as_tuple(degrees))
+        self._set(_as_tuple(degrees))
 
     @property
     def n(self) -> int:
@@ -82,8 +97,7 @@ class DegreeSequence:
         return erdos_gallai(self)
 
 
-@dataclass(frozen=True)
-class BipartiteDegreeSequence:
+class BipartiteDegreeSequence(Value):
     """Degree sequence of a bipartite graph, one vector per vertex class.
 
     ``u`` is the primary class of the composition algebra: composing joins
@@ -92,12 +106,12 @@ class BipartiteDegreeSequence:
     sorted views of ``canonical``.
     """
 
+    _fields = ("u_degrees", "w_degrees")
     u_degrees: Tuple[int, ...]
     w_degrees: Tuple[int, ...]
 
     def __init__(self, u_degrees: Iterable[int], w_degrees: Iterable[int]):
-        object.__setattr__(self, "u_degrees", _as_tuple(u_degrees))
-        object.__setattr__(self, "w_degrees", _as_tuple(w_degrees))
+        self._set(_as_tuple(u_degrees), _as_tuple(w_degrees))
 
     @property
     def nu(self) -> int:
@@ -118,10 +132,10 @@ class BipartiteDegreeSequence:
         return gale_ryser(self)
 
 
-@dataclass(frozen=True)
-class DirectedDegreeSequence:
+class DirectedDegreeSequence(Value):
     """Out/in degree bi-sequence of a simple digraph (same vertex indexing)."""
 
+    _fields = ("out_degrees", "in_degrees")
     out_degrees: Tuple[int, ...]
     in_degrees: Tuple[int, ...]
 
@@ -130,8 +144,7 @@ class DirectedDegreeSequence:
         in_t = _as_tuple(in_degrees)
         if len(out_t) != len(in_t):
             raise ValueError("out- and in-degree sequences must have equal length")
-        object.__setattr__(self, "out_degrees", out_t)
-        object.__setattr__(self, "in_degrees", in_t)
+        self._set(out_t, in_t)
 
     @property
     def n(self) -> int:
@@ -147,21 +160,21 @@ class DirectedDegreeSequence:
         return directed_graphical(self)
 
 
-@dataclass(frozen=True)
-class ForbiddenSet:
+class ForbiddenSet(Value):
     """Set of (u-index, w-index) pairs excluded from realizations (non-chords).
 
     A partial 1-factor by construction: no u-index and no w-index occurs in
     two pairs, else ForbiddenSetNotMatching.
     """
 
-    pairs: frozenset = field(default_factory=frozenset)
+    _fields = ("pairs",)
+    pairs: frozenset
 
     def __init__(self, pairs: Iterable[Tuple[int, int]] = ()):
-        pairs = frozenset((int(u), int(w)) for u, w in pairs)
+        pairs = frozenset((_as_int(u), _as_int(w)) for u, w in pairs)
         if len({u for u, _ in pairs}) < len(pairs) or len({w for _, w in pairs}) < len(pairs):
             raise ForbiddenSetNotMatching("forbidden set is not a partial 1-factor")
-        object.__setattr__(self, "pairs", pairs)
+        self._set(pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -27,6 +26,7 @@ from .decomposition import (
     compose_directed,
     psi,
 )
+from ._value import Value
 from .errors import CheegerViolation, Disconnected, NotGraphical, ProductMismatch, TooLarge
 from .graphs import Instance, bipartite_instance, directed_instance, simple_instance
 from .layout import nested_layout
@@ -113,12 +113,12 @@ def _enumerate_masks(inst: Instance, max_chords: Optional[int]) -> Tuple[int, ..
     return tuple(sorted(out))
 
 
-@dataclass
 class Space:
     """An instance together with its full list of realization masks."""
 
-    instance: Instance
-    masks: Tuple[int, ...]
+    def __init__(self, instance: Instance, masks: Tuple[int, ...]):
+        self.instance = instance
+        self.masks = masks
 
     @property
     def count(self) -> int:
@@ -175,14 +175,20 @@ class Space:
         return p
 
 
-@dataclass
-class SpectralReport:
+class SpectralReport(Value):
+    _fields = ("lambda2", "relaxation_time", "conductance", "realization_count",
+               "conductance_exact", "trivial")
     lambda2: float
     relaxation_time: float
     conductance: float
     realization_count: int
     conductance_exact: bool
-    trivial: bool = False
+    trivial: bool
+
+    def __init__(self, lambda2: float, relaxation_time: float, conductance: float,
+                 realization_count: int, conductance_exact: bool, trivial: bool = False):
+        self._set(lambda2, relaxation_time, conductance, realization_count,
+                  conductance_exact, trivial)
 
 
 def realization_space(
@@ -447,7 +453,6 @@ def verify_cartesian_product(
             % (whole.count, s1.count, s2.count),
             witness={"counts": (whole.count, s1.count, s2.count)},
         )
-    spaces = (s1, s2)
     index = (s1.index(), s2.index())
     seen = {}
     for mask in whole.masks:
@@ -468,27 +473,32 @@ def verify_cartesian_product(
             )
         seen[pair] = mask
     proj = list(seen)  # each composed state's factor pair, in state order
+    states = [(index[0][x], index[1][y]) for x, y in proj]  # the pair's state indices
+    kernels = (s1.kernel, s2.kernel)
 
     ratio: Dict[Tuple[int, str], float] = {}
     edge_count = 0
     for i, row in enumerate(whole.kernel):
-        x = proj[i]
+        a, b = states[i]
+        edge_count += len(row)
         for j, w in row.items():
-            edge_count += 1
-            y = proj[j]
-            changed = [c for c in (0, 1) if x[c] != y[c]]
-            if len(changed) != 1:
+            a2, b2 = states[j]
+            if b2 == b:
+                c, x, y = 0, a, a2
+            elif a2 == a:
+                c, x, y = 1, b, b2
+            else:
                 raise ProductMismatch(
-                    "move changes both coordinates", witness={"from": x, "to": y}
+                    "move changes both coordinates", witness={"from": proj[i], "to": proj[j]}
                 )
-            c = changed[0]
-            pair = (min(x[c], y[c]), max(x[c], y[c]))
-            fw = spaces[c].kernel[index[c][x[c]]].get(index[c][y[c]])
+            fw = kernels[c][x].get(y)
             if not fw:
+                u, v = proj[i][c], proj[j][c]
                 raise ProductMismatch(
-                    "move is not a factor move", witness={"coord": c, "pair": pair}
+                    "move is not a factor move",
+                    witness={"coord": c, "pair": (min(u, v), max(u, v))},
                 )
-            key = (c, "C6" if bin(x[c] ^ y[c]).count("1") == 6 else "C4")
+            key = (c, "C6" if (proj[i][c] ^ proj[j][c]).bit_count() == 6 else "C4")
             r = w / fw
             if key in ratio and abs(ratio[key] - r) > 1e-12 * max(1.0, ratio[key]):
                 raise ProductMismatch(

@@ -9,14 +9,14 @@ product chain over the components samples realizations of a fixed matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
+from ._value import Value
 from .chain import _sample_stream
 from .errors import InconsistentMatrix, NotGraphical
 from .graphs import LabeledGraph, bipartite_instance, simple_instance
 from .layout import Layout
-from .sequences import erdos_gallai, gale_ryser
+from .sequences import _as_int, erdos_gallai, gale_ryser
 
 __all__ = [
     "DegreeSpectraMatrix",
@@ -30,25 +30,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DegreeSpectraMatrix:
+class DegreeSpectraMatrix(Value):
     """Per-vertex neighbor counts by neighbor degree.
 
     ``columns[v][i-1]`` is the number of degree-i neighbors of vertex v; all
     columns have length ``delta``.  The degree of v is its column sum.
     """
 
+    _fields = ("delta", "columns")
     delta: int
     columns: Tuple[Tuple[int, ...], ...]
 
     def __init__(self, delta: int, columns: Iterable[Iterable[int]]):
-        cols = tuple(tuple(int(x) for x in col) for col in columns)
+        delta = _as_int(delta)
+        cols = tuple(tuple(_as_int(x) for x in col) for col in columns)
         if any(len(col) != delta for col in cols):
             raise InconsistentMatrix("every column must have length delta")
         if any(x < 0 for col in cols for x in col):
             raise InconsistentMatrix("negative neighbor count")
-        object.__setattr__(self, "delta", int(delta))
-        object.__setattr__(self, "columns", cols)
+        self._set(delta, cols)
 
     @property
     def n(self) -> int:
@@ -66,18 +66,23 @@ class DegreeSpectraMatrix:
         return {d: tuple(vs) for d, vs in classes.items()}
 
 
-@dataclass(frozen=True)
-class ComponentSequence:
+class ComponentSequence(Value):
     """Degree sequence of one class-pair component: bipartite between the
     degree-i and degree-j classes for i != j, simple inside the class for
     i == j.  Vertex tuples give the global ids behind each position."""
 
+    _fields = ("i", "j", "u_vertices", "w_vertices", "u_degrees", "w_degrees")
     i: int
     j: int
     u_vertices: Tuple[int, ...]
     w_vertices: Tuple[int, ...]
     u_degrees: Tuple[int, ...]
     w_degrees: Tuple[int, ...]
+
+    def __init__(self, i: int, j: int, u_vertices: Tuple[int, ...],
+                 w_vertices: Tuple[int, ...], u_degrees: Tuple[int, ...],
+                 w_degrees: Tuple[int, ...]):
+        self._set(i, j, u_vertices, w_vertices, u_degrees, w_degrees)
 
     @property
     def is_simple(self) -> bool:

@@ -43,12 +43,28 @@ def test_exit_codes(files, capsys):
     assert "graphical" in capsys.readouterr().out
 
 
+# 1e400 reads as infinity
+INFINITE = '{"kind": "simple", "degrees": [1e400, 1]}'
+
+
 @pytest.mark.parametrize("argv, payload", [
     pytest.param(["test"], None, id="missing-seq"),
     pytest.param(["test", "--seq", "{file}"], {"kind": "weird", "degrees": [1, 1]},
                  id="unknown-kind"),
     pytest.param(["test", "--seq", "{file}"], {"kind": "simple", "degrees": [1, -1]},
                  id="negative-degree"),
+    pytest.param(["test", "--seq", "{file}"], {"kind": "simple", "degrees": [1.5, 1.5]},
+                 id="test-fractional-degree"),
+    pytest.param(["sample", "--seq", "{file}"], {"kind": "simple", "degrees": [1.5, 1.5]},
+                 id="sample-fractional-degree"),
+    pytest.param(["test", "--seq", "{file}"], INFINITE, id="test-infinite-degree"),
+    pytest.param(["decompose", "--seq", "{file}"], INFINITE, id="decompose-infinite-degree"),
+    pytest.param(["sample", "--seq", "{file}"], INFINITE, id="sample-infinite-degree"),
+    pytest.param(["verify", "--seq", "{file}"], INFINITE, id="verify-infinite-degree"),
+    pytest.param(["dsm", "--check", "--matrix", "{file}"],
+                 '{"delta": 1, "columns": [[1], [1e400]]}', id="dsm-infinite-count"),
+    pytest.param(["sample", "--seq", "{block}", "--forbidden", "{file}"], "[[1, 1e400]]",
+                 id="forbidden-infinite-index"),
     pytest.param(["sample", "--seq", "{file}"], '{"kind": "simple", "degrees": [1, 1',
                  id="malformed-json"),
     pytest.param(["sample", "--seq", "{block}", "--forbidden", "{file}"], [[1, 1], [3, 2]],
@@ -101,8 +117,8 @@ def test_usage_error_exits_2(files, tmp_path, capsys, monkeypatch, argv, payload
     def never(*args, **kwargs):
         raise AssertionError("sampled before the usage error")
 
-    monkeypatch.setattr("degmix.cli.sample", never)
-    monkeypatch.setattr("degmix.cli.dsm_sample", never)
+    monkeypatch.setattr("degmix.chain.sample", never)
+    monkeypatch.setattr("degmix.spectra.dsm_sample", never)
     path = tmp_path / "input.json"
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     argv = [a.format(file=path, **files) for a in argv]
@@ -113,7 +129,7 @@ def test_usage_error_exits_2(files, tmp_path, capsys, monkeypatch, argv, payload
     assert code == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "error:" in err
-    if argv[0] == "verify":
+    if argv[0] == "verify" and payload is None:
         assert "--max-chords" in err
     if "-1" in argv:  # refused as an argument, not read as a cap of -1
         assert err.endswith("argument --max-chords: must be at least 0, got -1")
@@ -121,6 +137,8 @@ def test_usage_error_exits_2(files, tmp_path, capsys, monkeypatch, argv, payload
         assert "block" in err
     if payload == [[1, 1], [1, 2]]:
         assert err.endswith("%s: forbidden set is not a partial 1-factor" % path)
+    if "1.5" in str(payload) or "1e400" in str(payload):
+        assert re.search(r"%s: not an integer: (1\.5|inf)$" % re.escape(str(path)), err)
 
 
 @pytest.mark.parametrize("mode", ["connectivity", "spectral", "tv"])
@@ -129,8 +147,8 @@ def test_verify_forbidden_not_matching_exits_2(files, tmp_path, capsys, monkeypa
     def never(*args, **kwargs):
         raise AssertionError("enumerated before the usage error")
 
-    monkeypatch.setattr("degmix.cli.realization_space", never)
-    monkeypatch.setattr("degmix.cli.tv_distance_audit", never)
+    monkeypatch.setattr("degmix.space.realization_space", never)
+    monkeypatch.setattr("degmix.space.tv_distance_audit", never)
     path = tmp_path / "f.json"
     path.write_text(json.dumps([[1, 1], [1, 2]]))
     argv = ["verify", "--seq", files["block"], "--forbidden", str(path), "--mode", mode]
@@ -157,7 +175,7 @@ def test_verify_product_forbidden_exits_2(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("decomposed before the usage error")
 
-    monkeypatch.setattr("degmix.cli.canonical_decompose_bipartite", never)
+    monkeypatch.setattr("degmix.decomposition.canonical_decompose_bipartite", never)
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps({"kind": "bipartite", "u": [3, 3, 1, 1], "w": [1, 1, 3, 3]}))
     diag = tmp_path / "diag.json"

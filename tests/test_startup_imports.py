@@ -1,5 +1,7 @@
-"""numpy is loaded only by the ``verify`` modes that compute with it, and
-hashlib (with OpenSSL) only by the jobs that derive chain seeds.
+"""numpy is loaded only by the ``verify`` modes that compute with it,
+hashlib (with OpenSSL) only by the jobs that derive chain seeds, the
+sampler and the exhaustive engine only by the commands that run them, and
+``dataclasses`` (with ``inspect``) by no job.
 
 Every CLI job is its own process, so an import that a job does not use is
 paid on every run.  These tests start fresh interpreters and read
@@ -16,24 +18,35 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs one CLI job in-process, then reports on stderr whether numpy and
-# hashlib were loaded.
+# Runs one CLI job in-process, then reports on stderr which of these
+# modules were loaded.
+REPORTED = ("numpy", "hashlib", "dataclasses",
+            "degmix.chain", "degmix.space", "degmix.spectra", "degmix.counting")
 WRAPPER = """\
 import sys
 from degmix.cli import main
 try:
     code = main(sys.argv[1:])
 finally:
-    for name in ("numpy", "hashlib"):
-        sys.stderr.write("%s loaded: %s\\n" % (name, name in sys.modules))
+    for name in %r:
+        sys.stderr.write("%%s loaded: %%s\\n" %% (name, name in sys.modules))
 sys.exit(code)
-"""
+""" % (REPORTED,)
+
+SEQ = {"kind": "simple", "degrees": [3, 3, 2, 2, 2, 1, 1]}
 
 
 def run_python(*args, cwd):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+def skip_if_loaded_at_startup(name, tmp_path):
+    bare = run_python("-c", "import sys; print(%r in sys.modules)" % name, cwd=tmp_path)
+    assert bare.returncode == 0, bare.stderr
+    if bare.stdout.strip() == "True":
+        pytest.skip("this interpreter loads %s at startup" % name)
 
 
 def test_package_import_leaves_numpy_unloaded(tmp_path):
@@ -51,8 +64,7 @@ def test_package_import_leaves_numpy_unloaded(tmp_path):
     (["verify", "--seq", "seq.json", "--mode", "spectral"], True),
 ], ids=["decompose", "sample", "verify-connectivity", "verify-spectral"])
 def test_cli_jobs_load_numpy_only_to_compute(tmp_path, argv, loads_numpy):
-    (tmp_path / "seq.json").write_text(json.dumps({"kind": "simple",
-                                                   "degrees": [3, 3, 2, 2, 2, 1, 1]}))
+    (tmp_path / "seq.json").write_text(json.dumps(SEQ))
     got = run_python("-c", WRAPPER, *argv, cwd=tmp_path)
     assert got.returncode == 0, got.stderr
     assert "numpy loaded: %s" % loads_numpy in got.stderr
@@ -65,12 +77,37 @@ def test_cli_jobs_load_numpy_only_to_compute(tmp_path, argv, loads_numpy):
     (["sample", "--seq", "seq.json", "--count", "1"], True),
 ], ids=["decompose", "verify-connectivity", "sample"])
 def test_cli_jobs_load_hashlib_only_to_seed(tmp_path, argv, loads_hashlib):
-    bare = run_python("-c", "import sys; print('hashlib' in sys.modules)", cwd=tmp_path)
-    assert bare.returncode == 0, bare.stderr
-    if not loads_hashlib and bare.stdout.strip() == "True":
-        pytest.skip("this interpreter loads hashlib at startup")
-    (tmp_path / "seq.json").write_text(json.dumps({"kind": "simple",
-                                                   "degrees": [3, 3, 2, 2, 2, 1, 1]}))
+    if not loads_hashlib:
+        skip_if_loaded_at_startup("hashlib", tmp_path)
+    (tmp_path / "seq.json").write_text(json.dumps(SEQ))
     got = run_python("-c", WRAPPER, *argv, cwd=tmp_path)
     assert got.returncode == 0, got.stderr
     assert "hashlib loaded: %s" % loads_hashlib in got.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "--seq", "seq.json"],
+    ["decompose", "--seq", "seq.json"],
+    ["sample", "--seq", "seq.json", "--count", "1"],
+    ["verify", "--seq", "seq.json", "--mode", "connectivity"],
+], ids=["test", "decompose", "sample", "verify-connectivity"])
+def test_cli_jobs_leave_dataclasses_unloaded(tmp_path, argv):
+    skip_if_loaded_at_startup("dataclasses", tmp_path)
+    (tmp_path / "seq.json").write_text(json.dumps(SEQ))
+    got = run_python("-c", WRAPPER, *argv, cwd=tmp_path)
+    assert got.returncode == 0, got.stderr
+    assert "dataclasses loaded: False" in got.stderr
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["test", "--seq", "seq.json"], ()),
+    (["decompose", "--seq", "seq.json", "--certificate"], ()),
+    # the control: the wrapper does see the sampler where a job runs it
+    (["sample", "--seq", "seq.json", "--count", "1"], ("degmix.chain",)),
+], ids=["test", "decompose", "sample"])
+def test_cli_jobs_load_only_the_modules_they_run(tmp_path, argv, loaded):
+    (tmp_path / "seq.json").write_text(json.dumps(SEQ))
+    got = run_python("-c", WRAPPER, *argv, cwd=tmp_path)
+    assert got.returncode == 0, got.stderr
+    for name in ("degmix.chain", "degmix.space", "degmix.spectra", "degmix.counting"):
+        assert "%s loaded: %s" % (name, name in loaded) in got.stderr
