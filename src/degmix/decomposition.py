@@ -22,6 +22,7 @@ from .sequences import (
     BipartiteDegreeSequence,
     DegreeSequence,
     ForbiddenSet,
+    _as_int,
     _coerce_simple,
     erdos_gallai,
 )
@@ -48,7 +49,7 @@ __all__ = [
 
 
 def _sorted_desc(xs: Iterable[int]) -> Tuple[int, ...]:
-    return tuple(sorted((int(x) for x in xs), reverse=True))
+    return tuple(sorted(map(_as_int, xs), reverse=True))
 
 
 class GoodPair(Value):

@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ._value import Value
-from .sequences import ForbiddenSet
+from .sequences import ForbiddenSet, _as_int
 
 __all__ = [
     "LabeledGraph",
@@ -122,14 +122,14 @@ class Instance:
         if kind == "simple":
             if len(self.forbidden):
                 raise ValueError("forbidden sets require a bipartite instance")
-            self.degrees = tuple(int(x) for x in degrees)
+            self.degrees = tuple(map(_as_int, degrees))
             self.n = len(self.degrees)
             self.m = sum(self.degrees) // 2
             all_deg = self.degrees
         else:
             u, w = degrees
-            self.u_degrees = tuple(int(x) for x in u)
-            self.w_degrees = tuple(int(x) for x in w)
+            self.u_degrees = tuple(map(_as_int, u))
+            self.w_degrees = tuple(map(_as_int, w))
             self.nu, self.nw = len(self.u_degrees), len(self.w_degrees)
             self.m = sum(self.u_degrees)
             if self.m != sum(self.w_degrees):

@@ -35,6 +35,7 @@ from .sequences import (
     DegreeSequence,
     DirectedDegreeSequence,
     ForbiddenSet,
+    _as_int,
 )
 
 if TYPE_CHECKING:  # numpy is imported by the functions that compute with it
@@ -65,7 +66,7 @@ def _instance_for(d, f: Optional[ForbiddenSet], c4_only: bool) -> Instance:
     if isinstance(d, DegreeSequence):
         degrees = d.degrees
     else:
-        degrees = tuple(int(x) for x in d)
+        degrees = tuple(map(_as_int, d))
     if f is not None and len(f):
         raise ValueError("forbidden sets apply to bipartite/directed sequences")
     return simple_instance(degrees)

@@ -9,16 +9,19 @@ import pytest
 from degmix import (
     BipartiteDegreeSequence,
     DegreeSequence,
+    DegreeSpectraMatrix,
     DirectedDegreeSequence,
     ForbiddenSet,
     ForbiddenSetNotMatching,
     NotGraphical,
+    SplitSequence,
     directed_graphical,
     erdos_gallai,
     gale_ryser,
     realize,
     realize_bipartite,
     realize_directed,
+    realization_space,
     restricted_bipartite_graphical,
 )
 
@@ -247,6 +250,20 @@ def test_degree_sequence_order_round_trips():
     assert d.sorted_degrees == (4, 2, 2, 1, 1)
     # order maps canonical position back to the original label
     assert tuple(d.degrees[i] for i in d.order) == d.sorted_degrees
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DegreeSequence([1.5, 1.5]),
+    lambda: BipartiteDegreeSequence([1], [float("inf")]),
+    lambda: ForbiddenSet([(0, 1.5)]),
+    lambda: SplitSequence((1.5, 1.5), ()),
+    lambda: DegreeSpectraMatrix(1, [[1], [float("nan")]]),
+    lambda: realization_space([1.5, 1.5]),
+], ids=["simple", "bipartite", "forbidden", "split", "spectra", "space"])
+def test_non_integer_numbers_raise_value_error(build):
+    # once truncated by int(), or an OverflowError for infinity
+    with pytest.raises(ValueError, match="not an integer"):
+        build()
 
 
 def test_forbidden_set_one_factor():
