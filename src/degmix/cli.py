@@ -376,6 +376,22 @@ def cmd_dsm(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's limit on int-to-decimal digits (Python 3.10.7
+    on), so that exact counts print in full; ``main`` also runs in-process,
+    so the limit is restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_count(args) -> int:
     from .counting import (
         count_almost_half_regular,
@@ -399,16 +415,17 @@ def cmd_count(args) -> int:
             rep = count_composed_class(args.n, args.block)
     except (TooLarge, DivisibilityError) as exc:
         raise UsageError(str(exc)) from None
-    if args.csv:
-        print("kind,parameter,count,method")
-        print("%s,%d,%d,%s" % (args.kind, rep.parameter, rep.count, rep.method))
-    else:
-        _emit(
-            args,
-            {"kind": args.kind, "parameter": rep.parameter, "count": rep.count,
-             "method": rep.method},
-            str(rep.count),
-        )
+    with _unlimited_int_digits():
+        if args.csv:
+            print("kind,parameter,count,method")
+            print("%s,%d,%d,%s" % (args.kind, rep.parameter, rep.count, rep.method))
+        else:
+            _emit(
+                args,
+                {"kind": args.kind, "parameter": rep.parameter, "count": rep.count,
+                 "method": rep.method},
+                str(rep.count),
+            )
     return 0
 
 

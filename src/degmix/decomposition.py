@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ._value import Value
 from .errors import InvalidSplit, NotGraphical
@@ -213,15 +213,15 @@ class _Window:
         self.shift += minus
 
 
-def _split_candidates(ds: _Window) -> Iterator[Tuple[int, int]]:
-    """Good pairs of ``ds`` whose extraction passes every range check of
-    ``_split_head``, in ascending (p, q) order.
+def _least_good_pair(ds: _Window) -> Optional[Tuple[int, int]]:
+    """The least good pair (p, q) of ``ds`` whose head is a split sequence
+    and whose rest degrees lie in [0, r-1], or None if there is none.
 
-    For each p the range checks bound q to an interval [lo, hi], and on it
+    For each p those range checks bound q to an interval [lo, hi], and on it
     the identity's right side p(n-q-1) + sum(d_{n-q+1}..d_n) is constant:
     going from q to q+1 adds d_{n-q} - p, and q >= #{d < p} with
-    q+1 <= #{d <= p} make that step zero.  So each p costs O(log n), one
-    test of the identity at lo, and the scan stops at the first pair taken.
+    q+1 <= #{d <= p} make that step zero.  So each p costs O(log n) and one
+    test of the identity at lo, and the scan stops at the first pair found.
     """
     n = len(ds)
     for p in range(n):
@@ -230,86 +230,55 @@ def _split_candidates(ds: _Window) -> Iterator[Tuple[int, int]]:
         hi = min(hi, n - p - 1, n - 1 - ds[p])  # rest nonempty, below its size
         lo = max(lo, n - 1 - ds[p - 1]) if p else max(lo, 1)  # clique minimum
         if lo <= hi and ds.total(0, p) == p * (n - lo - 1) + ds.total(n - lo, n):
-            for q in range(lo, hi + 1):
-                yield p, q
+            return p, lo
+    return None
 
 
-def _split_head(ds: _Window, p: int, q: int) -> Optional[SplitSequence]:
-    """Head split component of ``ds`` at good pair (p, q), or None if the
-    rest leaves [0, r-1] or the head is not a split sequence.  O(p + q)."""
-    n = len(ds)
-    rest_size = n - p - q
-    if rest_size and not (ds[n - q - 1] >= p and ds[p] - p <= rest_size - 1):
-        return None  # the rest is sorted: its first and last entries bound it
-    try:
-        return SplitSequence(ds.values(0, p, rest_size), ds.values(n - q, n))
-    except InvalidSplit:
-        return None
-
-
-def _bipartite_extractions(
-    u: _Window, w: _Window, degenerate: bool
-) -> Iterator[Tuple[int, int]]:
-    """Valid head/rest extractions of a sorted bipartite sequence,
-    in ascending (p, q) order.
+def _least_bipartite_extraction(u: _Window, w: _Window) -> Optional[Tuple[int, int]]:
+    """The least extraction (p, q) of a sorted bipartite sequence whose head
+    and rest both carry edges, or None if there is none.
 
     An extraction at (p, q) takes the p largest primary and the |W|-q smallest
     secondary degrees as the head (primary reduced by q) and leaves
     (u_{p+1}.., w_1..w_q reduced by p) as the rest; q counts the secondary
-    vertices staying on the right.  With ``degenerate`` False, extractions
-    whose head or rest carries no edge are dropped (the composition algebra
-    for bipartite sequences does not admit edge-less operands); with
-    ``degenerate`` True they are kept, which matches decomposability of the
-    corresponding designated split graphs.
+    vertices staying on the right.  The composition algebra for bipartite
+    sequences does not admit edge-less operands: p = 0 leaves the head no
+    edge and p = |U| the rest none, and the head's edge count
+    sum(w_{q+1}..) falls as q grows.
 
     For each p the range checks bound q to an interval [lo, hi], and on it
     the q-cost p*q + sum(w_{q+1}..) is constant: it is convex in q, with
     step p - w_{q+1}, and #{w > p} <= q < #{w >= p} makes that step zero.
-    So each p costs O(log |W|) and one test of the identity.
+    So each p costs O(log |W|) and one test of the identity at lo.
     """
     nu, nw = len(u), len(w)
-    for p in range(nu + 1):
-        if not degenerate and u.total(p, nu) == 0:
-            continue  # edge-less rest
+    for p in range(1, nu):
+        if u.total(p, nu) == 0:
+            return None  # edge-less rest, and so for every larger p
         lo = w.at_least(p + 1)  # head secondaries are <= p
         hi = w.at_least(p)  # rest secondaries minus p stay >= 0
-        if p:
-            hi = min(hi, u[p - 1])  # head primaries minus q stay >= 0
-        if p < nu:
-            lo = max(lo, u[p])  # rest primaries fit the q rest secondaries
+        hi = min(hi, u[p - 1])  # head primaries minus q stay >= 0
+        lo = max(lo, u[p])  # rest primaries fit the q rest secondaries
         if lo > hi or u.total(0, p) != p * lo + w.total(lo, nw):
             continue
-        for q in range(lo, hi + 1):
-            if (p == 0 and q == nw) or (p == nu and q == 0):
-                continue  # empty head or empty rest
-            if not degenerate and w.total(q, nw) == 0:
-                break  # edge-less head, and so for every larger q
-            yield p, q
-
-
-def _bip_indecomposable(u: Tuple[int, ...], w: Tuple[int, ...]) -> bool:
-    return next(_bipartite_extractions(_Window(u), _Window(w), False), None) is None
-
-
-def _split_indecomposable(s: SplitSequence) -> bool:
-    """A designated split graph is indecomposable iff its stripped bipartite
-    form admits no extraction at all (degenerate single-class splits count)."""
-    u, w = psi(s).canonical()
-    return next(_bipartite_extractions(_Window(u), _Window(w), True), None) is None
+        if w.total(lo, nw):  # else the head is edge-less, at every q >= lo
+            return p, lo
+    return None
 
 
 def canonical_decompose(d) -> CanonicalDecomposition:
     """Unique factorization into indecomposable split components plus tail.
 
-    At each step the good pairs are scanned in ascending (p, q) order and the
-    first one whose head component is indecomposable is extracted; the
-    remainder continues until no good pair is left.  The final remainder is
-    the undesignated tail.
+    Each round extracts the head at the least good pair (p, q) whose
+    extraction is valid, and the remainder continues until no such pair is
+    left; the final remainder is the undesignated tail.  That head is
+    indecomposable: composition is associative, so were the head H1 o H2
+    with rest R, the remainder H1 o (H2 o R) would have a lesser good pair,
+    the one that extracts H1.
 
     One sort, then O(n log n): the remainder is a window on the sorted
-    degrees, a step's scan stops at the p it extracts (and the first pair
-    whose extraction passes the range checks has an indecomposable head),
-    and only the last step scans its whole remainder.
+    degrees, a round's scan stops at the p it extracts, and only the last
+    round scans its whole remainder.
     """
     degrees = _coerce_simple(d)
     if not erdos_gallai(degrees):
@@ -319,18 +288,14 @@ def canonical_decompose(d) -> CanonicalDecomposition:
     used: List[GoodPair] = []
     sizes: List[int] = []
     sums: List[int] = []
-    while len(ds):
-        for p, q in _split_candidates(ds):
-            head = _split_head(ds, p, q)
-            if head is not None and _split_indecomposable(head):
-                break
-        else:
-            break
-        components.append(head)
+    while (pair := _least_good_pair(ds)) is not None:
+        p, q = pair
+        n = len(ds)
+        components.append(SplitSequence(ds.values(0, p, n - p - q), ds.values(n - q, n)))
         used.append(GoodPair(p, q))
-        sizes.append(len(ds))
+        sizes.append(n)
         sums.append(ds.total(0, p))
-        ds.narrow(p, len(ds) - q, p)
+        ds.narrow(p, n - q, p)
     tail = DegreeSequence(ds.values(0, len(ds))) if len(ds) else None
     return CanonicalDecomposition(
         tuple(components), tail, tuple(used), tuple(sizes), tuple(sums)
@@ -424,12 +389,12 @@ def canonical_decompose_bipartite(
 ) -> List[BipartiteDegreeSequence]:
     """Factorization into indecomposable bipartite sequences, ``u`` primary.
 
-    Heads are extracted in ascending (p, q) order, skipping extractions with
-    edge-less operands, taking the first indecomposable head each round; the
-    result recomposes to the input exactly.
+    Each round extracts the head at the least extraction whose head and rest
+    both carry edges; that head is indecomposable for the same reason as in
+    ``canonical_decompose``.  The result recomposes to the input exactly.
 
     One sort of each class, then O(n log n) as in ``canonical_decompose``:
-    both classes are windows on their sorted degrees, and a step's scan
+    both classes are windows on their sorted degrees, and a round's scan
     stops at the p it extracts.
     """
     if not sb.is_graphical():
@@ -439,17 +404,13 @@ def canonical_decompose_bipartite(
         )
     u, w = (_Window(x) for x in sb.canonical())
     factors: List[BipartiteDegreeSequence] = []
-    while True:
-        for p, q in _bipartite_extractions(u, w, False):
-            head = (u.values(0, p, q), w.values(q, len(w)))
-            if _bip_indecomposable(*head):
-                break
-        else:
-            factors.append(BipartiteDegreeSequence(u.values(0, len(u)), w.values(0, len(w))))
-            return factors
-        factors.append(BipartiteDegreeSequence(*head))
+    while (pair := _least_bipartite_extraction(u, w)) is not None:
+        p, q = pair
+        factors.append(BipartiteDegreeSequence(u.values(0, p, q), w.values(q, len(w))))
         u.narrow(p, len(u))
         w.narrow(0, q, p)
+    factors.append(BipartiteDegreeSequence(u.values(0, len(u)), w.values(0, len(w))))
+    return factors
 
 
 def compose_directed(

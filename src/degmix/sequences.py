@@ -36,11 +36,11 @@ __all__ = [
 
 def _as_int(x) -> int:
     """``x`` as an int: an integer, or a float with an integral value.
-    Anything else (1.5, infinity, NaN, a string) raises ValueError."""
+    Anything else (1.5, infinity, NaN, a string, a bool) raises ValueError."""
     if isinstance(x, float):
         if x.is_integer():  # False for infinity and NaN
             return int(x)
-    else:
+    elif not isinstance(x, bool):  # JSON true is no degree
         try:
             return operator.index(x)
         except TypeError:
@@ -73,14 +73,6 @@ class DegreeSequence(Value):
     @property
     def n(self) -> int:
         return len(self.degrees)
-
-    @property
-    def total(self) -> int:
-        return sum(self.degrees)
-
-    @property
-    def dmax(self) -> int:
-        return max(self.degrees, default=0)
 
     @property
     def sorted_degrees(self) -> Tuple[int, ...]:

@@ -1,13 +1,11 @@
 """Shared brute-force oracles: exhaustive enumeration over all labeled graphs.
 
 These deliberately avoid the library's own algorithms so the tests compare
-two independent routes to the same answer.  ``split_head_and_rest`` is the
-exception: it adapts the library's head extraction to the tuple-in,
-pair-out form that the factorization-search oracles take.  The
-``kernel_oracle`` fixture checks each realization-space kernel against the
-full move-table scan of ``legacy_oracles``, and the ``conductance_oracle``
-fixture checks the exact conductance of each small one against the subset
-enumeration of ``legacy_oracles``.
+two independent routes to the same answer.  The ``kernel_oracle`` fixture
+checks each realization-space kernel against the full move-table scan of
+``legacy_oracles``, and the ``conductance_oracle`` fixture checks the exact
+conductance of each small one against the subset enumeration of
+``legacy_oracles``.
 """
 
 from functools import cached_property
@@ -16,7 +14,6 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 import legacy_oracles
-from degmix.decomposition import _split_head, _Window
 from degmix.space import Space, _exact_conductance
 
 
@@ -93,12 +90,8 @@ def brute_directed_realizable(out_deg, in_deg):
 
 def split_head_and_rest(ds, p, q):
     """Head split component and shifted rest of the sorted tuple ``ds`` at
-    good pair (p, q), or None where the library's ``_split_head`` finds no
-    valid split partition."""
-    head = _split_head(_Window(ds), p, q)
-    if head is None:
-        return None
-    return head, tuple(x - p for x in ds[p:len(ds) - q])
+    good pair (p, q), or None where they describe no valid split partition."""
+    return legacy_oracles._extract_split_head(ds, p, q)
 
 
 def nonincreasing_sequences(length, cap):

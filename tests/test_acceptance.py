@@ -38,11 +38,11 @@ from degmix import (
     swap_locality_report,
     tv_distance_audit,
 )
-from degmix.decomposition import _split_indecomposable
 from degmix.decomposition import good_pairs as _good_pairs
 from degmix.space import Space, _enumerate_masks, verify_cartesian_product
 
 from conftest import all_simple_graphs, nonincreasing_sequences, split_head_and_rest
+from legacy_oracles import _split_indecomposable
 
 # every kernel built here is checked against the full move-table scan, and
 # every exact conductance of at most 20 states against the subset enumeration

@@ -3,6 +3,8 @@
 import argparse
 import json
 import re
+import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -65,6 +67,14 @@ INFINITE = '{"kind": "simple", "degrees": [1e400, 1]}'
                  '{"delta": 1, "columns": [[1], [1e400]]}', id="dsm-infinite-count"),
     pytest.param(["sample", "--seq", "{block}", "--forbidden", "{file}"], "[[1, 1e400]]",
                  id="forbidden-infinite-index"),
+    pytest.param(["test", "--seq", "{file}"], {"kind": "simple", "degrees": [True, True]},
+                 id="test-boolean-degree"),
+    pytest.param(["sample", "--seq", "{file}"], {"kind": "simple", "degrees": [True, True]},
+                 id="sample-boolean-degree"),
+    pytest.param(["dsm", "--check", "--matrix", "{file}"],
+                 {"delta": True, "columns": [[1], [1]]}, id="dsm-boolean-delta"),
+    pytest.param(["sample", "--seq", "{block}", "--forbidden", "{file}"], [[True, 1]],
+                 id="forbidden-boolean-index"),
     pytest.param(["sample", "--seq", "{file}"], '{"kind": "simple", "degrees": [1, 1',
                  id="malformed-json"),
     pytest.param(["sample", "--seq", "{block}", "--forbidden", "{file}"], [[1, 1], [3, 2]],
@@ -139,6 +149,8 @@ def test_usage_error_exits_2(files, tmp_path, capsys, monkeypatch, argv, payload
         assert err.endswith("%s: forbidden set is not a partial 1-factor" % path)
     if "1.5" in str(payload) or "1e400" in str(payload):
         assert re.search(r"%s: not an integer: (1\.5|inf)$" % re.escape(str(path)), err)
+    if "True" in str(payload):  # JSON true, once read as 1
+        assert err.endswith("%s: not an integer: True" % path)
 
 
 @pytest.mark.parametrize("mode", ["connectivity", "spectral", "tv"])
@@ -346,6 +358,25 @@ def test_dsm_check_and_sample(files, capsys):
     rows = [json.loads(r) for r in capsys.readouterr().out.strip().splitlines()]
     assert len(rows) == 2
     assert all(sorted(map(tuple, r["edges"])) == [(0, 1), (0, 2), (0, 3)] for r in rows)
+
+
+def test_count_prints_exact_counts_past_the_int_digit_limit(capsys):
+    # 6,020 digits: past the 4,300 that int-to-decimal conversion allows by
+    # default since Python 3.10.7, once a traceback with exit 1
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    limit = get_limit()
+    outs = []
+    for extra in ([], ["--csv"], ["--json"]):
+        assert main(["count", "--kind", "ahr", "--n", "10000", *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert get_limit() == limit  # restored after
+    set_limit(0)
+    try:
+        got = [int(outs[0]), int(outs[1].split(",")[-2]), json.loads(outs[2])["count"]]
+    finally:
+        set_limit(limit)
+    assert got == [2 * comb(20000, 10000) - 10000**2 - 1] * 3
 
 
 def test_count_golden(files, capsys):

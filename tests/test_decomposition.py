@@ -30,9 +30,10 @@ from degmix import (
     recompose,
     split_lift,
 )
-from degmix.decomposition import _split_indecomposable
 
 from conftest import all_simple_graphs, nonincreasing_sequences, split_head_and_rest
+import legacy_oracles
+from legacy_oracles import _split_indecomposable
 
 
 def graphical_sequences(n):
@@ -337,6 +338,32 @@ def test_bipartite_decompose_deterministic_and_factors_indecomposable():
     assert [f.canonical() for f in f1] == [f.canonical() for f in f2]
     for f in f1:
         assert len(canonical_decompose_bipartite(f)) == 1
+
+
+def test_least_extraction_matches_legacy_first_indecomposable_head():
+    # the least valid extraction is taken without testing its head; the
+    # legacy decompositions take the first head an independent scan finds
+    # indecomposable, so they agree exactly when that theorem holds
+    simple = [d for n in range(1, 9) for d in graphical_sequences(n)]
+    assert len(simple) == 1706
+    for d in simple:
+        cd, old = canonical_decompose(d), legacy_oracles.canonical_decompose(d)
+        assert (cd.components, cd.tail, cd.good_pairs_used) == (
+            old.components, old.tail, old.good_pairs_used), d
+        assert all(legacy_oracles._split_indecomposable(c) for c in cd.components), d
+    bipartite = [
+        BipartiteDegreeSequence(u, w)
+        for nu in range(1, 6)
+        for nw in range(1, 6)
+        for u in nonincreasing_sequences(nu, nw)
+        for w in nonincreasing_sequences(nw, nu)
+        if gale_ryser((u, w))
+    ]
+    assert len(bipartite) == 3744
+    for sb in bipartite:
+        factors = canonical_decompose_bipartite(sb)
+        assert factors == legacy_oracles.canonical_decompose_bipartite(sb), sb
+        assert all(legacy_oracles._bip_indecomposable(*f.canonical()) for f in factors), sb
 
 
 def test_compose_bipartite_associative():

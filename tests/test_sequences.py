@@ -259,9 +259,14 @@ def test_degree_sequence_order_round_trips():
     lambda: SplitSequence((1.5, 1.5), ()),
     lambda: DegreeSpectraMatrix(1, [[1], [float("nan")]]),
     lambda: realization_space([1.5, 1.5]),
-], ids=["simple", "bipartite", "forbidden", "split", "spectra", "space"])
+    lambda: DegreeSequence([True, True]),
+    lambda: ForbiddenSet([(True, 1)]),
+    lambda: DegreeSpectraMatrix(True, [[1], [1]]),
+], ids=["simple", "bipartite", "forbidden", "split", "spectra", "space",
+        "simple-boolean", "forbidden-boolean", "spectra-boolean"])
 def test_non_integer_numbers_raise_value_error(build):
-    # once truncated by int(), or an OverflowError for infinity
+    # once truncated by int(), an OverflowError for infinity, or a boolean
+    # read as 0 or 1
     with pytest.raises(ValueError, match="not an integer"):
         build()
 
