@@ -14,12 +14,12 @@ Bipartite, directed and forbidden-set factors start from the greedy
 start from Havel–Hakimi.
 
 ``run`` is the only step loop: ``sample``, ``dsm_sample`` and the empirical
-TV audit take every step through it.  It draws from ``getrandbits`` the way
-CPython's ``random`` module does, so a one-step reference written with
-``Random.sample`` and ``Random.randrange`` (``tests/legacy_oracles.py``)
+TV audit take every step through it.  Its draws rest on ``getrandbits``
+alone, in a procedure of degmix's own (see ``run``), so a seed gives the same
+draws on any interpreter whose ``getrandbits`` gives the same bits.  A plain
+reference of that procedure, ``reference_run`` in ``tests/legacy_oracles.py``,
 consumes every RNG call for call like it and leaves the same edges and RNG
-states; ``tests/test_chain.py`` pins ``run`` to that reference on the
-running interpreter.
+states; ``tests/test_chain.py`` pins ``run`` to it.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ def derive_seed(master: int, index: int) -> int:
 
 class ChainState:
     """One swap chain: the current realization as an edge list, and its RNG
-    stream.  The list starts sorted and is updated by swap-with-last; which
-    edges a draw picks depends on that order, so it is part of the
-    seed-to-draw mapping."""
+    stream, read only through ``getrandbits``.  The list starts sorted, and
+    an accepted swap writes each added edge into the slot of the edge it
+    replaces; which edges a draw picks depends on that order, so it is part
+    of the seed-to-draw mapping."""
 
     def __init__(self, instance: Instance, edges: Iterable[Edge], rng: random.Random):
         self.instance = instance
@@ -82,15 +83,10 @@ class ChainState:
 
     def _apply(self, removed: Sequence[Edge], added: Sequence[Edge]) -> None:
         edges, pos = self.edges, self._pos
-        for e in removed:
+        for e, f in zip(removed, added):
             i = pos.pop(e)
-            last = edges.pop()
-            if last != e:  # swap-with-last removal
-                edges[i] = last
-                pos[last] = i
-        for e in added:
-            pos[e] = len(edges)
-            edges.append(e)
+            edges[i] = f
+            pos[f] = i
 
 
 class ProductChain:
@@ -104,133 +100,129 @@ class ProductChain:
         return tuple(c.mask for c in self.coordinates)
 
 
-# Random.sample keeps a pool list for populations up to this size and a set
-# of drawn indices above it, for samples of at most 5.
-_POOL_MAX = 21
+# Lazy coins are drawn in blocks of at most this many bits, so a long run
+# holds one block at a time.
+_BLOCK = 1 << 16
 
 
 def _fixed(state: ChainState):
-    """What ``run`` reads of one coordinate: its RNG's bound methods, its
-    edge list and position map (mutated in place), and the data that no
-    swap changes."""
+    """What ``run`` reads of one coordinate: its RNG's ``getrandbits``, the
+    state, its edge list and position map (mutated in place), and the data
+    that no swap changes, with the bit widths of randbelow(m), randbelow(m-1),
+    randbelow(m-2) and randbelow(matchings)."""
     inst, m = state.instance, len(state.edges)
     return (
-        state.rng.random,
         state.rng.getrandbits,
         state,
         state.edges,
         state._pos,
         m,
-        m <= _POOL_MAX,
+        (m - 1).bit_length(),
+        (m - 2).bit_length(),
+        (m - 3).bit_length(),
         inst.disjoint_pairs > 0 and m >= 2,
         inst.use_c6,
         inst.kind == "simple",
         inst.forbidden.pairs,
         inst.matchings,
+        (inst.matchings - 1).bit_length(),
     )
 
 
 def run(chain: ProductChain, steps: int) -> ProductChain:
     """``steps`` lazy transitions of the product chain; the sampler's hot loop.
 
-    Each step picks a coordinate uniformly, stays with probability 1/2, and
-    otherwise proposes a C4 swap (or, on a forbidden 1-factor, a C4 or a C6
-    swap with probability 1/2 each).  Every draw goes through ``getrandbits``
-    exactly as CPython's ``Random._randbelow_with_getrandbits`` and
-    ``Random.sample`` make it, so seeded draws match a reference written
-    with ``Random.sample`` and ``Random.randrange``.
+    Each step stays with probability 1/2; otherwise it picks a coordinate
+    uniformly and proposes a C4 swap (or, on a forbidden 1-factor, a C4 or a
+    C6 swap with probability 1/2 each).  The lazy coins only count the moves:
+    a block of b steps makes popcount(getrandbits(b)) of them.  Every draw is
+    randbelow(n), ``getrandbits((n - 1).bit_length())`` with rejection; the
+    second and third edges are randbelow(m - 1) and randbelow(m - 2) shifted
+    past the edges already drawn.  A C4 proposal draws its matching first and
+    stays on the current one without drawing edges; a C6 proposal draws its
+    third edge only once the first two can close a hexagon.
     """
     coords = chain.coordinates
     k = len(coords)
     if not k:
         return chain
     fixed = [_fixed(c) for c in coords]
-    select = chain.rng.getrandbits
-    k_bits = k.bit_length()
-    for _ in range(steps):
-        i = select(k_bits)
-        while i >= k:
-            i = select(k_bits)
-        coin, bits, state, edges, pos, m, pool, c4, c6, simple, banned, matchings = fixed[i]
-        if coin() < 0.5:
-            continue  # lazy half
-        if c6 and coin() >= 0.5:
-            if m < 3:
-                continue
-            # Random.sample(edges, 3)
-            nb = m.bit_length()
-            j1 = bits(nb)
-            while j1 >= m:
-                j1 = bits(nb)
-            if pool:
-                nb1, nb2 = (m - 1).bit_length(), (m - 2).bit_length()
-                j2 = bits(nb1)
+    bits = chain.rng.getrandbits
+    k_bits = (k - 1).bit_length()
+    while steps > 0:
+        block = min(steps, _BLOCK)
+        steps -= block
+        for _ in range(bits(block).bit_count()):  # the non-lazy steps
+            i = bits(k_bits)
+            while i >= k:
+                i = bits(k_bits)
+            (draw, state, edges, pos, m, nb0, nb1, nb2, c4, c6, simple, banned,
+             matchings, nbp) = fixed[i]
+            if c6 and draw(1):
+                if m < 3:
+                    continue  # no hexagon: the C6 half stays
+                j1 = draw(nb0)
+                while j1 >= m:
+                    j1 = draw(nb0)
+                j2 = draw(nb1)
                 while j2 >= m - 1:
-                    j2 = bits(nb1)
-                j3 = bits(nb2)
+                    j2 = draw(nb1)
+                if j2 >= j1:
+                    j2 += 1
+                (a1, b1), (a2, b2) = e1, e2 = edges[j1], edges[j2]
+                if a1 == a2 or b1 == b2 or (a2, b1) not in banned:
+                    continue  # no hexagon closes on this pair
+                j3 = draw(nb2)
                 while j3 >= m - 2:
-                    j3 = bits(nb2)
-                # undo the pool's moves of its last items into the vacancies
-                j3 = m - 2 if j3 == j2 else j3
-                j2 = m - 1 if j2 == j1 else j2
-                j3 = m - 1 if j3 == j1 else j3
-            else:
-                j2 = bits(nb)
-                while j2 >= m or j2 == j1:
-                    j2 = bits(nb)
-                j3 = bits(nb)
-                while j3 >= m or j3 == j1 or j3 == j2:
-                    j3 = bits(nb)
-            (a1, b1), (a2, b2), (a3, b3) = e1, e2, e3 = edges[j1], edges[j2], edges[j3]
-            if a1 == a2 or a1 == a3 or a2 == a3 or b1 == b2 or b1 == b3 or b2 == b3:
+                    j3 = draw(nb2)
+                if j3 >= min(j1, j2):
+                    j3 += 1
+                if j3 >= max(j1, j2):
+                    j3 += 1
+                a3, b3 = e3 = edges[j3]
+                if a3 == a1 or a3 == a2 or b3 == b1 or b3 == b2:
+                    continue
+                # Instance._hexagon: the closing pairs forbidden, the targets not
+                if (a1, b3) not in banned or (a3, b2) not in banned:
+                    continue
+                f1, f2, f3 = (a1, b2), (a2, b3), (a3, b1)
+                if f1 in banned or f2 in banned or f3 in banned:
+                    continue
+                if f1 in pos or f2 in pos or f3 in pos:
+                    continue
+                state._apply((e1, e2, e3), (f1, f2, f3))
                 continue
-            # Instance._hexagon: the closing pairs forbidden, the targets not
-            if (a1, b3) not in banned or (a2, b1) not in banned or (a3, b2) not in banned:
+            if not c4:
                 continue
-            f1, f2, f3 = (a1, b2), (a2, b3), (a3, b1)
-            if f1 in banned or f2 in banned or f3 in banned:
-                continue
-            if f1 in pos or f2 in pos or f3 in pos:
-                continue
-            state._apply((e1, e2, e3), (f1, f2, f3))
-            continue
-        if not c4:
-            continue
-        nb, nb1 = m.bit_length(), (m - 1).bit_length()
-        while True:  # Random.sample(edges, 2) until the pair is vertex-disjoint
-            j1 = bits(nb)
-            while j1 >= m:
-                j1 = bits(nb)
-            if pool:
-                j2 = bits(nb1)
+            pick = draw(nbp)
+            while pick >= matchings:
+                pick = draw(nbp)
+            if not pick:
+                continue  # drew the current matching
+            while True:  # a uniform pair of distinct edges until it is vertex-disjoint
+                j1 = draw(nb0)
+                while j1 >= m:
+                    j1 = draw(nb0)
+                j2 = draw(nb1)
                 while j2 >= m - 1:
-                    j2 = bits(nb1)
-                if j2 == j1:
-                    j2 = m - 1
+                    j2 = draw(nb1)
+                if j2 >= j1:
+                    j2 += 1
+                (a1, b1), (a2, b2) = e1, e2 = edges[j1], edges[j2]
+                if a1 == a2 or b1 == b2 or simple and (a1 == b2 or b1 == a2):
+                    continue
+                break
+            if simple:  # Instance._alts, in its order
+                x, y = (a2, b2) if pick == 1 else (b2, a2)
+                f1 = (a1, x) if a1 < x else (x, a1)
+                f2 = (b1, y) if b1 < y else (y, b1)
             else:
-                j2 = bits(nb)
-                while j2 >= m or j2 == j1:
-                    j2 = bits(nb)
-            (a1, b1), (a2, b2) = e1, e2 = edges[j1], edges[j2]
-            if a1 == a2 or b1 == b2 or simple and (a1 == b2 or b1 == a2):
+                f1, f2 = (a1, b2), (a2, b1)
+                if f1 in banned or f2 in banned:
+                    continue
+            if f1 in pos or f2 in pos:
                 continue
-            break
-        pick = bits(2)  # Random.randrange(matchings); 2 and 3 both take 2 bits
-        while pick >= matchings:
-            pick = bits(2)
-        if pick == 0:
-            continue  # drew the current matching
-        if simple:  # Instance._alts, in its order
-            x, y = (a2, b2) if pick == 1 else (b2, a2)
-            f1 = (a1, x) if a1 < x else (x, a1)
-            f2 = (b1, y) if b1 < y else (y, b1)
-        else:
-            f1, f2 = (a1, b2), (a2, b1)
-            if f1 in banned or f2 in banned:
-                continue
-        if f1 in pos or f2 in pos:
-            continue
-        state._apply((e1, e2), (f1, f2))
+            state._apply((e1, e2), (f1, f2))
     return chain
 
 
@@ -304,6 +296,13 @@ def _assemble(plan: Layout, coords: Sequence[ChainState]) -> List[Edge]:
     return plan.edges(c.edges for c in coords)
 
 
+def _check_schedule(burn_in: int, thin: int) -> None:
+    if thin < 1:
+        raise ValueError("thin must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+
+
 def _sample_stream(plan: Layout, seed: int, stream: int, quota: int, burn_in: int, thin: int):
     pc = build_product_chain(plan, seed, stream=stream)
     run(pc, burn_in)
@@ -333,10 +332,9 @@ def sample(
     ``jobs`` only schedules those chains onto workers, so output is identical
     and deterministically ordered for any ``jobs``.
     """
+    _check_schedule(burn_in, thin)
     if count <= 0:
         return []
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
     plan = _make_plan(d, forbidden, factorize)
     n_chains = min(count, 8)
     per = [count // n_chains] * n_chains

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Tuple
 
 from ._value import Value
-from .chain import _sample_stream
+from .chain import _check_schedule, _sample_stream
 from .errors import InconsistentMatrix, NotGraphical
 from .graphs import LabeledGraph, bipartite_instance, simple_instance
 from .layout import Layout
@@ -207,7 +207,8 @@ def dsm_sample(
 ) -> List[LabeledGraph]:
     """Realizations whose recomputed spectra matrix equals ``m`` exactly,
     drawn from one logical chain."""
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
+    _check_schedule(burn_in, thin)
+    if count <= 0:
+        return []
     draws = _sample_stream(_dsm_plan(m), seed, 0, count, burn_in, thin)
     return [LabeledGraph(m.n, edges) for edges in draws]

@@ -24,10 +24,13 @@ pruned the move table to the free chords: every state scans every row.
 
 ``_Dinic`` is the max flow that realized restricted bipartite sequences
 before the Kleitman–Wang greedy; ``flow_realize`` is that realization, over
-one arc per allowed pair, and it accepts any forbidden set.  ``step`` and
-``product_step`` (with ``_try_c4`` and ``_try_c6``) are the one-step
-reference of the swap chain, written with ``Random.sample`` and
-``Random.randrange``; ``chain.run`` must consume every RNG as they do.
+one arc per allowed pair, and it accepts any forbidden set.
+
+``reference_run`` (with ``_reference_c4`` and ``_reference_c6``) is not a
+superseded implementation but a plain statement of the swap chain's draw
+procedure, built on the exhaustive engine's ``Instance._alts`` and
+``Instance._hexagon``; ``chain.run`` inlines it and must consume every RNG
+as it does.
 """
 
 from functools import lru_cache
@@ -447,21 +450,41 @@ def flow_realize(u, w, banned):
     return sorted(pair for pair, e in chord_edges.items() if net.cap[e] == 0)
 
 
-def _try_c4(state: ChainState) -> None:
-    inst = state.instance
-    if inst.disjoint_pairs == 0 or len(state.edges) < 2:
+def _randbelow(rng, n: int) -> int:
+    """Uniform on range(n): ``getrandbits((n - 1).bit_length())`` with rejection."""
+    k = (n - 1).bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _index_outside(rng, m: int, taken) -> int:
+    """Uniform on the indices below ``m`` not in ``taken``: randbelow(m -
+    len(taken)), shifted past each taken index in ascending order."""
+    j = _randbelow(rng, m - len(taken))
+    for t in sorted(taken):
+        if j >= t:
+            j += 1
+    return j
+
+
+def _reference_c4(state: ChainState) -> None:
+    inst, rng, edges = state.instance, state.rng, state.edges
+    if inst.disjoint_pairs == 0 or len(edges) < 2:
         return
-    rng = state.rng
+    pick = _randbelow(rng, inst.matchings)
+    if pick == 0:
+        return  # drew the current matching
     while True:  # uniform over vertex-disjoint pairs, by rejection
-        e1, e2 = rng.sample(state.edges, 2)
+        j1 = _index_outside(rng, len(edges), ())
+        j2 = _index_outside(rng, len(edges), (j1,))
+        e1, e2 = edges[j1], edges[j2]
         if e1[0] == e2[0] or e1[1] == e2[1]:
             continue
         if inst.kind == "simple" and (e1[0] == e2[1] or e1[1] == e2[0]):
             continue
         break
-    pick = rng.randrange(inst.matchings)
-    if pick == 0:
-        return  # drew the current matching
     alts = inst._alts(e1, e2)
     if pick - 1 >= len(alts):
         return  # target pair includes a forbidden pair
@@ -471,12 +494,17 @@ def _try_c4(state: ChainState) -> None:
     state._apply((e1, e2), (f1, f2))
 
 
-def _try_c6(state: ChainState) -> None:
-    inst = state.instance
-    if len(state.edges) < 3:
+def _reference_c6(state: ChainState) -> None:
+    inst, rng, edges = state.instance, state.rng, state.edges
+    if len(edges) < 3:
         return
-    rng = state.rng
-    triple = rng.sample(state.edges, 3)  # ordered triple
+    j1 = _index_outside(rng, len(edges), ())
+    j2 = _index_outside(rng, len(edges), (j1,))
+    (a1, b1), (a2, b2) = edges[j1], edges[j2]
+    if a1 == a2 or b1 == b2 or (a2, b1) not in inst.forbidden.pairs:
+        return  # no hexagon closes on this pair; the third edge is not drawn
+    j3 = _index_outside(rng, len(edges), (j1, j2))
+    triple = (edges[j1], edges[j2], edges[j3])  # ordered triple
     for a, b in ((0, 1), (0, 2), (1, 2)):
         if triple[a][0] == triple[b][0] or triple[a][1] == triple[b][1]:
             return
@@ -488,22 +516,22 @@ def _try_c6(state: ChainState) -> None:
     state._apply(triple, targets)
 
 
-def step(state: ChainState) -> ChainState:
-    """One lazy transition in place; returns the state for chaining."""
-    rng = state.rng
-    if rng.random() < 0.5:
-        return state  # lazy half
-    if state.instance.use_c6:
-        if rng.random() < 0.5:
-            _try_c4(state)
-        else:
-            _try_c6(state)
-    else:
-        _try_c4(state)
-    return state
-
-
-def product_step(chain: ProductChain) -> ProductChain:
-    if chain.coordinates:  # a graph without factors has nothing to step
-        step(chain.coordinates[chain.rng.randrange(len(chain.coordinates))])
+def reference_run(chain: ProductChain, steps: int) -> ProductChain:
+    """``steps`` lazy transitions of the product chain, drawn as
+    ``chain.run`` draws them: per block of at most 2**16 steps, the popcount
+    of that many bits from the chain's RNG counts the moves; each move picks
+    its coordinate by randbelow(K) and, on a forbidden 1-factor, a C6
+    proposal by one bit of the coordinate's RNG."""
+    coords = chain.coordinates
+    if not coords:  # a graph without factors has nothing to step
+        return chain
+    while steps > 0:
+        block = min(steps, 1 << 16)
+        steps -= block
+        for _ in range(bin(chain.rng.getrandbits(block)).count("1")):
+            state = coords[_randbelow(chain.rng, len(coords))]
+            if state.instance.use_c6 and state.rng.getrandbits(1):
+                _reference_c6(state)
+            else:
+                _reference_c4(state)
     return chain

@@ -25,7 +25,7 @@ from degmix.chain import ProductChain, build_product_chain, _make_plan, run
 from degmix.space import realization_space
 from degmix.spectra import _dsm_plan
 
-from legacy_oracles import product_step, step
+from legacy_oracles import reference_run
 from test_golden_draws import CASES as GOLDEN_CASES
 
 
@@ -58,8 +58,7 @@ def test_threshold_sequence_never_moves():
         space.instance, space.instance.edges_of_mask(space.masks[0]), random.Random(5)
     )
     start = state.mask
-    for _ in range(500):
-        step(state)
+    run(ProductChain([state], random.Random(4)), 500)
     assert state.mask == start
 
 
@@ -69,9 +68,10 @@ def test_step_preserves_degrees_and_forbidden():
     state = ChainState(
         space.instance, space.instance.edges_of_mask(space.masks[0]), random.Random(17)
     )
+    pc = ProductChain([state], random.Random(16))
     banned = space.instance.forbidden
     for k in range(2000):
-        step(state)
+        run(pc, 1)
         if k % 100 == 0:
             g = state.graph
             assert g.u_degrees() == space.instance.u_degrees
@@ -100,11 +100,12 @@ def test_empirical_distribution_uniform():
     state = ChainState(
         space.instance, space.instance.edges_of_mask(space.masks[0]), random.Random(11)
     )
+    pc = ProductChain([state], random.Random(10))
     idx = space.index()
     counts = Counter()
     steps = 100000
     for _ in range(steps):
-        step(state)
+        run(pc, 1)
         counts[idx[state.mask]] += 1
     tv = 0.5 * sum(abs(counts[i] / steps - 1 / 3) for i in range(3))
     assert tv < 0.02
@@ -118,7 +119,7 @@ def test_product_step_touches_one_coordinate():
     assert len(pc.coordinates) >= 2
     for _ in range(300):
         before = pc.masks()
-        product_step(pc)
+        run(pc, 1)
         after = pc.masks()
         assert sum(1 for x, y in zip(before, after) if x != y) <= 1
 
@@ -132,6 +133,14 @@ def test_product_with_frozen_coordinate_is_half_slowed():
     # assembled from the product-chain law with K = 2 and a frozen coordinate
     expect = (np.eye(live.count) + p) / 2.0
     assert np.allclose(product, expect, atol=0)
+
+
+def test_sample_rejects_bad_schedules():
+    seq = DegreeSequence((2, 2, 1, 1))
+    with pytest.raises(ValueError, match="burn_in must be >= 0"):
+        sample(seq, burn_in=-1, thin=1, count=1, seed=0)
+    with pytest.raises(ValueError, match="thin must be >= 1"):
+        sample(seq, burn_in=0, thin=0, count=1, seed=0)
 
 
 def test_sample_not_graphical():
@@ -311,9 +320,10 @@ def test_derive_seed_stable():
     assert derive_seed(0, 0) == derive_seed(0, 0)
 
 
-# Inputs on which ``run`` must consume every RNG exactly as ``product_step``
-# does: each golden-draw input, plus the paths of ``Random.sample`` (pool up
-# to 21 edges, set above), C6 swaps on both paths, and a frozen factor.
+# Inputs on which ``run`` must consume every RNG exactly as ``reference_run``
+# does: each golden-draw input, plus edge counts on both sides of 21 (where
+# CPython's ``Random.sample`` changes method; degmix's draws do not), C6
+# swaps on a larger directed input, and a frozen factor.
 RUN_CASES = {
     **{"golden-" + name: case for name, case in GOLDEN_CASES.items()},
     "pool-simple": (DegreeSequence([3] * 14), "off", None),  # m = 21
@@ -355,12 +365,141 @@ def test_run_matches_product_step(name):
     ref, fast = build_product_chain(plan, seed=31), build_product_chain(plan, seed=31)
     start = _snapshot(ref)
     for k in (0, 1, 2000):
-        for _ in range(k):
-            product_step(ref)
+        reference_run(ref, k)
         run(fast, k)
         assert _snapshot(fast) == _snapshot(ref)
     if not name.startswith("frozen"):
         assert _snapshot(ref)[1] != start[1]  # the coordinates moved
+
+
+def test_run_matches_reference_past_one_block():
+    # 70,000 steps take two blocks of lazy bits: 65,536 and 4,464
+    plan = _run_plan("golden-restricted")
+    ref, fast = build_product_chain(plan, seed=5), build_product_chain(plan, seed=5)
+    reference_run(ref, 70000)
+    run(fast, 70000)
+    assert _snapshot(fast) == _snapshot(ref)
+
+
+class _BitsOnly(random.Random):
+    """An RNG that serves ``getrandbits`` and refuses every other draw."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("run drew through a method other than getrandbits")
+
+    random = randrange = randint = sample = choice = choices = shuffle = _refuse
+
+
+def _bits_only(rng: random.Random) -> _BitsOnly:
+    copy = _BitsOnly()
+    copy.setstate(rng.getstate())
+    return copy
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CASES) + ["dsm-golden"])
+def test_run_draws_only_through_getrandbits(name):
+    plan = _run_plan(name)
+    ref, pc = build_product_chain(plan, seed=8), build_product_chain(plan, seed=8)
+    pc.rng = _bits_only(pc.rng)
+    for c in pc.coordinates:
+        c.rng = _bits_only(c.rng)
+    run(pc, 3000)
+    run(ref, 3000)
+    assert _snapshot(pc) == _snapshot(ref)
+
+
+def test_run_holds_one_block_of_lazy_bits():
+    # 2**20 steps as one getrandbits call would hold a 128 KiB integer;
+    # blocks of 2**16 bits hold 8 KiB at a time
+    import tracemalloc
+
+    pc = build_product_chain(_run_plan("golden-simple-off"), seed=2)
+    run(pc, 1000)
+    tracemalloc.start()
+    try:
+        run(pc, 2 ** 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024, peak
+
+
+def _chi_square_bound(df: int, z: float = 3.719) -> float:
+    """Upper 10**-4 point of chi-square with ``df`` degrees of freedom, by
+    the Wilson-Hilferty approximation."""
+    c = 2.0 / (9.0 * df)
+    return df * (1.0 - c + z * c ** 0.5) ** 3
+
+
+def _busiest(space) -> int:
+    """Index of the realization with the most C6 moves, then the most moves."""
+    def key(i):
+        moves = space.instance.moves(space.masks[i])
+        return sum(move.kind == "C6" for move in moves), len(moves)
+    return max(range(space.count), key=key)
+
+
+def _assert_t_step_law(spaces, t: int, trials: int, seed: int):
+    """Run the product chain of ``spaces`` (one coordinate each) for ``t``
+    steps from each space's busiest realization, ``trials`` times on
+    continuing RNG streams, and chi-square the end states against the
+    start's row of P^t, P = (1/K) * sum_i I x ... x P_i x ... x I."""
+    k = len(spaces)
+    sizes = [sp.count for sp in spaces]
+    p = np.zeros((1, 1))
+    for i, sp in enumerate(spaces):
+        before, after = int(np.prod(sizes[:i])), int(np.prod(sizes[i + 1:]))
+        term = np.kron(np.kron(np.eye(before), sp.transition_matrix()), np.eye(after))
+        p = term if i == 0 else p + term
+    p /= k
+    first = [_busiest(sp) for sp in spaces]
+    row = np.linalg.matrix_power(p, t)[np.ravel_multi_index(first, sizes)]
+    rngs = [random.Random(derive_seed(seed, i)) for i in range(k + 1)]
+    starts = [sp.instance.edges_of_mask(sp.masks[i]) for sp, i in zip(spaces, first)]
+    indices = [sp.index() for sp in spaces]
+    counts = np.zeros(len(row))
+    for _ in range(trials):
+        coords = [ChainState(sp.instance, e, r) for sp, e, r in zip(spaces, starts, rngs[1:])]
+        run(ProductChain(coords, rngs[0]), t)
+        state = tuple(ix[c.mask] for ix, c in zip(indices, coords))
+        counts[np.ravel_multi_index(state, sizes)] += 1
+    assert counts[row == 0].sum() == 0  # no draw leaves the support of P^t
+    expected = trials * row
+    big = expected >= 5
+    observed = np.append(counts[big], counts[~big].sum())
+    expected = np.append(expected[big], expected[~big].sum())
+    if expected[-1] == 0:
+        observed, expected = observed[:-1], expected[:-1]
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    df = len(expected) - 1
+    assert df >= 1 and stat < _chi_square_bound(df), (stat, df)
+
+
+LAW_CASES = {
+    "simple": (DegreeSequence((2, 2, 1, 1, 1, 1)), None),
+    "bipartite": (BipartiteDegreeSequence((2, 2, 1, 1), (2, 2, 1, 1)), None),
+    "restricted-c6": (GOLDEN_CASES["restricted"][0], GOLDEN_CASES["restricted"][2]),
+    "directed": (DirectedDegreeSequence((2, 1, 1, 1), (1, 1, 2, 1)), None),
+    # two edges under a forbidden pair: every C6 proposal stays, so C4 swaps
+    # get half of the moves
+    "two-edges-c6": (BipartiteDegreeSequence((1, 1), (1, 1, 0)), ForbiddenSet([(0, 2)])),
+}
+
+
+@pytest.mark.parametrize("t", [1, 3])
+@pytest.mark.parametrize("name", sorted(LAW_CASES) + ["product-simple-directed"])
+def test_run_t_step_law_matches_exact_kernel(name, t):
+    # run's draws change the seed-to-draw mapping, not the kernel: from a
+    # fixed start, the end state after t steps follows the row of P^t
+    if name == "product-simple-directed":
+        spaces = [realization_space(*LAW_CASES["simple"]),
+                  realization_space(*LAW_CASES["directed"])]
+    else:
+        spaces = [realization_space(*LAW_CASES[name])]
+    if name in ("restricted-c6", "directed"):  # C6 moves leave the start
+        assert any(m.kind == "C6" for m in spaces[0].instance.moves(
+            spaces[0].masks[_busiest(spaces[0])]))
+    _assert_t_step_law(spaces, t, trials=40000, seed=1600 + t)
 
 
 def test_run_without_factors_draws_nothing():

@@ -45,12 +45,12 @@ CASES = {
 }
 
 GOLDEN = {
-    "bipartite-auto": "dfc3680ec5e452988e3bceee67fb89eb1868068d909df2a8724b6b2a918d3ad3",
-    "bipartite-off": "2182912cdd73478f175f0eb658c958c7c8dff47cddc8b043ec19adbad6675bf8",
-    "directed": "9d870cf37a3cba69de577fcb7c530f99cc83cfc46f5810fc4233c144c3924a2a",
-    "restricted": "bc10577365c8c5373be85bdd03696e11bd2e74251a89e9c2acd848c908e83d75",
-    "simple-auto": "0240a513d6f44034441f61a22c7598fbf93cebed3e2f23db1fa09f1e58cf8b0d",
-    "simple-off": "d83ce1cbcbedca1ad9f41a2cc82de2491e5c4120ce24037761937c2535eb24d7",
+    "bipartite-auto": "15bf23ce38b479e8ee3811a50189da5c362a0b844c77c213fe324cf8c8dea8d1",
+    "bipartite-off": "f685c3ad2651c3ad9fb4967bf2f70c2c50f64d6834077c4b8507d40408673511",
+    "directed": "04d14eddea12f0134ca982c9cc4d566920b97ac28e7b98983523fd3bdaef9e99",
+    "restricted": "4819ae1e13f2fa7c271ecbba81a1224a3892b5023509daecfd088efbc919718c",
+    "simple-auto": "0f379c75098ed5bd225e6ab6351baee9730b427de77d814762befb533b07778d",
+    "simple-off": "a9da354ad363da5b34d0c4f46ced0dae2c131217d19858bb7f6ed4f10b85d012",
 }
 
 
@@ -75,4 +75,4 @@ def test_dsm_draws_match_golden():
     draws = dsm_sample(m, burn_in=200, thin=7, count=10, seed=2016)
     assert all(degree_spectra(d) == m for d in draws)
     digest = _digest([sorted(d.edges) for d in draws])
-    assert digest == "db132278ae2099e31e65a77f65f9274adaf2574c3f0729f64cfb1e342a5c7b46"
+    assert digest == "39ca35a98c8ae9f6b519a3948bfaee9ca4a6e0858f8595367ce28b82d371e46c"

@@ -29,7 +29,7 @@ from degmix import (
     tv_distance_audit,
     verify_cartesian_product,
 )
-from degmix.chain import ChainState
+from degmix.chain import ChainState, ProductChain, run
 from degmix.graphs import Instance
 from degmix.space import Space, _exact_conductance, _sweep_conductance
 
@@ -530,14 +530,15 @@ def test_tv_empirical():
 ], ids=["simple", "bipartite", "directed-c6"])
 def test_tv_empirical_matches_one_step_reference(seq):
     # the audit steps a one-coordinate product chain through run; the
-    # reference step gives the same trajectory from the same seed
+    # reference procedure gives the same trajectory from the same seeds
     for seed in (0, 7):
         space = realization_space(seq)
         state = ChainState(space.instance, space.instance.edges_of_mask(space.masks[0]),
                            random.Random(seed))
+        pc = ProductChain([state], random.Random(0))
         idx, counts = space.index(), np.zeros(space.count)
         for _ in range(3000):
-            old.step(state)
+            old.reference_run(pc, 1)
             counts[idx[state.mask]] += 1
         want = float(0.5 * np.abs(counts / 3000 - 1.0 / space.count).sum())
         assert tv_distance_audit(seq, 3000, seed=seed, empirical=True) == want
@@ -563,11 +564,12 @@ def test_empirical_kernel_matches_exact_three_sigma():
     state = ChainState(
         space.instance, space.instance.edges_of_mask(space.masks[0]), random.Random(99)
     )
+    pc = ProductChain([state], random.Random(98))
     steps = 1000000
     trans = np.zeros((3, 3))
     prev = idx[state.mask]
     for _ in range(steps):
-        old.step(state)
+        run(pc, 1)
         cur = idx[state.mask]
         trans[prev, cur] += 1
         prev = cur

@@ -120,6 +120,22 @@ def test_dsm_sample_rejects_thin_below_one():
             dsm_sample(m, burn_in=0, thin=thin, count=1, seed=0)
 
 
+def test_dsm_sample_rejects_negative_burn_in():
+    m = degree_spectra(STAR)
+    with pytest.raises(ValueError, match="burn_in must be >= 0"):
+        dsm_sample(m, burn_in=-1, thin=1, count=1, seed=0)
+
+
+def test_dsm_sample_without_draws_runs_no_chain(monkeypatch):
+    # no draw asked: return at once, as sample does, without the burn-in
+    steps = []
+    monkeypatch.setattr("degmix.chain.run", lambda pc, k: steps.append(k))
+    m = degree_spectra(STAR)
+    for count in (0, -2):
+        assert dsm_sample(m, burn_in=300000, thin=1, count=count, seed=0) == []
+    assert steps == []
+
+
 def test_dsm_chain_visits_all_component_realizations():
     # C6 cycle: all neighbors have degree 2, single simple component with
     # multiple realizations; the chain must stay on the fixed matrix
