@@ -16,16 +16,29 @@ start from Havel–Hakimi.
 ``run`` is the only step loop: ``sample``, ``dsm_sample`` and the empirical
 TV audit take every step through it.  Its draws rest on ``getrandbits``
 alone, in a procedure of degmix's own (see ``run``), so a seed gives the same
-draws on any interpreter whose ``getrandbits`` gives the same bits.  A plain
-reference of that procedure, ``reference_run`` in ``tests/legacy_oracles.py``,
-consumes every RNG call for call like it and leaves the same edges and RNG
-states; ``tests/test_chain.py`` pins ``run`` to it.
+draws on any interpreter whose ``getrandbits`` gives the same bits.  The
+factor chains are independent, each on its own RNG, so ``run`` counts how
+many of a block's moves fall on each factor and then steps each factor
+through its share in one stretch.  A plain reference of the procedure,
+``reference_run`` in ``tests/legacy_oracles.py``, interleaves the moves one
+at a time, consumes every RNG call for call like ``run``, and leaves the
+same edges and RNG states; ``tests/test_chain.py`` pins ``run`` to it.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+# hashlib loads OpenSSL, so try the lean builtin sha256 first, as ``random``
+# does for its sha512.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .decomposition import canonical_decompose, canonical_decompose_bipartite
 from .errors import NotGraphical
@@ -53,9 +66,7 @@ __all__ = [
 
 def derive_seed(master: int, index: int) -> int:
     """Counter-based child seed: sha256("degmix:<master>:<index>") first 8 bytes."""
-    import hashlib  # loads OpenSSL; only the jobs that seed a chain pay for it
-
-    digest = hashlib.sha256(b"degmix:%d:%d" % (master, index)).digest()
+    digest = _sha256(b"degmix:%d:%d" % (master, index)).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -71,6 +82,29 @@ class ChainState:
         self.edges: List[Edge] = sorted(edges)
         self.rng = rng
         self._pos = {e: i for i, e in enumerate(self.edges)}
+        m = len(self.edges)
+        c4 = instance.disjoint_pairs > 0 and m >= 2
+        # Whether a move can draw at all: one with neither a C4 nor a C6
+        # proposal draws nothing and stays.
+        self._live = c4 or instance.use_c6
+        # What ``run`` reads of the chain besides its RNG: the edge list and
+        # position map (mutated in place) and the data that no swap changes,
+        # with the bit widths of randbelow(m), randbelow(m - 1),
+        # randbelow(m - 2) and randbelow(matchings).
+        self._fixed = (
+            self.edges,
+            self._pos,
+            m,
+            (m - 1).bit_length(),
+            (m - 2).bit_length(),
+            (m - 3).bit_length(),
+            c4,
+            instance.use_c6,
+            instance.kind == "simple",
+            instance.forbidden.pairs,
+            instance.matchings,
+            (instance.matchings - 1).bit_length(),
+        )
 
     @property
     def mask(self) -> int:
@@ -81,16 +115,27 @@ class ChainState:
     def graph(self):
         return self.instance.graph_of_mask(self.mask)
 
-    def _apply(self, removed: Sequence[Edge], added: Sequence[Edge]) -> None:
+    def _apply(self, j1: int, f1: Edge, j2: int, f2: Edge, j3: int = -1,
+               f3: Optional[Edge] = None) -> None:
+        """An accepted swap: edge ``f1`` replaces the edge in slot ``j1``, and
+        so on.  The only place a chain's edges change."""
         edges, pos = self.edges, self._pos
-        for e, f in zip(removed, added):
-            i = pos.pop(e)
-            edges[i] = f
-            pos[f] = i
+        del pos[edges[j1]], pos[edges[j2]]
+        edges[j1], edges[j2] = f1, f2
+        pos[f1], pos[f2] = j1, j2
+        if f3 is not None:
+            del pos[edges[j3]]
+            edges[j3] = f3
+            pos[f3] = j3
 
 
 class ProductChain:
-    """Independent coordinate chains advanced one uniformly chosen at a time."""
+    """Independent coordinate chains advanced one uniformly chosen at a time.
+
+    ``run`` steps each coordinate's share of a block of moves in one stretch,
+    which leaves the same states as interleaving the moves only because the
+    selector and every coordinate own distinct RNG objects, as
+    ``build_product_chain`` makes them."""
 
     def __init__(self, coordinates: List[ChainState], rng: random.Random):
         self.coordinates = coordinates
@@ -103,30 +148,113 @@ class ProductChain:
 # Lazy coins are drawn in blocks of at most this many bits, so a long run
 # holds one block at a time.
 _BLOCK = 1 << 16
+# A block's coordinate picks are drawn at most this many 32-bit words (8 KiB)
+# at a time, so the ~2**15 picks of a block never sit in one 128 KiB integer.
+_WORDS = 1 << 11
 
 
-def _fixed(state: ChainState):
-    """What ``run`` reads of one coordinate: its RNG's ``getrandbits``, the
-    state, its edge list and position map (mutated in place), and the data
-    that no swap changes, with the bit widths of randbelow(m), randbelow(m-1),
-    randbelow(m-2) and randbelow(matchings)."""
-    inst, m = state.instance, len(state.edges)
-    return (
-        state.rng.getrandbits,
-        state,
-        state.edges,
-        state._pos,
-        m,
-        (m - 1).bit_length(),
-        (m - 2).bit_length(),
-        (m - 3).bit_length(),
-        inst.disjoint_pairs > 0 and m >= 2,
-        inst.use_c6,
-        inst.kind == "simple",
-        inst.forbidden.pairs,
-        inst.matchings,
-        (inst.matchings - 1).bit_length(),
-    )
+def _picks(bits, k: int, moves: int, live: List[int]) -> List[int]:
+    """How many of ``moves`` randbelow(k) picks, k >= 2, land on each
+    coordinate in ``live``; the others are not counted.
+
+    The picks draw word for word what ``moves`` calls of randbelow(k) would
+    draw.  A call ``getrandbits(b)``, b <= 32, takes one 32-bit word and
+    keeps its top b bits, and ``getrandbits(32 * c)`` returns the next c
+    words, the first in its lowest 32 bits.  Every pick takes at least one
+    word, so drawing no more words than picks still needed never draws a
+    word the calls would not have drawn.
+    """
+    counts = [0] * k
+    nb = (k - 1).bit_length()
+    if k > 256:
+        for _ in range(moves):
+            i = bits(nb)
+            while i >= k:
+                i = bits(nb)
+            counts[i] += 1
+        return counts
+    # the top byte of a word -> its pick, or 255 where the pick is rejected
+    table = b"".join(bytes((v if v < k else 255,)) * (256 >> nb) for v in range(1 << nb))
+    while moves:
+        c = min(moves, _WORDS)
+        top = bits(32 * c).to_bytes(4 * c, "little")[3::4].translate(table)
+        for i in live:
+            counts[i] += top.count(i)
+        moves -= c if k == 256 else c - top.count(255)
+    return counts
+
+
+def _moves(state: ChainState, n: int) -> None:
+    """``n`` moves of one coordinate, each a proposal that is accepted or
+    stays; see ``run``."""
+    draw, apply = state.rng.getrandbits, state._apply
+    edges, pos, m, nb0, nb1, nb2, c4, c6, simple, banned, matchings, nbp = state._fixed
+    for _ in range(n):
+        if c6 and draw(1):
+            if m < 3:
+                continue  # no hexagon: the C6 half stays
+            j1 = draw(nb0)
+            while j1 >= m:
+                j1 = draw(nb0)
+            j2 = draw(nb1)
+            while j2 >= m - 1:
+                j2 = draw(nb1)
+            if j2 >= j1:
+                j2 += 1
+            (a1, b1), (a2, b2) = edges[j1], edges[j2]
+            if a1 == a2 or b1 == b2 or (a2, b1) not in banned:
+                continue  # no hexagon closes on this pair
+            j3 = draw(nb2)
+            while j3 >= m - 2:
+                j3 = draw(nb2)
+            if j3 >= min(j1, j2):
+                j3 += 1
+            if j3 >= max(j1, j2):
+                j3 += 1
+            a3, b3 = edges[j3]
+            if a3 == a1 or a3 == a2 or b3 == b1 or b3 == b2:
+                continue
+            # Instance._hexagon: the closing pairs forbidden, the targets not
+            if (a1, b3) not in banned or (a3, b2) not in banned:
+                continue
+            f1, f2, f3 = (a1, b2), (a2, b3), (a3, b1)
+            if f1 in banned or f2 in banned or f3 in banned:
+                continue
+            if f1 in pos or f2 in pos or f3 in pos:
+                continue
+            apply(j1, f1, j2, f2, j3, f3)
+            continue
+        if not c4:
+            continue
+        pick = draw(nbp)
+        while pick >= matchings:
+            pick = draw(nbp)
+        if not pick:
+            continue  # drew the current matching
+        while True:  # a uniform pair of distinct edges until it is vertex-disjoint
+            j1 = draw(nb0)
+            while j1 >= m:
+                j1 = draw(nb0)
+            j2 = draw(nb1)
+            while j2 >= m - 1:
+                j2 = draw(nb1)
+            if j2 >= j1:
+                j2 += 1
+            (a1, b1), (a2, b2) = edges[j1], edges[j2]
+            if a1 == a2 or b1 == b2 or simple and (a1 == b2 or b1 == a2):
+                continue
+            break
+        if simple:  # Instance._alts, in its order
+            x, y = (a2, b2) if pick == 1 else (b2, a2)
+            f1 = (a1, x) if a1 < x else (x, a1)
+            f2 = (b1, y) if b1 < y else (y, b1)
+        else:
+            f1, f2 = (a1, b2), (a2, b1)
+            if f1 in banned or f2 in banned:
+                continue
+        if f1 in pos or f2 in pos:
+            continue
+        apply(j1, f1, j2, f2)
 
 
 def run(chain: ProductChain, steps: int) -> ProductChain:
@@ -141,88 +269,27 @@ def run(chain: ProductChain, steps: int) -> ProductChain:
     past the edges already drawn.  A C4 proposal draws its matching first and
     stays on the current one without drawing edges; a C6 proposal draws its
     third edge only once the first two can close a hexagon.
+
+    A block's moves are counted per coordinate from their randbelow(K)
+    picks, and then each coordinate makes its moves in one stretch.  A
+    coordinate's moves draw from its own RNG alone and the picks from the
+    selector's, so every RNG sees the draws it would see with the moves
+    interleaved, and the states are the same.
     """
     coords = chain.coordinates
     k = len(coords)
     if not k:
         return chain
-    fixed = [_fixed(c) for c in coords]
+    live = [i for i, c in enumerate(coords) if c._live]
     bits = chain.rng.getrandbits
-    k_bits = (k - 1).bit_length()
     while steps > 0:
         block = min(steps, _BLOCK)
         steps -= block
-        for _ in range(bits(block).bit_count()):  # the non-lazy steps
-            i = bits(k_bits)
-            while i >= k:
-                i = bits(k_bits)
-            (draw, state, edges, pos, m, nb0, nb1, nb2, c4, c6, simple, banned,
-             matchings, nbp) = fixed[i]
-            if c6 and draw(1):
-                if m < 3:
-                    continue  # no hexagon: the C6 half stays
-                j1 = draw(nb0)
-                while j1 >= m:
-                    j1 = draw(nb0)
-                j2 = draw(nb1)
-                while j2 >= m - 1:
-                    j2 = draw(nb1)
-                if j2 >= j1:
-                    j2 += 1
-                (a1, b1), (a2, b2) = e1, e2 = edges[j1], edges[j2]
-                if a1 == a2 or b1 == b2 or (a2, b1) not in banned:
-                    continue  # no hexagon closes on this pair
-                j3 = draw(nb2)
-                while j3 >= m - 2:
-                    j3 = draw(nb2)
-                if j3 >= min(j1, j2):
-                    j3 += 1
-                if j3 >= max(j1, j2):
-                    j3 += 1
-                a3, b3 = e3 = edges[j3]
-                if a3 == a1 or a3 == a2 or b3 == b1 or b3 == b2:
-                    continue
-                # Instance._hexagon: the closing pairs forbidden, the targets not
-                if (a1, b3) not in banned or (a3, b2) not in banned:
-                    continue
-                f1, f2, f3 = (a1, b2), (a2, b3), (a3, b1)
-                if f1 in banned or f2 in banned or f3 in banned:
-                    continue
-                if f1 in pos or f2 in pos or f3 in pos:
-                    continue
-                state._apply((e1, e2, e3), (f1, f2, f3))
-                continue
-            if not c4:
-                continue
-            pick = draw(nbp)
-            while pick >= matchings:
-                pick = draw(nbp)
-            if not pick:
-                continue  # drew the current matching
-            while True:  # a uniform pair of distinct edges until it is vertex-disjoint
-                j1 = draw(nb0)
-                while j1 >= m:
-                    j1 = draw(nb0)
-                j2 = draw(nb1)
-                while j2 >= m - 1:
-                    j2 = draw(nb1)
-                if j2 >= j1:
-                    j2 += 1
-                (a1, b1), (a2, b2) = e1, e2 = edges[j1], edges[j2]
-                if a1 == a2 or b1 == b2 or simple and (a1 == b2 or b1 == a2):
-                    continue
-                break
-            if simple:  # Instance._alts, in its order
-                x, y = (a2, b2) if pick == 1 else (b2, a2)
-                f1 = (a1, x) if a1 < x else (x, a1)
-                f2 = (b1, y) if b1 < y else (y, b1)
-            else:
-                f1, f2 = (a1, b2), (a2, b1)
-                if f1 in banned or f2 in banned:
-                    continue
-            if f1 in pos or f2 in pos:
-                continue
-            state._apply((e1, e2), (f1, f2))
+        moves = bits(block).bit_count()  # the non-lazy steps
+        counts = [moves] if k == 1 else _picks(bits, k, moves, live)
+        for i in live:
+            if counts[i]:
+                _moves(coords[i], counts[i])
     return chain
 
 

@@ -491,7 +491,7 @@ def _reference_c4(state: ChainState) -> None:
     f1, f2 = alts[pick - 1]
     if f1 in state._pos or f2 in state._pos:
         return  # would create a multi-edge
-    state._apply((e1, e2), (f1, f2))
+    state._apply(j1, f1, j2, f2)
 
 
 def _reference_c6(state: ChainState) -> None:
@@ -513,7 +513,7 @@ def _reference_c6(state: ChainState) -> None:
         return
     if any(t in state._pos for t in targets):
         return
-    state._apply(triple, targets)
+    state._apply(j1, targets[0], j2, targets[1], j3, targets[2])
 
 
 def reference_run(chain: ProductChain, steps: int) -> ProductChain:

@@ -318,12 +318,20 @@ def test_sample_beyond_enumerable_sizes(name, monkeypatch):
 def test_derive_seed_stable():
     assert derive_seed(0, 0) != derive_seed(0, 1)
     assert derive_seed(0, 0) == derive_seed(0, 0)
+    # the seed-to-draw mapping: sha256 of "degmix:<master>:<index>", first 8 bytes
+    import hashlib
+
+    for m, i in ((0, 0), (0, 1), (1671, 3), (2 ** 63, 0), (2 ** 63, 7), (-5, 2)):
+        want = hashlib.sha256(b"degmix:%d:%d" % (m, i)).digest()[:8]
+        assert derive_seed(m, i) == int.from_bytes(want, "big"), (m, i)
 
 
 # Inputs on which ``run`` must consume every RNG exactly as ``reference_run``
 # does: each golden-draw input, plus edge counts on both sides of 21 (where
 # CPython's ``Random.sample`` changes method; degmix's draws do not), C6
-# swaps on a larger directed input, and a frozen factor.
+# swaps on a larger directed input, a frozen factor, and a star plus two
+# edges with K = 256 and K = 257 factors, on either side of the byte-wide
+# coordinate picks.
 RUN_CASES = {
     **{"golden-" + name: case for name, case in GOLDEN_CASES.items()},
     "pool-simple": (DegreeSequence([3] * 14), "off", None),  # m = 21
@@ -331,6 +339,8 @@ RUN_CASES = {
     "set-bipartite": (BipartiteDegreeSequence([3] * 10, [3] * 10), "off", None),  # m = 30
     "set-c6-directed": (DirectedDegreeSequence([3] * 10, [3] * 10), "auto", None),  # m = 30
     "frozen-star": (DegreeSequence((3, 1, 1, 1)), "off", None),  # no disjoint pair
+    "hub-256": (DegreeSequence([258] + [2] * 4 + [1] * 254), "auto", None),  # n = 259
+    "hub-257": (DegreeSequence([259] + [2] * 4 + [1] * 255), "auto", None),  # n = 260
 }
 
 # The graph whose spectra matrix is the golden DSM input: three components.
@@ -362,9 +372,13 @@ def test_run_matches_product_step(name):
         assert any(inst.use_c6 for inst in plan.factors)
     if name.startswith("frozen"):
         assert [inst.disjoint_pairs for inst in plan.factors] == [0]
+    if name.startswith("hub"):
+        assert len(sizes) == int(name[4:])
     ref, fast = build_product_chain(plan, seed=31), build_product_chain(plan, seed=31)
     start = _snapshot(ref)
-    for k in (0, 1, 2000):
+    # a hub's one live factor gets 1/K of the moves; its 10,000 moves reach
+    # it ~40 times and take several refills of coordinate picks
+    for k in (0, 1, 20000 if name.startswith("hub") else 2000):
         reference_run(ref, k)
         run(fast, k)
         assert _snapshot(fast) == _snapshot(ref)
@@ -410,18 +424,21 @@ def test_run_draws_only_through_getrandbits(name):
 
 def test_run_holds_one_block_of_lazy_bits():
     # 2**20 steps as one getrandbits call would hold a 128 KiB integer;
-    # blocks of 2**16 bits hold 8 KiB at a time
+    # blocks of 2**16 bits hold 8 KiB at a time.  On a multi-coordinate
+    # plan, a block's ~2**15 coordinate picks drawn as one integer would
+    # hold 128 KiB more; they are drawn a few KiB at a time.
     import tracemalloc
 
-    pc = build_product_chain(_run_plan("golden-simple-off"), seed=2)
-    run(pc, 1000)
-    tracemalloc.start()
-    try:
-        run(pc, 2 ** 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 1024, peak
+    for name in ("golden-simple-off", "dsm-golden"):
+        pc = build_product_chain(_run_plan(name), seed=2)
+        run(pc, 1000)
+        tracemalloc.start()
+        try:
+            run(pc, 2 ** 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 1024, (name, peak)
 
 
 def _chi_square_bound(df: int, z: float = 3.719) -> float:

@@ -1,7 +1,7 @@
 """numpy is loaded only by the ``verify`` modes that compute with it,
-hashlib (with OpenSSL) only by the jobs that derive chain seeds, the
-sampler and the exhaustive engine only by the commands that run them, and
-``dataclasses`` (with ``inspect``) by no job.
+the sampler and the exhaustive engine only by the commands that run them,
+and hashlib (with OpenSSL) and ``dataclasses`` (with ``inspect``) by no
+job: chain seeds come from the lean builtin sha256.
 
 Every CLI job is its own process, so an import that a job does not use is
 paid on every run.  These tests start fresh interpreters and read
@@ -70,17 +70,19 @@ def test_cli_jobs_load_numpy_only_to_compute(tmp_path, argv, loads_numpy):
     assert "numpy loaded: %s" % loads_numpy in got.stderr
 
 
-@pytest.mark.parametrize("argv, loads_hashlib", [
-    (["decompose", "--seq", "seq.json"], False),
-    (["verify", "--seq", "seq.json", "--mode", "connectivity"], False),
-    # the control: sample derives its chains' seeds with sha256
-    (["sample", "--seq", "seq.json", "--count", "1"], True),
-], ids=["decompose", "verify-connectivity", "sample"])
-def test_cli_jobs_load_hashlib_only_to_seed(tmp_path, argv, loads_hashlib):
+@pytest.mark.parametrize("argv, prelude, loads_hashlib", [
+    (["decompose", "--seq", "seq.json"], "", False),
+    (["verify", "--seq", "seq.json", "--mode", "connectivity"], "", False),
+    # sample derives its chains' seeds without hashlib
+    (["sample", "--seq", "seq.json", "--count", "1"], "", False),
+    # the control: the wrapper does see hashlib once something imports it
+    (["sample", "--seq", "seq.json", "--count", "1"], "import hashlib\n", True),
+], ids=["decompose", "verify-connectivity", "sample", "sample-after-import"])
+def test_cli_jobs_load_hashlib_only_to_seed(tmp_path, argv, prelude, loads_hashlib):
     if not loads_hashlib:
         skip_if_loaded_at_startup("hashlib", tmp_path)
     (tmp_path / "seq.json").write_text(json.dumps(SEQ))
-    got = run_python("-c", WRAPPER, *argv, cwd=tmp_path)
+    got = run_python("-c", prelude + WRAPPER, *argv, cwd=tmp_path)
     assert got.returncode == 0, got.stderr
     assert "hashlib loaded: %s" % loads_hashlib in got.stderr
 
