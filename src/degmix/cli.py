@@ -4,6 +4,7 @@ Subcommands: test, decompose, compose, sample, verify, dsm, count.
 Exit codes: 0 success, 1 domain-negative finding under --strict (not
 graphical, disconnected, product mismatch), 2 usage error (bad arguments,
 unreadable or malformed input files, an instance over the enumeration cap).
+A job whose reader closes stdout early also exits 1, without a traceback.
 
 Each job is its own process, so each command imports the modules it
 computes with: no job loads the sampler, the exhaustive engine or the
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -540,5 +542,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
 
+def console_entry() -> None:
+    """The ``degmix`` command: ``main``, then an exit without teardown.
+
+    Once ``main`` has returned, every output is closed (the ``--out`` file
+    and the ``--jobs`` worker pool by their ``with`` blocks) and the streams
+    are flushed here, so freeing the interpreter's objects one by one would
+    only delay the exit: ``os._exit`` leaves them to the OS.  An uncaught
+    exception and argparse's ``SystemExit`` exit normally.  A reader that
+    closes the pipe early ends the job with status 1 and no traceback.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

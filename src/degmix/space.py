@@ -3,13 +3,15 @@
 Everything here is exact: realization spaces are enumerated by a pruned
 depth-first search over chords, each computes its kernel with one scan per
 realization of the move-table rows over its free chords, for connectivity,
-transition matrices and the product check.  Up to 20 realizations the
-spectrum comes from the dense transition matrix, and the conductance from a
-recurrence that fills the boundaries of all 2^n state sets in O(2^n); beyond
-that, lambda2 and the sweep cut come from Lanczos iteration on the sparse
-kernel, which builds no n x n array.  The exact TV audit powers the
-deviation of the kernel from uniform.  The product and swap-locality
-theorems are checked realization by realization with bijections.
+transition matrices and the product check.  Up to ``EXACT_STATES`` (20)
+realizations the spectrum comes from the dense transition matrix, and the
+conductance from a recurrence that fills the boundaries of all 2^n state
+sets in O(2^n); beyond that, lambda2 and the sweep cut come from Lanczos
+iteration on the sparse kernel, which builds no n x n array.  The exact TV
+audit powers the deviation of the kernel from uniform, on plain Python rows
+up to ``EXACT_STATES`` realizations, so that it loads no numpy, and with
+numpy beyond.  The product and swap-locality theorems are checked
+realization by realization with bijections.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import copy
 import random
 from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .chain import ChainState, ProductChain, _make_plan, run
@@ -43,6 +46,7 @@ if TYPE_CHECKING:  # numpy is imported by the functions that compute with it
 
 __all__ = [
     "DEFAULT_MAX_CHORDS",
+    "EXACT_STATES",
     "Space",
     "SpectralReport",
     "realization_space",
@@ -54,6 +58,12 @@ __all__ = [
 ]
 
 DEFAULT_MAX_CHORDS = 24
+
+# Spaces of at most this many realizations are solved exactly: the dense
+# spectrum and the exact conductance, and the TV kernel power on plain rows
+# (at most ~1M multiply-adds even at 10^18 steps, cheaper than importing
+# numpy).
+EXACT_STATES = 20
 
 
 def _instance_for(d, f: Optional[ForbiddenSet], c4_only: bool) -> Instance:
@@ -346,14 +356,14 @@ def spectral_report(space: Space) -> SpectralReport:
     The single-realization chain is reported with lambda2 = 0 and the
     trivial flag set.
     """
-    import numpy as np
-
     n = space.count
     if n == 1:
         return SpectralReport(0.0, 1.0, 1.0, 1, True, trivial=True)
     if not space.connected():
         raise Disconnected("realization graph has more than one component")
-    exact = n <= 20
+    import numpy as np
+
+    exact = n <= EXACT_STATES
     if exact:
         p = space.transition_matrix()
         lam2 = np.linalg.eigvalsh(p)[-2]
@@ -554,6 +564,37 @@ def swap_locality_report(d, max_chords: Optional[int] = None) -> dict:
 # total-variation audits
 
 
+def _matmul(a: List[List[float]], b: List[List[float]]) -> List[List[float]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _deviation_power(kernel, steps: int) -> List[List[float]]:
+    """(P - J/n)^steps on plain rows, with P^0 = I; P is the kernel with its
+    stay mass on the diagonal.  Repeated squaring, in the order of numpy's
+    ``matrix_power``."""
+    n = len(kernel)
+    dev = []
+    for i, out in enumerate(kernel):
+        row = [0.0] * n
+        if steps:
+            for j, w in out.items():
+                row[j] = w
+            row[i] = 1.0 - sum(out.values())
+        else:
+            row[i] = 1.0
+        dev.append([x - 1.0 / n for x in row])
+    if not steps:
+        return dev
+    power = z = None
+    while steps:
+        z = dev if z is None else _matmul(z, z)
+        if steps & 1:
+            power = z if power is None else _matmul(power, z)
+        steps >>= 1
+    return power
+
+
 def tv_distance_audit(
     d,
     steps: int,
@@ -568,13 +609,12 @@ def tv_distance_audit(
     Exact mode: worst-start TV of the k-step kernel power.  The kernel P is
     doubly stochastic, so P^k - J/n = (P - J/n)^k for k >= 1 (J the all-ones
     matrix): the deviation is powered directly, and its rounding error
-    shrinks with it instead of building up in the row sums of P^k.  Zero
-    steps give 1 - 1/n.  Empirical mode (requires ``seed`` and ``steps``
-    >= 1): TV between the occupation frequencies of one ``steps``-long
-    seeded trajectory and uniform.
+    shrinks with it instead of building up in the row sums of P^k.  Up to
+    ``EXACT_STATES`` realizations it is powered on plain Python rows, past
+    that with numpy.  Zero steps give 1 - 1/n.  Empirical mode (requires
+    ``seed`` and ``steps`` >= 1): TV between the occupation frequencies of
+    one ``steps``-long seeded trajectory and uniform.
     """
-    import numpy as np
-
     if empirical and seed is None:
         raise ValueError("the empirical audit requires a seed")
     if empirical and steps < 1:
@@ -583,6 +623,10 @@ def tv_distance_audit(
     n = space.count
     if n == 0:
         raise NotGraphical("no realizations")
+    if not empirical and n <= EXACT_STATES:
+        return 0.5 * max(sum(map(abs, row)) for row in _deviation_power(space.kernel, steps))
+    import numpy as np
+
     if not empirical:
         dev = space.transition_matrix() - 1.0 / n
         dev = np.linalg.matrix_power(dev, steps) if steps else np.eye(n) - 1.0 / n
@@ -590,10 +634,12 @@ def tv_distance_audit(
     rng = random.Random(seed)
     state = ChainState(space.instance, space.instance.edges_of_mask(space.masks[0]), rng)
     pc = ProductChain([state], random.Random(0))  # the choice of coordinate has its own stream
-    idx = space.index()
-    counts = np.zeros(n)
+    # the chain keeps its edges in chord form, so their set names the state
+    idx = {frozenset(space.instance.edges_of_mask(m)): i for i, m in enumerate(space.masks)}
+    edges = state.edges
+    counts = [0] * n
     for _ in range(steps):
         run(pc, 1)
-        counts[idx[state.mask]] += 1
-    freq = counts / steps
+        counts[idx[frozenset(edges)]] += 1
+    freq = np.array(counts, dtype=float) / steps
     return float(0.5 * np.abs(freq - 1.0 / n).sum())

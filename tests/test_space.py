@@ -502,6 +502,24 @@ def test_tv_deviation_power_matches_kernel_power():
         assert abs(tv_distance_audit(seq, steps) - want) <= 1e-12 * want + 1e-14
 
 
+@pytest.mark.parametrize("seq, c4_only", [
+    (DegreeSequence((2, 2, 1, 1, 1, 1)), False),
+    # two states that C4 swaps do not join: the deviation never decays
+    (DirectedDegreeSequence((1, 1, 1), (1, 1, 1)), True),
+], ids=["simple-18", "disconnected-2"])
+def test_tv_list_power_matches_matrix_power(seq, c4_only):
+    space = realization_space(seq, c4_only=c4_only)
+    n = space.count
+    assert n <= degmix.space.EXACT_STATES
+    p = space.transition_matrix()
+    for steps in (0, 1, 40, 10 ** 18):
+        want = np.linalg.matrix_power(p - 1.0 / n, steps) if steps else np.eye(n) - 1.0 / n
+        got = np.array(degmix.space._deviation_power(space.kernel, steps))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), steps
+        tv = 0.5 * np.abs(want).sum(axis=1).max()
+        assert abs(tv_distance_audit(seq, steps, c4_only=c4_only) - tv) <= 1e-12 * tv, steps
+
+
 def test_tv_disconnected_stays_away_from_zero():
     dd = DirectedDegreeSequence((1, 1, 1), (1, 1, 1))
     for steps in (10, 100, 1000):
