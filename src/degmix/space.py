@@ -1,17 +1,21 @@
 """Desk-scale verification engine over exhaustively enumerated realizations.
 
-Everything here is exact: realization spaces are enumerated by a pruned
-depth-first search over chords, each computes its kernel with one scan per
-realization of the move-table rows over its free chords, for connectivity,
-transition matrices and the product check.  Up to ``EXACT_STATES`` (20)
-realizations the spectrum comes from the dense transition matrix, and the
-conductance from a recurrence that fills the boundaries of all 2^n state
-sets in O(2^n); beyond that, lambda2 and the sweep cut come from Lanczos
-iteration on the sparse kernel, which builds no n x n array.  The exact TV
-audit powers the deviation of the kernel from uniform, on plain Python rows
-up to ``EXACT_STATES`` realizations, so that it loads no numpy, and with
-numpy beyond.  The product and swap-locality theorems are checked
-realization by realization with bijections.
+Everything here is exact.  Realization spaces are enumerated by a pruned
+depth-first search over chords, in a walk order taken from the degrees
+alone, so relabeling an input without forbidden pairs does not change the
+search; each chord keeps its bit, so the sorted masks do not depend on the
+order.  The search backtracks in a loop, so its depth costs no Python
+stack.  Each space computes its kernel with one scan per realization of the
+move-table rows over its free chords, for connectivity, transition matrices
+and the product check.  Up to ``EXACT_STATES`` (20) realizations the
+spectrum comes from the dense transition matrix, and the conductance from a
+recurrence that fills the boundaries of all 2^n state sets in O(2^n);
+beyond that, lambda2 and the sweep cut come from Lanczos iteration on the
+sparse kernel, which builds no n x n array.  The exact TV audit powers the
+deviation of the kernel from uniform, on plain Python rows up to
+``EXACT_STATES`` realizations, so that it loads no numpy, and with numpy
+beyond.  The product and swap-locality theorems are checked realization by
+realization with bijections.
 """
 
 from __future__ import annotations
@@ -82,46 +86,98 @@ def _instance_for(d, f: Optional[ForbiddenSet], c4_only: bool) -> Instance:
     return simple_instance(degrees)
 
 
+def _ranks(values) -> List[int]:
+    """Each index's position when the indices are sorted by value, ties by index."""
+    rank = [0] * len(values)
+    for r, v in enumerate(sorted(range(len(values)), key=values.__getitem__)):
+        rank[v] = r
+    return rank
+
+
 def _enumerate_masks(inst: Instance, max_chords: Optional[int]) -> Tuple[int, ...]:
+    """Every realization of ``inst`` as a chord bitmask, in ascending order.
+
+    A pruned depth-first search decides the chords one at a time.  Each
+    vertex keeps ``rem``, the edges it still needs, and ``spare``, how many
+    of its undecided chords it can still do without.  A chord may be left
+    out while both endpoints have a spare chord, and taken while both still
+    need an edge, so every path that reaches the last chord is a
+    realization.  The walk order comes from the degrees alone: simple
+    vertices by ascending degree (index breaking ties), each chord decided
+    at its earlier endpoint; bipartite rows by ascending degree, each row's
+    chords by descending column degree (index breaking ties).  So any
+    relabeling of an input without forbidden pairs gives the same search
+    tree.  Each chord keeps its own bit, so the sorted masks do not depend
+    on the walk order.  The search keeps its path in the mask and
+    backtracks in a loop, so no Python stack grows with the chord count,
+    and the cap is checked before any chord is built.
+    """
     cap = DEFAULT_MAX_CHORDS if max_chords is None else max_chords
-    k = len(inst.chords)
+    if inst.kind == "simple":
+        k = inst.n * (inst.n - 1) // 2
+    else:
+        k = inst.nu * inst.nw - len(inst.forbidden)
     if k > cap:
         raise TooLarge("instance has %d chords, cap is %d" % (k, cap))
     if inst.kind == "simple":
-        targets = list(inst.degrees)
-        endpoint = [(a, b) for a, b in inst.chords]
+        rem = list(inst.degrees)
+        endpoint = inst.chords
+        rank = _ranks(rem)
+        key = [min(rank[a], rank[b]) * inst.n + max(rank[a], rank[b]) for a, b in endpoint]
     else:
-        targets = list(inst.u_degrees) + list(inst.w_degrees)
+        rem = list(inst.u_degrees) + list(inst.w_degrees)
         endpoint = [(a, inst.nu + b) for a, b in inst.chords]
-    slack = [0] * len(targets)
+        row = _ranks(inst.u_degrees)
+        col = _ranks([-d for d in inst.w_degrees])
+        key = [row[a] * inst.nw + col[b] for a, b in inst.chords]
+    spare = [-d for d in rem]
     for a, b in endpoint:
-        slack[a] += 1
-        slack[b] += 1
-    if any(t > s for t, s in zip(targets, slack)):
+        spare[a] += 1
+        spare[b] += 1
+    if min(spare, default=0) < 0:
         return ()
-    rem = targets
+    walk = sorted(range(k), key=key.__getitem__)
+    ends = [endpoint[c] for c in walk]
+    bits = [1 << c for c in walk]
     out: List[int] = []
-
-    def dfs(idx: int, mask: int) -> None:
-        if idx == k:
+    i = mask = 0
+    while True:
+        # Descend: leave each chord out where both endpoints can spare it,
+        # else take it, until the last chord or a dead end.
+        while i < k:
+            a, b = ends[i]
+            if spare[a] and spare[b]:
+                spare[a] -= 1
+                spare[b] -= 1
+            elif rem[a] and rem[b]:
+                rem[a] -= 1
+                rem[b] -= 1
+                mask |= bits[i]
+            else:
+                break
+            i += 1
+        else:
             out.append(mask)
-            return
-        a, b = endpoint[idx]
-        slack[a] -= 1
-        slack[b] -= 1
-        if rem[a] <= slack[a] and rem[b] <= slack[b]:
-            dfs(idx + 1, mask)
-        if rem[a] > 0 and rem[b] > 0:
-            rem[a] -= 1
-            rem[b] -= 1
-            dfs(idx + 1, mask | 1 << idx)
-            rem[a] += 1
-            rem[b] += 1
-        slack[a] += 1
-        slack[b] += 1
-
-    dfs(0, 0)
-    return tuple(sorted(out))
+        # Backtrack to the deepest chord left out that may be taken instead.
+        while i:
+            i -= 1
+            a, b = ends[i]
+            bit = bits[i]
+            if mask & bit:
+                rem[a] += 1
+                rem[b] += 1
+                mask ^= bit
+                continue
+            spare[a] += 1
+            spare[b] += 1
+            if rem[a] and rem[b]:
+                rem[a] -= 1
+                rem[b] -= 1
+                mask |= bit
+                i += 1
+                break
+        else:
+            return tuple(sorted(out))
 
 
 class Space:

@@ -22,6 +22,11 @@ n x n transition matrix, the probe projected onto the lambda2 eigenspace,
 and an O(n^2) sweep cut.  ``full_scan_kernel`` is ``Space.kernel`` before it
 pruned the move table to the free chords: every state scans every row.
 
+``_enumerate_masks`` is the realization enumeration before it took a walk
+order from the degrees: it decides the chords in input-label order, one
+recursive call per chord, so its cost depends on how the input numbers its
+vertices and its depth grows with the chord count.
+
 ``_Dinic`` is the max flow that realized restricted bipartite sequences
 before the Kleitman–Wang greedy; ``flow_realize`` is that realization, over
 one arc per allowed pair, and it accepts any forbidden set.
@@ -34,7 +39,7 @@ as it does.
 """
 
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,13 +51,15 @@ from degmix.decomposition import (
     _sorted_desc,
     psi,
 )
-from degmix.errors import InvalidSplit, NotGraphical
+from degmix.errors import InvalidSplit, NotGraphical, TooLarge
+from degmix.graphs import Instance
 from degmix.sequences import (
     BipartiteDegreeSequence,
     DegreeSequence,
     _coerce_bipartite,
     _coerce_simple,
 )
+from degmix.space import DEFAULT_MAX_CHORDS
 
 
 def erdos_gallai(d) -> bool:
@@ -366,6 +373,48 @@ def full_scan_kernel(space):
          if mask & rm == rm and not mask & add}
         for mask in space.masks
     )
+
+
+def _enumerate_masks(inst: Instance, max_chords: Optional[int]) -> Tuple[int, ...]:
+    cap = DEFAULT_MAX_CHORDS if max_chords is None else max_chords
+    k = len(inst.chords)
+    if k > cap:
+        raise TooLarge("instance has %d chords, cap is %d" % (k, cap))
+    if inst.kind == "simple":
+        targets = list(inst.degrees)
+        endpoint = [(a, b) for a, b in inst.chords]
+    else:
+        targets = list(inst.u_degrees) + list(inst.w_degrees)
+        endpoint = [(a, inst.nu + b) for a, b in inst.chords]
+    slack = [0] * len(targets)
+    for a, b in endpoint:
+        slack[a] += 1
+        slack[b] += 1
+    if any(t > s for t, s in zip(targets, slack)):
+        return ()
+    rem = targets
+    out: List[int] = []
+
+    def dfs(idx: int, mask: int) -> None:
+        if idx == k:
+            out.append(mask)
+            return
+        a, b = endpoint[idx]
+        slack[a] -= 1
+        slack[b] -= 1
+        if rem[a] <= slack[a] and rem[b] <= slack[b]:
+            dfs(idx + 1, mask)
+        if rem[a] > 0 and rem[b] > 0:
+            rem[a] -= 1
+            rem[b] -= 1
+            dfs(idx + 1, mask | 1 << idx)
+            rem[a] += 1
+            rem[b] += 1
+        slack[a] += 1
+        slack[b] += 1
+
+    dfs(0, 0)
+    return tuple(sorted(out))
 
 
 class _Dinic:

@@ -326,6 +326,22 @@ def test_verify_connectivity_and_strict(files, capsys):
     assert main(["verify", "--seq", files["directed"], "--mode", "connectivity"]) == 0
 
 
+def test_verify_star_past_a_thousand_chords(tmp_path, capsys):
+    # [45] + [1] * 45 has 1,035 chords and one realization
+    star = tmp_path / "star.json"
+    star.write_text(json.dumps({"kind": "simple", "degrees": [45] + [1] * 45}))
+    argv = ["verify", "--seq", str(star), "--max-chords", "2000", "--mode"]
+    assert main(argv + ["connectivity"]) == 0
+    assert capsys.readouterr() == ("1 realizations, connected\n", "")
+    assert main(argv + ["spectral", "--json"]) == 0
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert json.loads(got.out) == {
+        "schema": "degmix/1", "realizations": 1, "lambda2": 0.0, "relaxation_time": 1.0,
+        "conductance": 1.0, "conductance_exact": True, "trivial": True,
+    }
+
+
 def test_verify_spectral_golden(files, capsys):
     assert main(["verify", "--seq", files["matching"], "--mode", "spectral",
                  "--json"]) == 0
