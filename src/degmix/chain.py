@@ -400,6 +400,8 @@ def sample(
     and deterministically ordered for any ``jobs``.
     """
     _check_schedule(burn_in, thin)
+    if factorize not in ("auto", "off"):
+        raise ValueError("factorize must be 'auto' or 'off'")
     if count <= 0:
         return []
     plan = _make_plan(d, forbidden, factorize)

@@ -7,8 +7,8 @@ The sampler (``degmix.chain``) walks an edge list and never builds the
 chord list, so its cost does not grow with the number of chords.  The
 exhaustive engine (``degmix.space``), whose chord count is capped, encodes
 realizations as bitmasks over the chord list, so swap moves are two XORs
-and set membership is integer hashing; ``chords`` and the move table are
-built on its first use.
+and set membership is integer hashing; it builds ``chords`` on first use,
+and one move table per realization space, over that space's free chords.
 
 Move weights implement the lazy kernel: stay with probability 1/2, otherwise
 draw a uniformly random pair of vertex-disjoint edges (their count depends
@@ -27,6 +27,7 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ._value import Value
+from .errors import NotGraphical
 from .sequences import ForbiddenSet, _as_int
 
 __all__ = [
@@ -104,7 +105,7 @@ class SwapMove(Value):
 
 class Instance:
     """A fixed degree-sequence problem: degrees, forbidden pairs, swap kinds,
-    and, built on first use by the exhaustive engine, chords and moves.  C6
+    and, built on first use by the exhaustive engine, chords.  C6
     swaps run exactly when a forbidden partial 1-factor is present (only a
     bipartite instance takes one), unless ``c4_only`` turns them off."""
 
@@ -133,7 +134,7 @@ class Instance:
             self.nu, self.nw = len(self.u_degrees), len(self.w_degrees)
             self.m = sum(self.u_degrees)
             if self.m != sum(self.w_degrees):
-                raise ValueError("class degree sums differ")
+                raise NotGraphical("class degree sums differ")
             all_deg = self.u_degrees + self.w_degrees
             self.forbidden.require_in_range(self.nu, self.nw)
         self.use_c6 = len(self.forbidden) > 0 and not c4_only
@@ -231,44 +232,40 @@ class Instance:
             return None
         return targets
 
-    @cached_property
-    def move_table(self) -> List[Tuple[int, int, SwapMove, float]]:
-        """Every rewiring over the chords as (removed bits, added bits, move,
-        transition weight), C4 rows first.  C4 rows cover each disjoint chord
-        pair; C6 rows each unordered triple of pairwise-disjoint chords with
-        the (at most one) hexagon orientation that ``_hexagon`` accepts."""
-        bit = {c: 1 << i for i, c in enumerate(self.chords)}
+    def move_table(self, chords: int) -> List[Tuple[int, int, SwapMove, float]]:
+        """Every rewiring whose removed and added chords all lie in the bit
+        mask ``chords``, as (removed bits, added bits, move, weight), C4 rows
+        first, each kind in chord order: one per disjoint chord pair and other
+        matching, one per disjoint chord triple that ``_hexagon`` closes."""
+        bit = {c: 1 << i for i, c in enumerate(self.chords) if chords >> i & 1}
         simple = self.kind == "simple"
         table = []
         w4 = self.c4_weight()
-        for e1, e2 in combinations(self.chords, 2):
+        for e1, e2 in combinations(bit, 2):
             if not _disjoint(e1, e2) or simple and (e1[0] == e2[1] or e1[1] == e2[0]):
                 continue
             for f1, f2 in self._alts(e1, e2):
-                move = SwapMove("C4", (e1, e2), (f1, f2))
-                table.append((bit[e1] | bit[e2], bit[f1] | bit[f2], move, w4))
+                if f1 in bit and f2 in bit:
+                    move = SwapMove("C4", (e1, e2), (f1, f2))
+                    table.append((bit[e1] | bit[e2], bit[f1] | bit[f2], move, w4))
         if self.use_c6:
             w6 = self.c6_weight()
-            for e1, e2, e3 in combinations(self.chords, 3):
+            for e1, e2, e3 in combinations(bit, 3):
                 if not (_disjoint(e1, e2) and _disjoint(e1, e3) and _disjoint(e2, e3)):
                     continue
                 for perm in ((e1, e2, e3), (e1, e3, e2)):
                     got = self._hexagon(perm)
-                    if got is not None:
+                    if got is not None and all(t in bit for t in got):
                         rm = bit[e1] | bit[e2] | bit[e3]
                         add = bit[got[0]] | bit[got[1]] | bit[got[2]]
                         table.append((rm, add, SwapMove("C6", perm, got), w6))
         return table
 
-    def _valid(self, mask: int):
-        """The move table's rows that apply at ``mask``."""
-        return (row for row in self.move_table if mask & row[0] == row[0] and not mask & row[1])
+    def moves(self, mask: int, rows) -> List[SwapMove]:
+        return [move for rm, add, move, _ in rows if mask & rm == rm and not mask & add]
 
-    def moves(self, mask: int) -> List[SwapMove]:
-        return [move for _, _, move, _ in self._valid(mask)]
-
-    def weighted_neighbors(self, mask: int) -> List[Tuple[int, float]]:
-        return [(mask ^ rm ^ add, w) for rm, add, _, w in self._valid(mask)]
+    def weighted_neighbors(self, mask: int, rows) -> List[Tuple[int, float]]:
+        return [(mask ^ rm ^ add, w) for rm, add, _, w in rows if mask & rm == rm and not mask & add]
 
 
 def _disjoint(e1: Edge, e2: Edge) -> bool:
@@ -309,7 +306,7 @@ def enumerate_swaps(g, f: Optional[ForbiddenSet] = None) -> List[SwapMove]:
         inst = bipartite_instance(g.u_degrees(), g.w_degrees(), f)
     else:
         raise TypeError("expected a LabeledGraph or LabeledBipartiteGraph")
-    return inst.moves(inst.mask_of_edges(g.edges))
+    return inst.moves(inst.mask_of_edges(g.edges), inst.move_table((1 << len(inst.chords)) - 1))
 
 
 def _require_in_range(edges, rows: int, cols: int) -> None:

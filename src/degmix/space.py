@@ -5,9 +5,9 @@ depth-first search over chords, in a walk order taken from the degrees
 alone, so relabeling an input without forbidden pairs does not change the
 search; each chord keeps its bit, so the sorted masks do not depend on the
 order.  The search backtracks in a loop, so its depth costs no Python
-stack.  Each space computes its kernel with one scan per realization of the
-move-table rows over its free chords, for connectivity, transition matrices
-and the product check.  Up to ``EXACT_STATES`` (20) realizations the
+stack.  Each space scans one move table, over its free chords, once per
+realization for its kernel, which connectivity, transition matrices and
+the product check read.  Up to ``EXACT_STATES`` (20) realizations the
 spectrum comes from the dense transition matrix, and the conductance from a
 recurrence that fills the boundaries of all 2^n state sets in O(2^n);
 beyond that, lambda2 and the sweep cut come from Lanczos iteration on the
@@ -20,7 +20,6 @@ realization with bijections.
 
 from __future__ import annotations
 
-import copy
 import random
 from functools import cached_property
 from operator import mul
@@ -195,24 +194,24 @@ class Space:
         return {m: i for i, m in enumerate(self.masks)}
 
     @cached_property
-    def kernel(self) -> Tuple[Dict[int, float], ...]:
-        """Each state's off-diagonal transitions, neighbor index -> weight, in
-        move-table order.  A move's bits are the state XOR the neighbor, so no
-        two valid moves share a neighbor; the rest of a row's mass is the stay.
-
-        A valid move joins two realizations, and realizations differ only in
-        free chords (those set in some but not all of them), so only the
-        table's rows over free chords are scanned, in table order."""
+    def rows(self) -> list:
+        """The instance's move table over the free chords, those set in some
+        but not all realizations.  A valid move joins two realizations, which
+        differ only in free chords, so no other row applies at any state."""
         free = 0
         for mask in self.masks:
             free |= mask ^ self.masks[0]
-        pruned = copy.copy(self.instance)
-        pruned.move_table = [
-            row for row in self.instance.move_table if not (row[0] | row[1]) & ~free
-        ]
+        return self.instance.move_table(free)
+
+    @cached_property
+    def kernel(self) -> Tuple[Dict[int, float], ...]:
+        """Each state's off-diagonal transitions, neighbor index -> weight, in
+        move-table order, from one scan of ``rows`` per state.  A move's bits
+        are the state XOR the neighbor, so no two valid moves share a
+        neighbor; the rest of a row's mass is the stay."""
         idx = self.index()
         return tuple(
-            {idx[nxt]: w for nxt, w in pruned.weighted_neighbors(mask)}
+            {idx[nxt]: w for nxt, w in self.instance.weighted_neighbors(mask, self.rows)}
             for mask in self.masks
         )
 
@@ -520,6 +519,8 @@ def verify_cartesian_product(
             % (whole.count, s1.count, s2.count),
             witness={"counts": (whole.count, s1.count, s2.count)},
         )
+    if not whole.count:
+        raise NotGraphical("no realizations")
     index = (s1.index(), s2.index())
     seen = {}
     for mask in whole.masks:
@@ -598,12 +599,11 @@ def swap_locality_report(d, max_chords: Optional[int] = None) -> dict:
     touches vertices of exactly one canonical component (tail included).
     The components are the sampler's own factor layout."""
     layout = _make_plan(d, None, "auto")
-    inst = _make_plan(d, None, "off").factors[0]
-    masks = _enumerate_masks(inst, max_chords)
+    space = realization_space(d, max_chords=max_chords)
     u_own, w_own = layout.owners()
     checked = 0
-    for mask in masks:
-        for move in inst.moves(mask):
+    for mask in space.masks:
+        for move in space.instance.moves(mask, space.rows):
             edges = move.removed + move.added
             owners = {u_own[a] for a, _ in edges} | {w_own[b] for _, b in edges}
             if len(owners) != 1:
@@ -612,7 +612,7 @@ def swap_locality_report(d, max_chords: Optional[int] = None) -> dict:
                     witness={"move": move, "mask": mask},
                 )
             checked += 1
-    return {"ok": True, "realizations": len(masks), "swaps_checked": checked,
+    return {"ok": True, "realizations": space.count, "swaps_checked": checked,
             "components": len(layout.factors)}
 
 

@@ -20,7 +20,10 @@ boundaries of all 2^n subsets by a recurrence in O(2^n).
 moved to Lanczos iteration on the sparse kernel: a dense ``eigh`` of the
 n x n transition matrix, the probe projected onto the lambda2 eigenspace,
 and an O(n^2) sweep cut.  ``full_scan_kernel`` is ``Space.kernel`` before it
-pruned the move table to the free chords: every state scans every row.
+pruned the move table to the free chords: every state scans every row of
+``move_table``, the whole-instance table that ``Instance`` cached before each
+space built its own over its free chords (the body is unchanged, with
+``self`` read as ``inst``).
 
 ``_enumerate_masks`` is the realization enumeration before it took a walk
 order from the degrees: it decides the chords in input-label order, one
@@ -39,6 +42,7 @@ as it does.
 """
 
 from functools import lru_cache
+from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,7 +56,7 @@ from degmix.decomposition import (
     psi,
 )
 from degmix.errors import InvalidSplit, NotGraphical, TooLarge
-from degmix.graphs import Instance
+from degmix.graphs import Instance, SwapMove, _disjoint
 from degmix.sequences import (
     BipartiteDegreeSequence,
     DegreeSequence,
@@ -363,11 +367,40 @@ def dense_sweep_report(space) -> Tuple[float, float]:
     return float(min(max(vals[-2], -1.0), 1.0)), phi
 
 
+def move_table(inst: Instance) -> List[Tuple[int, int, SwapMove, float]]:
+    """Every rewiring over the chords as (removed bits, added bits, move,
+    transition weight), C4 rows first.  C4 rows cover each disjoint chord
+    pair; C6 rows each unordered triple of pairwise-disjoint chords with
+    the (at most one) hexagon orientation that ``_hexagon`` accepts."""
+    bit = {c: 1 << i for i, c in enumerate(inst.chords)}
+    simple = inst.kind == "simple"
+    table = []
+    w4 = inst.c4_weight()
+    for e1, e2 in combinations(inst.chords, 2):
+        if not _disjoint(e1, e2) or simple and (e1[0] == e2[1] or e1[1] == e2[0]):
+            continue
+        for f1, f2 in inst._alts(e1, e2):
+            move = SwapMove("C4", (e1, e2), (f1, f2))
+            table.append((bit[e1] | bit[e2], bit[f1] | bit[f2], move, w4))
+    if inst.use_c6:
+        w6 = inst.c6_weight()
+        for e1, e2, e3 in combinations(inst.chords, 3):
+            if not (_disjoint(e1, e2) and _disjoint(e1, e3) and _disjoint(e2, e3)):
+                continue
+            for perm in ((e1, e2, e3), (e1, e3, e2)):
+                got = inst._hexagon(perm)
+                if got is not None:
+                    rm = bit[e1] | bit[e2] | bit[e3]
+                    add = bit[got[0]] | bit[got[1]] | bit[got[2]]
+                    table.append((rm, add, SwapMove("C6", perm, got), w6))
+    return table
+
+
 def full_scan_kernel(space):
     """Each state's neighbor index -> weight, from a scan of the whole move
     table per state."""
     idx = space.index()
-    table = space.instance.move_table
+    table = move_table(space.instance)
     return tuple(
         {idx[mask ^ rm ^ add]: w for rm, add, _, w in table
          if mask & rm == rm and not mask & add}

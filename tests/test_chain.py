@@ -143,6 +143,12 @@ def test_sample_rejects_bad_schedules():
         sample(seq, burn_in=0, thin=0, count=1, seed=0)
 
 
+def test_sample_rejects_an_unknown_factorize():
+    for count in (0, 2):
+        with pytest.raises(ValueError, match="factorize must be 'auto' or 'off'"):
+            sample(DegreeSequence((1, 1)), 0, 1, count, 0, factorize="bogus")
+
+
 def test_sample_not_graphical():
     with pytest.raises(NotGraphical):
         sample(DegreeSequence((3, 3, 1, 1)), burn_in=1, thin=1, count=1, seed=0)
@@ -451,7 +457,7 @@ def _chi_square_bound(df: int, z: float = 3.719) -> float:
 def _busiest(space) -> int:
     """Index of the realization with the most C6 moves, then the most moves."""
     def key(i):
-        moves = space.instance.moves(space.masks[i])
+        moves = space.instance.moves(space.masks[i], space.rows)
         return sum(move.kind == "C6" for move in moves), len(moves)
     return max(range(space.count), key=key)
 
@@ -515,7 +521,7 @@ def test_run_t_step_law_matches_exact_kernel(name, t):
         spaces = [realization_space(*LAW_CASES[name])]
     if name in ("restricted-c6", "directed"):  # C6 moves leave the start
         assert any(m.kind == "C6" for m in spaces[0].instance.moves(
-            spaces[0].masks[_busiest(spaces[0])]))
+            spaces[0].masks[_busiest(spaces[0])], spaces[0].rows))
     _assert_t_step_law(spaces, t, trials=40000, seed=1600 + t)
 
 

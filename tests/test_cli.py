@@ -181,6 +181,22 @@ def test_verify_no_realizations_is_a_finding(tmp_path, capsys, mode):
     assert got.err.splitlines() == ["verify: no realizations"] * 2
 
 
+@pytest.mark.parametrize("mode", ["spectral", "connectivity", "tv"])
+@pytest.mark.parametrize("payload", [
+    {"kind": "bipartite", "u": [2, 1], "w": [1, 1]},
+    {"kind": "directed", "out": [2, 1], "in": [1, 1]},
+], ids=["bipartite", "directed"])
+def test_verify_unequal_class_sums_is_a_finding(tmp_path, capsys, mode, payload):
+    path = tmp_path / "sums.json"
+    path.write_text(json.dumps(payload))
+    argv = ["verify", "--seq", str(path), "--mode", mode]
+    assert main(argv) == 0
+    assert main(argv + ["--strict"]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.splitlines() == ["verify: class degree sums differ"] * 2
+
+
 def test_verify_product_forbidden_exits_2(tmp_path, capsys, monkeypatch):
     # product mode checks the unrestricted factors, so a forbidden set is
     # rejected before the sequence is decomposed

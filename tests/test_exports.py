@@ -1,8 +1,11 @@
 """Every exported name resolves: each module's ``__all__`` and the package's
-re-exports, so a deleted function cannot linger in an export list."""
+re-exports, so a deleted function cannot linger in an export list.  No
+module checks anything with ``assert``."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +33,14 @@ def test_package_imports_resolve():
     star = {}
     exec("from degmix import *", star)
     assert sorted(set(star) - {"__builtins__"}) == sorted(n for _, n in imported)
+
+
+def test_no_module_relies_on_assert():
+    # ``python -O`` strips assert statements, and the checks with them
+    found = []
+    for name in ["__init__"] + MODULES:
+        path = Path(degmix.__file__).with_name(name + ".py")
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

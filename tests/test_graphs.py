@@ -1,14 +1,19 @@
-"""Swap-move enumeration on fixed realizations."""
+"""Swap-move enumeration on fixed realizations, and move tables."""
+
+import tracemalloc
 
 import pytest
 
 from degmix import (
+    DegreeSequence,
     ForbiddenSet,
     LabeledBipartiteGraph,
     LabeledGraph,
     enumerate_swaps,
+    realization_space,
     simple_instance,
 )
+from degmix.graphs import Instance
 
 
 def test_four_cycle_swaps():
@@ -91,3 +96,23 @@ def test_enumerate_swaps_names_a_bad_edge():
         enumerate_swaps(LabeledGraph(3, [(0, 1), (0, 3)]))
     with pytest.raises(ValueError, match=r"\(2, 2\)"):
         enumerate_swaps(LabeledGraph(3, [(0, 1), (2, 2)]))
+
+
+def test_star_space_builds_rows_over_its_free_chords_only(monkeypatch):
+    # 435 chords, 3 realizations: the four degree-2 vertices pair up over 6
+    # free chords.  A table over all chords has 164,430 rows and peaks near
+    # 100 MB.
+    tables = []
+    build = Instance.move_table
+    monkeypatch.setattr(Instance, "move_table", lambda self, chords: tables.append(
+        chords.bit_count()) or build(self, chords))
+    tracemalloc.start()
+    try:
+        space = realization_space(DegreeSequence([29] + [2] * 4 + [1] * 25), max_chords=500)
+        assert space.connected()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(space.instance.chords) == 435 and space.count == 3
+    assert tables == [6] and len(space.rows) == 6
+    assert peak < 8 * 1024 * 1024, peak

@@ -297,9 +297,9 @@ def test_pruned_kernel_matches_full_scan(monkeypatch, kernel_oracle):
     # C4 and C6 spaces, and the product instance, whose 1176-row move table
     # has only 138 rows over its free chords; kernel_oracle compares them
     scanned = set()
-    valid = Instance._valid
-    monkeypatch.setattr(Instance, "_valid", lambda self, mask: scanned.add(
-        len(self.move_table)) or valid(self, mask))
+    neighbors = Instance.weighted_neighbors
+    monkeypatch.setattr(Instance, "weighted_neighbors", lambda self, mask, rows: scanned.add(
+        len(rows)) or neighbors(self, mask, rows))
     spaces = [
         realization_space(DegreeSequence((2, 2, 2, 1, 1))),
         realization_space(DirectedDegreeSequence((1, 1, 1, 1), (1, 1, 1, 1))),
@@ -339,6 +339,14 @@ def test_product_bipartite_composition():
     assert rep["edges"] == 2 * 1 + 2 * 1
 
 
+def test_product_with_no_composed_realization_raises():
+    # (3, 1) / (2, 2) has no realization, so neither has the composition;
+    # 0 = 0 x 1 must not pass as a verified product
+    with pytest.raises(NotGraphical, match="no realizations"):
+        verify_cartesian_product(BipartiteDegreeSequence((3, 1), (2, 2)),
+                                 BipartiteDegreeSequence((1,), (1,)))
+
+
 def test_product_identity_factor():
     # a rigid factor: the product graph is isomorphic to the live factor's
     a = BipartiteDegreeSequence((1, 1), (1, 1))
@@ -364,9 +372,9 @@ def test_product_directed_with_merged_one_factor():
 def _count_scans(monkeypatch):
     """The masks at which a move table is scanned, in call order."""
     calls = []
-    valid = Instance._valid
-    monkeypatch.setattr(Instance, "_valid",
-                        lambda self, mask: calls.append(mask) or valid(self, mask))
+    neighbors = Instance.weighted_neighbors
+    monkeypatch.setattr(Instance, "weighted_neighbors", lambda self, mask, rows: calls.append(
+        mask) or neighbors(self, mask, rows))
     return calls
 
 
@@ -385,6 +393,15 @@ def test_spectral_report_scans_each_state_once(monkeypatch, seq):
 def test_product_check_scans_each_state_once(monkeypatch):
     # the verify-exact benchmark's product instance: 1404 = 234 x 6
     calls = _count_scans(monkeypatch)
+    tables = []  # (the instance's chords, the table's chords, its rows)
+    build = Instance.move_table
+
+    def recorded(self, chords):
+        rows = build(self, chords)
+        tables.append((len(self.chords), chords.bit_count(), len(rows)))
+        return rows
+
+    monkeypatch.setattr(Instance, "move_table", recorded)
     rep = verify_cartesian_product(
         BipartiteDegreeSequence((3, 2, 2, 2), (2, 2, 2, 2, 1)),
         BipartiteDegreeSequence((2, 2, 2), (2, 2, 2)),
@@ -392,6 +409,11 @@ def test_product_check_scans_each_state_once(monkeypatch):
     )
     assert rep["composed_count"] == 1404 and rep["factor_counts"] == (234, 6)
     assert len(calls) == 1404 + 234 + 6
+    # one table per space, over its free chords: the composed instance
+    # builds its 138 rows, never a table over all 56 of its chords
+    composed = [(free, rows) for chords, free, rows in tables if chords == 56]
+    assert len(tables) == 3 and len(composed) == 1
+    assert composed[0][0] < 56 and composed[0][1] == 138
 
 
 @pytest.mark.parametrize("scale, message, witness", [
