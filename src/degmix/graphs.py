@@ -294,7 +294,10 @@ def enumerate_swaps(g, f: Optional[ForbiddenSet] = None) -> List[SwapMove]:
     C4 moves are enumerated for all graph kinds; C6 moves only for bipartite
     realizations with a forbidden partial 1-factor, where they are required
     for irreducibility.  An edge outside the vertex classes, a loop or a
-    forbidden pair raises ValueError.
+    forbidden pair raises ValueError.  The moves come from the realization's
+    own edges, C4 moves from its edge pairs and C6 moves from its edge
+    triples, so no chord list is built; they come C4 first, each kind in
+    chord order, which is the edges' sorted order.
     """
     if isinstance(g, LabeledGraph):
         if f is not None and len(f):
@@ -306,7 +309,39 @@ def enumerate_swaps(g, f: Optional[ForbiddenSet] = None) -> List[SwapMove]:
         inst = bipartite_instance(g.u_degrees(), g.w_degrees(), f)
     else:
         raise TypeError("expected a LabeledGraph or LabeledBipartiteGraph")
-    return inst.moves(inst.mask_of_edges(g.edges), inst.move_table((1 << len(inst.chords)) - 1))
+    simple = inst.kind == "simple"
+    banned = inst.forbidden.pairs
+    for e in g.edges:
+        if e in banned or simple and e[0] == e[1]:
+            raise ValueError("edge %r is not a chord: a loop or a forbidden pair" % (e,))
+    has = g.edges
+    edges = sorted(has)
+    out = []
+    for i, e1 in enumerate(edges):
+        for e2 in edges[i + 1:]:
+            if not _disjoint(e1, e2) or simple and (e1[0] == e2[1] or e1[1] == e2[0]):
+                continue
+            for f1, f2 in inst._alts(e1, e2):
+                if f1 not in has and f2 not in has:
+                    out.append(SwapMove("C4", (e1, e2), (f1, f2)))
+    if inst.use_c6:
+        for i, e1 in enumerate(edges):
+            for j in range(i + 1, len(edges)):
+                e2 = edges[j]
+                # every hexagon through e1 then e2 closes on (e2[0], e1[1]),
+                # and every one through e1 then e3 then e2 on (e1[0], e2[1])
+                if not _disjoint(e1, e2) or (
+                    (e2[0], e1[1]) not in banned and (e1[0], e2[1]) not in banned
+                ):
+                    continue
+                for e3 in edges[j + 1:]:
+                    if not (_disjoint(e1, e3) and _disjoint(e2, e3)):
+                        continue
+                    for perm in ((e1, e2, e3), (e1, e3, e2)):
+                        got = inst._hexagon(perm)
+                        if got is not None and not has.intersection(got):
+                            out.append(SwapMove("C6", perm, got))
+    return out
 
 
 def _require_in_range(edges, rows: int, cols: int) -> None:

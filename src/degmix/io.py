@@ -24,8 +24,19 @@ if TYPE_CHECKING:  # only ``load_dsm`` needs the spectra module, and imports it
 
 AnySequence = Union[DegreeSequence, BipartiteDegreeSequence, DirectedDegreeSequence]
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _expect(data, kind: type, shape: str) -> None:
+    """Raise ValueError naming the expected shape unless ``data`` is a ``kind``."""
+    if not isinstance(data, kind):
+        got = _JSON_TYPES.get(type(data), type(data).__name__)
+        raise ValueError("expected %s, got %s" % (shape, got))
+
 
 def sequence_from_dict(data: dict) -> AnySequence:
+    _expect(data, dict, 'a JSON object such as {"kind": "simple", "degrees": [...]}')
     kind = data.get("kind")
     if kind == "simple":
         return DegreeSequence(data["degrees"])
@@ -58,7 +69,13 @@ def load_sequence(path: str) -> AnySequence:
 def load_forbidden(path: str) -> ForbiddenSet:
     """Forbidden pairs are 1-based in files, 0-based in memory."""
     with open(path) as fh:
-        return ForbiddenSet(json.load(fh)).shifted(-1, -1)
+        data = json.load(fh)
+    shape = "a JSON list of [u, w] pairs"
+    _expect(data, list, shape)
+    for pair in data:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError("expected %s, got the entry %s" % (shape, json.dumps(pair)))
+    return ForbiddenSet(data).shifted(-1, -1)
 
 
 def forbidden_to_list(f: ForbiddenSet) -> list:
@@ -70,5 +87,6 @@ def load_dsm(path: str) -> DegreeSpectraMatrix:
 
     with open(path) as fh:
         data = json.load(fh)
+    _expect(data, dict, 'a JSON object such as {"delta": D, "columns": [[...], ...]}')
     return DegreeSpectraMatrix(data["delta"], data["columns"])
 

@@ -6,16 +6,19 @@ alone, so relabeling an input without forbidden pairs does not change the
 search; each chord keeps its bit, so the sorted masks do not depend on the
 order.  The search backtracks in a loop, so its depth costs no Python
 stack.  Each space scans one move table, over its free chords, once per
-realization for its kernel, which connectivity, transition matrices and
-the product check read.  Up to ``EXACT_STATES`` (20) realizations the
-spectrum comes from the dense transition matrix, and the conductance from a
-recurrence that fills the boundaries of all 2^n state sets in O(2^n);
-beyond that, lambda2 and the sweep cut come from Lanczos iteration on the
-sparse kernel, which builds no n x n array.  The exact TV audit powers the
-deviation of the kernel from uniform, on plain Python rows up to
-``EXACT_STATES`` realizations, so that it loads no numpy, and with numpy
-beyond.  The product and swap-locality theorems are checked realization by
-realization with bijections.
+realization for its kernel, which transition matrices and the product
+check read.  The connectivity walk stops as soon as it has seen every
+realization: with no kernel built it scans the table only at the states it
+expands, and with one built it reads it.  The spectral report builds its
+kernel before it checks connectivity, so it scans no state twice.  Up to
+``EXACT_STATES`` (20) realizations the spectrum comes from the dense
+transition matrix, and the conductance from a recurrence that fills the
+boundaries of all 2^n state sets in O(2^n); beyond that, lambda2 and the
+sweep cut come from Lanczos iteration on the sparse kernel, which builds no
+n x n array.  The exact TV audit powers the deviation of the kernel from
+uniform, on plain Python rows up to ``EXACT_STATES`` realizations, so that
+it loads no numpy, and with numpy beyond.  The product and swap-locality
+theorems are checked realization by realization with bijections.
 """
 
 from __future__ import annotations
@@ -217,19 +220,36 @@ class Space:
 
     def connected(self) -> bool:
         """Whether the swap moves join every realization; a space with none
-        has no chain to join, which raises NotGraphical."""
+        has no chain to join, which raises NotGraphical.
+
+        A depth-first walk from the first state stops as soon as it has seen
+        every realization.  It reads the kernel if one is built; otherwise it
+        scans ``rows`` only at the states it expands, once each.
+        ``spectral_report`` needs every row anyway, so it builds the kernel
+        before it calls this."""
         if not self.count:
             raise NotGraphical("no realizations")
         if self.count == 1:
             return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in self.kernel[stack.pop()]:
+        kernel = self.__dict__.get("kernel")
+        if kernel is not None:
+            start, expand = 0, kernel.__getitem__
+        else:
+            rows, neighbors = self.rows, self.instance.weighted_neighbors
+            start = self.masks[0]
+
+            def expand(mask):
+                return [nxt for nxt, _ in neighbors(mask, rows)]
+        seen = {start}
+        stack = [start]
+        while len(seen) < self.count:
+            if not stack:
+                return False
+            for j in expand(stack.pop()):
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
-        return len(seen) == self.count
+        return True
 
     def transition_matrix(self) -> np.ndarray:
         import numpy as np
@@ -414,6 +434,7 @@ def spectral_report(space: Space) -> SpectralReport:
     n = space.count
     if n == 1:
         return SpectralReport(0.0, 1.0, 1.0, 1, True, trivial=True)
+    space.kernel  # built first, so the walk reads it and no state is scanned twice
     if not space.connected():
         raise Disconnected("realization graph has more than one component")
     import numpy as np

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms so the tests compare
 two independent routes to the same answer.  The ``kernel_oracle`` fixture
-checks each realization-space kernel against the full move-table scan of
+checks each realization-space kernel, and each state that a connectivity
+walk scans without one, against the full move-table scan of
 ``legacy_oracles``, and the ``conductance_oracle`` fixture checks the exact
 conductance of each small one against the subset enumeration of
 ``legacy_oracles``.
@@ -14,6 +15,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 import legacy_oracles
+from degmix.graphs import Instance
 from degmix.space import Space, _exact_conductance
 
 
@@ -107,24 +109,65 @@ def graphical_simple_by_n():
     return {n: brute_simple_degree_sequences(n) for n in range(1, 7)}
 
 
+class KernelChecks(list):
+    """The spaces whose kernel was checked, in build order; ``walked`` lists
+    the spaces whose connectivity walk scanned states with no kernel built."""
+
+    def __init__(self):
+        super().__init__()
+        self.walked = []
+
+
 @pytest.fixture
 def kernel_oracle(monkeypatch):
     """Checks every ``Space.kernel`` built under it against the full move-table
-    scan it replaced: the same rows, keys, weights and insertion order."""
+    scan it replaced: the same rows, keys, weights and insertion order.  A
+    connectivity walk with no kernel scans only the states it expands; each
+    of those states' neighbors, in scan order, is checked against the same
+    scan's row."""
     pruned = Space.kernel.func
-    built = []
+    checks = KernelChecks()
 
     def checked(space):
         got = pruned(space)
         want = legacy_oracles.full_scan_kernel(space)
         assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
-        built.append(space)
+        checks.append(space)
         return got
 
     prop = cached_property(checked)
     prop.__set_name__(Space, "kernel")
     monkeypatch.setattr(Space, "kernel", prop)
-    return built
+
+    scans = None  # (mask, neighbors) of each scan in the walk under way
+    neighbors = Instance.weighted_neighbors
+
+    def recorded(self, mask, rows):
+        got = neighbors(self, mask, rows)
+        if scans is not None:
+            scans.append((mask, got))
+        return got
+
+    walk = Space.connected
+
+    def walked(space):
+        nonlocal scans
+        scans = []
+        try:
+            ok = walk(space)
+        finally:
+            done, scans = scans, None
+        if done:
+            idx = space.index()
+            want = legacy_oracles.full_scan_kernel(space)
+            for mask, got in done:
+                assert [(idx[nxt], w) for nxt, w in got] == list(want[idx[mask]].items())
+            checks.walked.append(space)
+        return ok
+
+    monkeypatch.setattr(Instance, "weighted_neighbors", recorded)
+    monkeypatch.setattr(Space, "connected", walked)
+    return checks
 
 
 @pytest.fixture

@@ -25,6 +25,15 @@ pruned the move table to the free chords: every state scans every row of
 space built its own over its free chords (the body is unchanged, with
 ``self`` read as ``inst``).
 
+``connected`` is ``Space.connected`` before its walk stopped early: it
+reads the whole kernel, building it first if the space has none, and then
+walks it from state 0 to the end.
+
+``enumerate_swaps`` is the swap listing before it took its moves from the
+realization's own edges: it builds the move table over every chord of the
+instance and the chord index, then scans the table at the realization's
+mask.
+
 ``_enumerate_masks`` is the realization enumeration before it took a walk
 order from the degrees: it decides the chords in input-label order, one
 recursive call per chord, so its cost depends on how the input numbers its
@@ -56,10 +65,20 @@ from degmix.decomposition import (
     psi,
 )
 from degmix.errors import InvalidSplit, NotGraphical, TooLarge
-from degmix.graphs import Instance, SwapMove, _disjoint
+from degmix.graphs import (
+    Instance,
+    LabeledBipartiteGraph,
+    LabeledGraph,
+    SwapMove,
+    _disjoint,
+    _require_in_range,
+    bipartite_instance,
+    simple_instance,
+)
 from degmix.sequences import (
     BipartiteDegreeSequence,
     DegreeSequence,
+    ForbiddenSet,
     _coerce_bipartite,
     _coerce_simple,
 )
@@ -406,6 +425,44 @@ def full_scan_kernel(space):
          if mask & rm == rm and not mask & add}
         for mask in space.masks
     )
+
+
+def connected(space) -> bool:
+    """Whether the swap moves join every realization; a space with none
+    has no chain to join, which raises NotGraphical."""
+    if not space.count:
+        raise NotGraphical("no realizations")
+    if space.count == 1:
+        return True
+    seen = {0}
+    stack = [0]
+    while stack:
+        for j in space.kernel[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == space.count
+
+
+def enumerate_swaps(g, f: Optional[ForbiddenSet] = None) -> List[SwapMove]:
+    """Every valid swap from a realization, deduplicated.
+
+    C4 moves are enumerated for all graph kinds; C6 moves only for bipartite
+    realizations with a forbidden partial 1-factor, where they are required
+    for irreducibility.  An edge outside the vertex classes, a loop or a
+    forbidden pair raises ValueError.
+    """
+    if isinstance(g, LabeledGraph):
+        if f is not None and len(f):
+            raise ValueError("forbidden sets apply to bipartite realizations")
+        _require_in_range(g.edges, g.n, g.n)
+        inst = simple_instance(g.degrees())
+    elif isinstance(g, LabeledBipartiteGraph):
+        _require_in_range(g.edges, g.nu, g.nw)
+        inst = bipartite_instance(g.u_degrees(), g.w_degrees(), f)
+    else:
+        raise TypeError("expected a LabeledGraph or LabeledBipartiteGraph")
+    return inst.moves(inst.mask_of_edges(g.edges), inst.move_table((1 << len(inst.chords)) - 1))
 
 
 def _enumerate_masks(inst: Instance, max_chords: Optional[int]) -> Tuple[int, ...]:

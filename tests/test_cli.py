@@ -153,6 +153,24 @@ def test_usage_error_exits_2(files, tmp_path, capsys, monkeypatch, argv, payload
         assert err.endswith("%s: not an integer: True" % path)
 
 
+@pytest.mark.parametrize("argv, payload, expected", [
+    (["test", "--seq", "{file}"], [1, 2],
+     'a JSON object such as {"kind": "simple", "degrees": [...]}, got a list'),
+    (["test", "--seq", "{block}", "--forbidden", "{file}"], {"a": 1},
+     "a JSON list of [u, w] pairs, got an object"),
+    (["dsm", "--check", "--matrix", "{file}"], [1, 2],
+     'a JSON object such as {"delta": D, "columns": [[...], ...]}, got a list'),
+], ids=["sequence", "forbidden", "dsm"])
+def test_input_of_the_wrong_json_type_names_the_expected_shape(files, tmp_path, capsys, argv,
+                                                               payload, expected):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert main([a.format(file=path, **files) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "degmix %s: error: %s: expected %s\n" % (argv[0], path, expected)
+
+
 @pytest.mark.parametrize("mode", ["connectivity", "spectral", "tv"])
 def test_verify_forbidden_not_matching_exits_2(files, tmp_path, capsys, monkeypatch, mode):
     # found before any realization is enumerated

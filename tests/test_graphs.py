@@ -1,10 +1,15 @@
 """Swap-move enumeration on fixed realizations, and move tables."""
 
+import random
+import time
 import tracemalloc
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+import legacy_oracles
 from degmix import (
+    BipartiteDegreeSequence,
     DegreeSequence,
     ForbiddenSet,
     LabeledBipartiteGraph,
@@ -14,6 +19,7 @@ from degmix import (
     simple_instance,
 )
 from degmix.graphs import Instance
+from degmix.sequences import erdos_gallai, gale_ryser
 
 
 def test_four_cycle_swaps():
@@ -116,3 +122,142 @@ def test_star_space_builds_rows_over_its_free_chords_only(monkeypatch):
     assert len(space.instance.chords) == 435 and space.count == 3
     assert tables == [6] and len(space.rows) == 6
     assert peak < 8 * 1024 * 1024, peak
+
+
+def _same_swaps(g, f=None):
+    want = legacy_oracles.enumerate_swaps(g, f)
+    assert enumerate_swaps(g, f) == want, g
+    return len(want)
+
+
+def _gnp(rng, pairs, p):
+    return [e for e in pairs if rng.random() < p]
+
+
+# enumerable instances of the acceptance suite's product and uniformity
+# criteria and of the locality tests, with the forbidden set of each
+_DIAG3 = ForbiddenSet([(0, 0), (1, 1), (2, 2)])
+_ACCEPTANCE = [
+    (DegreeSequence((1, 1, 1, 1)), None),
+    (DegreeSequence((2, 2, 1, 1)), None),
+    (DegreeSequence((1,) * 6), None),
+    (DegreeSequence((2, 2, 1, 1, 1, 1)), None),
+    (DegreeSequence((6, 6, 4, 4, 3, 3, 1, 1)), None),
+    (BipartiteDegreeSequence((1, 1), (1, 1)), None),
+    (BipartiteDegreeSequence((2, 2, 1), (3, 1, 1)), None),
+    (BipartiteDegreeSequence((3, 1, 1), (2, 2, 1)), None),
+    (BipartiteDegreeSequence((2, 1, 1), (2, 1, 1)), None),
+    (BipartiteDegreeSequence((2, 2, 2), (2, 2, 2)), None),
+    (BipartiteDegreeSequence((1,) * 4, (1,) * 4), None),
+    (BipartiteDegreeSequence((1, 1, 1), (1, 1, 1)), _DIAG3),
+    (BipartiteDegreeSequence((2, 1, 1), (2, 1, 1)), _DIAG3),
+    (BipartiteDegreeSequence((2, 2, 1, 1), (2, 1, 2, 1)), ForbiddenSet([(0, 0), (1, 1), (2, 2),
+                                                                         (3, 3)])),
+]
+
+
+def _acceptance_spaces():
+    yield from _ACCEPTANCE
+    # criterion 6's irreducibility families, up to 6 and 3 + 3 vertices
+    for n in range(1, 7):
+        for d in combinations_with_replacement(range(n - 1, -1, -1), n):
+            if erdos_gallai(d):
+                yield DegreeSequence(d), None
+    for nu in range(1, 4):
+        for nw in range(1, 4):
+            for u in combinations_with_replacement(range(nw, -1, -1), nu):
+                for w in combinations_with_replacement(range(nu, -1, -1), nw):
+                    if gale_ryser((u, w)):
+                        yield BipartiteDegreeSequence(u, w), None
+
+
+def test_enumerate_swaps_matches_the_all_chord_scan_on_acceptance_instances():
+    moves = states = 0
+    for seq, f in _acceptance_spaces():
+        space = realization_space(seq, f, max_chords=30)
+        for mask in space.masks:
+            moves += _same_swaps(space.instance.graph_of_mask(mask), f)
+            states += 1
+    assert (states, moves) == (1259, 8338)
+
+
+def test_enumerate_swaps_matches_the_all_chord_scan_on_every_small_graph():
+    # every labeled simple graph up to 5 vertices, every bipartite graph on
+    # 3 + 3, and every digraph on 4 vertices in its Gale form (C6 moves)
+    checked = 0
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            _same_swaps(LabeledGraph(n, [e for i, e in enumerate(pairs) if bits >> i & 1]))
+            checked += 1
+    for f, n in ((None, 3), (ForbiddenSet([(i, i) for i in range(4)]), 4)):
+        pairs = [(u, w) for u in range(n) for w in range(n) if f is None or (u, w) not in f.pairs]
+        for bits in range(1 << len(pairs)):
+            g = LabeledBipartiteGraph(n, n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            _same_swaps(g, f)
+            checked += 1
+    assert checked == 1 + 2 + 8 + 64 + 1024 + 512 + 4096
+
+
+def test_enumerate_swaps_matches_the_all_chord_scan_on_random_graphs():
+    rng = random.Random(17)
+    kinds = set()
+    for n in (8, 12, 20, 30):
+        pairs = list(combinations(range(n), 2))
+        for p in (0.1, 0.3):
+            _same_swaps(LabeledGraph(n, _gnp(rng, pairs, p)))
+    for nu, nw, banned in ((6, 9, 0), (10, 10, 0), (15, 15, 0), (6, 6, 6), (9, 9, 9),
+                           (10, 10, 4)):
+        f = ForbiddenSet(rng.sample([(i, i) for i in range(min(nu, nw))], banned))
+        pairs = [(u, w) for u in range(nu) for w in range(nw) if (u, w) not in f.pairs]
+        for p in (0.2, 0.5):
+            g = LabeledBipartiteGraph(nu, nw, _gnp(rng, pairs, p))
+            assert _same_swaps(g, f)
+            kinds.update(m.kind for m in enumerate_swaps(g, f))
+    assert kinds == {"C4", "C6"}
+
+
+def _chords_forbidden(monkeypatch):
+    def never(self):
+        raise AssertionError("built the chord list")
+
+    monkeypatch.setattr(Instance, "chords", property(never))
+
+
+def test_enumerate_swaps_builds_no_chord_list(monkeypatch):
+    cases = [
+        (LabeledGraph(5, [(0, 1), (0, 2), (1, 2), (3, 4)]), None),
+        (LabeledBipartiteGraph(3, 3, [(0, 1), (1, 2), (2, 0)]), _DIAG3),
+        (LabeledBipartiteGraph(3, 3, [(0, 1), (1, 0), (2, 2), (2, 1)]), None),
+    ]
+    want = [legacy_oracles.enumerate_swaps(g, f) for g, f in cases]
+    assert all(want)
+    _chords_forbidden(monkeypatch)
+    assert [enumerate_swaps(g, f) for g, f in cases] == want
+    with pytest.raises(ValueError, match=r"\(2, 2\)"):
+        enumerate_swaps(LabeledGraph(3, [(0, 1), (2, 2)]))
+
+
+def test_enumerate_swaps_cost_follows_the_edges(monkeypatch):
+    # a 3-regular graph on 40 of 1000 vertices: 60 edges, 499,500 chords.
+    # A table over the chords would hold about 5 * 10^11 rows; the edges
+    # give 1,770 pairs.
+    rng = random.Random(3)
+    while True:
+        stubs = [v for v in range(40) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+        if len(edges) == 60:
+            break
+    g = LabeledGraph(1000, edges)
+    _chords_forbidden(monkeypatch)
+    tracemalloc.start()
+    try:
+        start = time.process_time()
+        moves = enumerate_swaps(g)
+        elapsed = time.process_time() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3000 < len(moves) < 2 * 1770
+    assert elapsed < 1.0 and peak < 50 * 1024 * 1024, (elapsed, peak)

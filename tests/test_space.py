@@ -203,7 +203,7 @@ def test_sweep_path_builds_no_n_by_n_array(monkeypatch):
         raise AssertionError("built the n x n transition matrix")
 
     monkeypatch.setattr(Space, "transition_matrix", never)
-    space.connected()  # the kernel's dicts are O(nnz); built outside the trace
+    space.kernel  # the kernel's dicts are O(nnz); built outside the trace
     tracemalloc.start()
     try:
         rep = spectral_report(space)
