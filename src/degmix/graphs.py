@@ -91,16 +91,23 @@ class SwapMove(Value):
 
     C4 moves exchange two edges for the other matching on their endpoints;
     C6 moves rotate three edges along an alternating hexagon whose remaining
-    three vertex pairs are forbidden chords.
+    three vertex pairs are forbidden chords.  Moves come by the hundred
+    thousand, so each keeps its fields in slots, with no ``__dict__``;
+    ``__reduce__`` rebuilds one through ``__init__``, since the slots refuse
+    the assignment that pickle and ``deepcopy`` would make.
     """
 
     _fields = ("kind", "removed", "added")
+    __slots__ = _fields
     kind: str  # "C4" or "C6"
     removed: Tuple[Edge, ...]
     added: Tuple[Edge, ...]
 
     def __init__(self, kind: str, removed: Tuple[Edge, ...], added: Tuple[Edge, ...]):
         self._set(kind, removed, added)
+
+    def __reduce__(self):
+        return SwapMove, self._values()
 
 
 class Instance:

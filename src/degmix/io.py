@@ -35,15 +35,22 @@ def _expect(data, kind: type, shape: str) -> None:
         raise ValueError("expected %s, got %s" % (shape, got))
 
 
+def _list_field(data: dict, name: str, shape: str = "a JSON list of integers") -> list:
+    """``data[name]``, which must be a list; a KeyError if it is missing."""
+    value = data[name]
+    _expect(value, list, '"%s" as %s' % (name, shape))
+    return value
+
+
 def sequence_from_dict(data: dict) -> AnySequence:
     _expect(data, dict, 'a JSON object such as {"kind": "simple", "degrees": [...]}')
     kind = data.get("kind")
     if kind == "simple":
-        return DegreeSequence(data["degrees"])
+        return DegreeSequence(_list_field(data, "degrees"))
     if kind == "bipartite":
-        return BipartiteDegreeSequence(data["u"], data["w"])
+        return BipartiteDegreeSequence(_list_field(data, "u"), _list_field(data, "w"))
     if kind == "directed":
-        return DirectedDegreeSequence(data["out"], data["in"])
+        return DirectedDegreeSequence(_list_field(data, "out"), _list_field(data, "in"))
     raise ValueError("unknown sequence kind: %r" % (kind,))
 
 
@@ -88,5 +95,11 @@ def load_dsm(path: str) -> DegreeSpectraMatrix:
     with open(path) as fh:
         data = json.load(fh)
     _expect(data, dict, 'a JSON object such as {"delta": D, "columns": [[...], ...]}')
-    return DegreeSpectraMatrix(data["delta"], data["columns"])
+    shape = "a JSON list of integer lists"
+    columns = _list_field(data, "columns", shape)
+    for column in columns:
+        if not isinstance(column, list):
+            raise ValueError('expected "columns" as %s, got the entry %s'
+                             % (shape, json.dumps(column)))
+    return DegreeSpectraMatrix(data["delta"], columns)
 

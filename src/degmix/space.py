@@ -5,12 +5,15 @@ depth-first search over chords, in a walk order taken from the degrees
 alone, so relabeling an input without forbidden pairs does not change the
 search; each chord keeps its bit, so the sorted masks do not depend on the
 order.  The search backtracks in a loop, so its depth costs no Python
-stack.  Each space scans one move table, over its free chords, once per
-realization for its kernel, which transition matrices and the product
-check read.  The connectivity walk stops as soon as it has seen every
-realization: with no kernel built it scans the table only at the states it
-expands, and with one built it reads it.  The spectral report builds its
-kernel before it checks connectivity, so it scans no state twice.  Up to
+stack.  Each space builds one move table, over its free chords, and its
+kernel in one pass over the table: a row's states come from the bitsets of
+the states that hold each chord, with no scan of a state.  Transition
+matrices and the product check read the kernel.  The connectivity walk
+stops as soon as it has seen every realization: with no kernel built it
+scans the table only at the states it expands, and with one built it reads
+it.  The spectral report builds its kernel before it checks connectivity,
+so its walk scans no state.  The product check projects each composed
+state onto the factors a byte of chords at a time, through tables.  Up to
 ``EXACT_STATES`` (20) realizations the spectrum comes from the dense
 transition matrix, and the conductance from a recurrence that fills the
 boundaries of all 2^n state sets in O(2^n); beyond that, lambda2 and the
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from itertools import compress
 from operator import mul
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -86,6 +90,14 @@ def _instance_for(d, f: Optional[ForbiddenSet], c4_only: bool) -> Instance:
     if f is not None and len(f):
         raise ValueError("forbidden sets apply to bipartite/directed sequences")
     return simple_instance(degrees)
+
+
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first, each as an int."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
 
 
 def _ranks(values) -> List[int]:
@@ -209,14 +221,43 @@ class Space:
     @cached_property
     def kernel(self) -> Tuple[Dict[int, float], ...]:
         """Each state's off-diagonal transitions, neighbor index -> weight, in
-        move-table order, from one scan of ``rows`` per state.  A move's bits
-        are the state XOR the neighbor, so no two valid moves share a
-        neighbor; the rest of a row's mass is the stay."""
-        idx = self.index()
-        return tuple(
-            {idx[nxt]: w for nxt, w in self.instance.weighted_neighbors(mask, self.rows)}
-            for mask in self.masks
-        )
+        move-table order, from one pass over ``rows``.
+
+        A row applies at the states that hold its removed chords and none of
+        its added ones.  Those states agree on every chord the move touches,
+        so XOR with the move keeps their order: the k-th of them moves to the
+        k-th state that holds the added chords and none of the removed ones.
+        Each chord's holders are an int with one byte per state, so a row's
+        states take a few ANDs and one ``compress``.  A move's bits are the
+        state XOR the neighbor, so no two valid moves share a neighbor; the
+        rest of a row's mass is the stay."""
+        n, k = self.count, len(self.instance.chords)
+        ones = int.from_bytes(b"\x01" * n, "little")
+        # Every mask as k binary digits, state 0 first: chord c's digits are
+        # every k-th character from k - 1 - c, and each becomes a byte.
+        text = "".join([format(mask, "0%db" % k) for mask in self.masks])
+        held = {1 << c: int.from_bytes(text[k - 1 - c::k].encode(), "little") & ones
+                for c in range(k)}
+        order = list(range(n))
+        found: Dict[Tuple[int, int], List[int]] = {}  # a row and its reverse share one
+
+        def states(on: int, off: int) -> List[int]:
+            """The states that hold every chord of ``on`` and none of ``off``."""
+            got = found.get((on, off))
+            if got is None:
+                held_by = ones
+                for bit in _bits(on):
+                    held_by &= held[bit]
+                for bit in _bits(off):
+                    held_by &= ~held[bit]
+                got = found[on, off] = list(compress(order, held_by.to_bytes(n, "little")))
+            return got
+
+        kernel = tuple({} for _ in order)
+        for rm, add, _, w in self.rows:
+            for i, j in zip(states(rm, add), states(add, rm)):
+                kernel[i][j] = w
+        return kernel
 
     def connected(self) -> bool:
         """Whether the swap moves join every realization; a space with none
@@ -225,8 +266,8 @@ class Space:
         A depth-first walk from the first state stops as soon as it has seen
         every realization.  It reads the kernel if one is built; otherwise it
         scans ``rows`` only at the states it expands, once each.
-        ``spectral_report`` needs every row anyway, so it builds the kernel
-        before it calls this."""
+        ``spectral_report`` needs the kernel anyway, so it builds it before
+        it calls this."""
         if not self.count:
             raise NotGraphical("no realizations")
         if self.count == 1:
@@ -434,7 +475,7 @@ def spectral_report(space: Space) -> SpectralReport:
     n = space.count
     if n == 1:
         return SpectralReport(0.0, 1.0, 1.0, 1, True, trivial=True)
-    space.kernel  # built first, so the walk reads it and no state is scanned twice
+    space.kernel  # built first, so the walk reads it and scans no state
     if not space.connected():
         raise Disconnected("realization graph has more than one component")
     import numpy as np
@@ -461,24 +502,20 @@ def spectral_report(space: Space) -> SpectralReport:
 # Cartesian-product verification
 
 
-def _project(
-    forced: int, chord_map: Dict[int, Tuple[int, int]], mask: int
-) -> Optional[Tuple[int, int]]:
-    if mask & forced != forced:
-        return None
-    parts = [0, 0]
-    rest = mask & ~forced
-    bit = 0
-    while rest:
-        if rest & 1:
+def _byte_tables(chord_map: Dict[int, Tuple[int, int]], chord_count: int,
+                 shift: int) -> List[List[int]]:
+    """For each byte of a composed mask, byte value -> the factor bits of its
+    chords, factor 1's from bit 0 and factor 2's from bit ``shift``; other
+    chords give none.  Each table fills by doubling, one chord at a time."""
+    tables = []
+    for base in range(0, chord_count, 8):
+        table = [0]
+        for bit in range(base, base + 8):
             got = chord_map.get(bit)
-            if got is None:
-                return None
-            coord, fbit = got
-            parts[coord] |= 1 << fbit
-        rest >>= 1
-        bit += 1
-    return parts[0], parts[1]
+            fbit = 0 if got is None else 1 << (got[1] + shift * got[0])
+            table += [t | fbit for t in table]
+        tables.append(table)
+    return tables
 
 
 def verify_cartesian_product(
@@ -543,14 +580,22 @@ def verify_cartesian_product(
     if not whole.count:
         raise NotGraphical("no realizations")
     index = (s1.index(), s2.index())
+    # A realization restricts to the factors when it holds every forced
+    # chord and no stray one, a chord of neither kind.
+    stray = ((1 << len(composed.chords)) - 1) & ~forced & ~sum(1 << bit for bit in chord_map)
+    shift = len(factors[0].chords)
+    tables = _byte_tables(chord_map, len(composed.chords), shift)
     seen = {}
     for mask in whole.masks:
-        pair = _project(forced, chord_map, mask)
-        if pair is None:
+        if mask & forced != forced or mask & stray:
             raise ProductMismatch(
                 "realization does not restrict to the factors",
                 witness={"mask": mask},
             )
+        both = 0
+        for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
+            both |= table[byte]
+        pair = (both & ((1 << shift) - 1), both >> shift)
         if pair in seen:
             raise ProductMismatch(
                 "two realizations project to the same factor pair",
@@ -565,7 +610,10 @@ def verify_cartesian_product(
     states = [(index[0][x], index[1][y]) for x, y in proj]  # the pair's state indices
     kernels = (s1.kernel, s2.kernel)
 
-    ratio: Dict[Tuple[int, str], float] = {}
+    def kind(key: Tuple[int, bool]) -> Tuple[int, str]:
+        return key[0], "C6" if key[1] else "C4"
+
+    ratio: Dict[Tuple[int, bool], float] = {}  # (coord, is C6) -> the latest ratio
     edge_count = 0
     for i, row in enumerate(whole.kernel):
         a, b = states[i]
@@ -587,14 +635,16 @@ def verify_cartesian_product(
                     "move is not a factor move",
                     witness={"coord": c, "pair": (min(u, v), max(u, v))},
                 )
-            key = (c, "C6" if (proj[i][c] ^ proj[j][c]).bit_count() == 6 else "C4")
+            key = (c, (proj[i][c] ^ proj[j][c]).bit_count() == 6)
             r = w / fw
-            if key in ratio and abs(ratio[key] - r) > 1e-12 * max(1.0, ratio[key]):
-                raise ProductMismatch(
-                    "transition weights are not proportional",
-                    witness={"key": key, "ratios": (ratio[key], r)},
-                )
-            ratio[key] = r
+            last = ratio.get(key)
+            if last != r:
+                if last is not None and abs(last - r) > 1e-12 * max(1.0, last):
+                    raise ProductMismatch(
+                        "transition weights are not proportional",
+                        witness={"key": kind(key), "ratios": (last, r)},
+                    )
+                ratio[key] = r
     # Directed product edge count: |V1| |E2| + |V2| |E1|, each edge both ways.
     expected = s1.count * sum(map(len, s2.kernel)) + s2.count * sum(map(len, s1.kernel))
     if edge_count != expected:
@@ -607,7 +657,7 @@ def verify_cartesian_product(
         "composed_count": whole.count,
         "factor_counts": (s1.count, s2.count),
         "edges": edge_count // 2,
-        "weight_ratios": {str(k): v for k, v in ratio.items()},
+        "weight_ratios": {str(kind(k)): v for k, v in ratio.items()},
     }
 
 

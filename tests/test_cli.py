@@ -160,7 +160,15 @@ def test_usage_error_exits_2(files, tmp_path, capsys, monkeypatch, argv, payload
      "a JSON list of [u, w] pairs, got an object"),
     (["dsm", "--check", "--matrix", "{file}"], [1, 2],
      'a JSON object such as {"delta": D, "columns": [[...], ...]}, got a list'),
-], ids=["sequence", "forbidden", "dsm"])
+    (["test", "--seq", "{file}"], {"kind": "simple", "degrees": 5},
+     '"degrees" as a JSON list of integers, got a number'),
+    (["test", "--seq", "{file}"], {"kind": "directed", "out": [1], "in": "1"},
+     '"in" as a JSON list of integers, got a string'),
+    (["dsm", "--check", "--matrix", "{file}"], {"delta": 2, "columns": 5},
+     '"columns" as a JSON list of integer lists, got a number'),
+    (["dsm", "--check", "--matrix", "{file}"], {"delta": 2, "columns": [[1, 1], 5]},
+     '"columns" as a JSON list of integer lists, got the entry 5'),
+], ids=["sequence", "forbidden", "dsm", "degrees", "in", "columns", "column"])
 def test_input_of_the_wrong_json_type_names_the_expected_shape(files, tmp_path, capsys, argv,
                                                                payload, expected):
     path = tmp_path / "input.json"

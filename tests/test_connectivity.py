@@ -136,13 +136,15 @@ def test_walk_stops_once_every_state_is_seen(scans, seq, count, expanded):
     assert "kernel" not in space.__dict__
 
 
-def test_spectral_report_builds_the_kernel_before_the_walk(scans):
-    # the report needs every row, so the walk reads them instead of
-    # scanning its states a second time
+def test_spectral_report_builds_the_kernel_before_the_walk(scans, kernel_oracle):
+    # the report needs every row, so the walk reads the kernel instead of
+    # scanning states; kernel_oracle holds its one build, equal to the full
+    # scan, order included
     space = realization_space(BipartiteDegreeSequence((2, 2, 2, 2, 2), (3, 2, 2, 2, 1)),
                               max_chords=64)
     spectral_report(space)
-    assert sorted(scans) == sorted(space.masks)
+    assert not scans
+    assert kernel_oracle == [space] and not kernel_oracle.walked
 
 
 def test_kernel_oracle_checks_the_states_a_walk_scans(monkeypatch, kernel_oracle):

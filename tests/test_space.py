@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from degmix import (
 )
 from degmix.chain import ChainState, ProductChain, run
 from degmix.graphs import Instance
+from degmix.sequences import directed_graphical, erdos_gallai, gale_ryser
 from degmix.space import Space, _exact_conductance, _sweep_conductance
 
 # every kernel built here is checked against the full move-table scan
@@ -280,6 +282,52 @@ def test_sweep_report_matches_dense_oracle(make):
     assert rep.relaxation_time == 1.0 / (1.0 - rep.lambda2)
 
 
+def _nonincreasing(length, top):
+    return (tuple(sorted(c, reverse=True))
+            for c in combinations_with_replacement(range(top + 1), length))
+
+
+def _small_spaces():
+    """The space of every graphical simple sequence on up to six vertices,
+    bipartite pair on up to 4 + 4 and directed sequence on up to four
+    vertices, with and without C6 moves; each in nonincreasing order, and
+    reversed where that differs, so that chord bits fall in both orders."""
+    def orders(*seqs):
+        return {seqs, tuple(seq[::-1] for seq in seqs)}
+
+    for n in range(1, 7):
+        for d in _nonincreasing(n, n - 1):
+            if erdos_gallai(d):
+                for (order,) in orders(d):
+                    yield realization_space(DegreeSequence(order))
+    for nu in range(1, 5):
+        for nw in range(1, 5):
+            for u in _nonincreasing(nu, nw):
+                for w in _nonincreasing(nw, nu):
+                    if gale_ryser((u, w)):
+                        for uo, wo in orders(u, w):
+                            yield realization_space(BipartiteDegreeSequence(uo, wo))
+    for n in range(2, 5):
+        for combo in combinations_with_replacement(product(range(n), repeat=2), n):
+            if sum(o for o, _ in combo) != sum(i for _, i in combo):
+                continue
+            for (order,) in orders(combo):
+                dd = DirectedDegreeSequence(*zip(*order))
+                if directed_graphical(dd):
+                    for c4_only in (False, True):
+                        yield realization_space(dd, c4_only=c4_only)
+
+
+def test_one_pass_kernel_matches_full_scan_on_small_spaces(kernel_oracle):
+    # kernel_oracle checks each kernel against the full scan, order included
+    spaces = list(_small_spaces())
+    for space in spaces:
+        assert len(space.kernel) == space.count
+    assert kernel_oracle == spaces and len(spaces) == 2002
+    six = sum(any(move.kind == "C6" for _, _, move, _ in space.rows) for space in spaces)
+    assert six == 39
+
+
 @pytest.mark.parametrize("u, w", [((2, 2, 2, 1), (3, 2, 1, 1)),
                                   ((2, 2, 2, 2, 2), (3, 2, 2, 2, 1))], ids=["27", "1170"])
 def test_sweep_path_calls_eigh_once(monkeypatch, u, w):
@@ -293,13 +341,9 @@ def test_sweep_path_calls_eigh_once(monkeypatch, u, w):
     assert len(calls) <= 1
 
 
-def test_pruned_kernel_matches_full_scan(monkeypatch, kernel_oracle):
+def test_pruned_kernel_matches_full_scan(kernel_oracle):
     # C4 and C6 spaces, and the product instance, whose 1176-row move table
     # has only 138 rows over its free chords; kernel_oracle compares them
-    scanned = set()
-    neighbors = Instance.weighted_neighbors
-    monkeypatch.setattr(Instance, "weighted_neighbors", lambda self, mask, rows: scanned.add(
-        len(rows)) or neighbors(self, mask, rows))
     spaces = [
         realization_space(DegreeSequence((2, 2, 2, 1, 1))),
         realization_space(DirectedDegreeSequence((1, 1, 1, 1), (1, 1, 1, 1))),
@@ -315,7 +359,9 @@ def test_pruned_kernel_matches_full_scan(monkeypatch, kernel_oracle):
     assert product["composed_count"] == 1404
     assert kernel_oracle[:3] == spaces
     assert sorted(s.count for s in kernel_oracle[3:]) == [6, 234, 1404]
-    assert 138 in scanned and 1176 not in scanned
+    composed = next(s for s in kernel_oracle if s.count == 1404)
+    assert len(composed.rows) == 138
+    assert len(old.move_table(composed.instance)) == 1176
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +429,21 @@ def _count_scans(monkeypatch):
     BipartiteDegreeSequence((2, 2, 2, 1), (3, 2, 1, 1)),  # 26 states: sweep
     DirectedDegreeSequence((1, 1, 1), (1, 1, 1)),  # C6 moves
 ], ids=["simple", "bipartite-sweep", "directed-c6"])
-def test_spectral_report_scans_each_state_once(monkeypatch, seq):
+def test_spectral_report_scans_each_state_once(monkeypatch, kernel_oracle, seq):
+    # the kernel takes one pass over the rows and scans no state on its
+    # own, and the walk reads it; kernel_oracle holds its one build, equal
+    # to the full scan, order included
     calls = _count_scans(monkeypatch)
     space = realization_space(seq)
     spectral_report(space)
-    assert sorted(calls) == sorted(space.masks)
+    assert not calls
+    assert kernel_oracle == [space] and not kernel_oracle.walked
 
 
-def test_product_check_scans_each_state_once(monkeypatch):
-    # the verify-exact benchmark's product instance: 1404 = 234 x 6
+def test_product_check_scans_each_state_once(monkeypatch, kernel_oracle):
+    # the verify-exact benchmark's product instance: 1404 = 234 x 6; each
+    # space's kernel is built once, equal to the full scan, and no state is
+    # scanned on its own
     calls = _count_scans(monkeypatch)
     tables = []  # (the instance's chords, the table's chords, its rows)
     build = Instance.move_table
@@ -408,7 +460,8 @@ def test_product_check_scans_each_state_once(monkeypatch):
         max_chords=64,
     )
     assert rep["composed_count"] == 1404 and rep["factor_counts"] == (234, 6)
-    assert len(calls) == 1404 + 234 + 6
+    assert not calls
+    assert sorted(space.count for space in kernel_oracle) == [6, 234, 1404]
     # one table per space, over its free chords: the composed instance
     # builds its 138 rows, never a table over all 56 of its chords
     composed = [(free, rows) for chords, free, rows in tables if chords == 56]
@@ -440,6 +493,25 @@ def test_product_check_catches_a_tampered_factor_kernel(monkeypatch, scale, mess
         verify_cartesian_product(a, b, max_chords=25)
     field, value = witness
     assert err.value.witness[field] == value
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda forced: forced & (forced - 1),  # the lowest forced chord turns stray
+    lambda forced: forced | 1 << 40,  # a forced chord that no realization holds
+], ids=["stray", "unheld"])
+def test_product_check_catches_a_realization_off_the_factors(monkeypatch, tamper):
+    masks = []
+    enumerate_masks = degmix.space._enumerate_masks
+    monkeypatch.setattr(degmix.space, "_enumerate_masks", lambda inst, cap: masks.append(
+        enumerate_masks(inst, cap)) or masks[-1])
+    mask_of_edges = Instance.mask_of_edges
+    monkeypatch.setattr(Instance, "mask_of_edges", lambda self, edges: tamper(
+        mask_of_edges(self, edges)))
+    a = BipartiteDegreeSequence((1, 1), (1, 1))
+    b = BipartiteDegreeSequence((3, 1, 1), (2, 2, 1))
+    with pytest.raises(ProductMismatch, match="does not restrict to the factors") as err:
+        verify_cartesian_product(a, b, max_chords=25)
+    assert err.value.witness == {"mask": masks[0][0]}  # the composed space's first
 
 
 def test_product_mismatch_carries_witness():

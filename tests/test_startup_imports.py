@@ -3,7 +3,8 @@ the sampler and the exhaustive engine only by the commands that run them,
 and hashlib (with OpenSSL) and ``dataclasses`` (with ``inspect``) by no
 job: chain seeds come from the lean builtin sha256.  ``verify --mode
 spectral`` loads numpy only past its one-realization and disconnected
-exits, and ``--mode tv`` only past ``EXACT_STATES`` realizations.
+exits, ``--mode tv`` only past ``EXACT_STATES`` realizations, and ``--mode
+product`` never.
 
 Every CLI job is its own process, so an import that a job does not use is
 paid on every run.  These tests start fresh interpreters and read
@@ -58,11 +59,13 @@ def test_package_import_leaves_numpy_unloaded(tmp_path):
     assert got.stdout.strip() == "False"
 
 
-# One realization; two, that C4 swaps alone do not join; and 18, at most
-# EXACT_STATES, which the TV audit powers on plain rows.
+# One realization; two, that C4 swaps alone do not join; 18, at most
+# EXACT_STATES, which the TV audit powers on plain rows; and the composition
+# of (1, 1) / (1, 1) with (2, 2, 2) / (2, 2, 2), a 2 x 6 product.
 ONE = {"kind": "simple", "degrees": [2, 2, 2]}
 C4_SPLIT = {"kind": "directed", "out": [1, 1, 1], "in": [1, 1, 1]}
 EIGHTEEN = {"kind": "simple", "degrees": [2, 2, 1, 1, 1, 1]}
+PRODUCT = {"kind": "bipartite", "u": [4, 4, 2, 2, 2], "w": [1, 1, 4, 4, 4]}
 
 
 @pytest.mark.parametrize("argv, seq, loads_numpy", [
@@ -72,11 +75,13 @@ EIGHTEEN = {"kind": "simple", "degrees": [2, 2, 1, 1, 1, 1]}
     (["verify", "--seq", "seq.json", "--mode", "spectral"], ONE, False),
     (["verify", "--seq", "seq.json", "--mode", "spectral", "--c4-only"], C4_SPLIT, False),
     (["verify", "--seq", "seq.json", "--mode", "tv"], EIGHTEEN, False),
+    (["verify", "--seq", "seq.json", "--mode", "product", "--max-chords", "25"], PRODUCT, False),
     # the controls: the wrapper does see numpy where a job uses it
     (["verify", "--seq", "seq.json", "--mode", "spectral"], SEQ, True),
     (["verify", "--seq", "seq.json", "--mode", "tv"], SEQ, True),
 ], ids=["decompose", "sample", "verify-connectivity", "verify-spectral-one",
-        "verify-spectral-disconnected", "verify-tv-18", "verify-spectral", "verify-tv-130"])
+        "verify-spectral-disconnected", "verify-tv-18", "verify-product", "verify-spectral",
+        "verify-tv-130"])
 def test_cli_jobs_load_numpy_only_to_compute(tmp_path, argv, seq, loads_numpy):
     (tmp_path / "seq.json").write_text(json.dumps(seq))
     got = run_python("-c", WRAPPER, *argv, cwd=tmp_path)
