@@ -9,6 +9,9 @@ exhaustive engine (``degmix.space``), whose chord count is capped, encodes
 realizations as bitmasks over the chord list, so swap moves are two XORs
 and set membership is integer hashing; it builds ``chords`` on first use,
 and one move table per realization space, over that space's free chords.
+The swap rules are listed once, by ``Instance.swaps`` over a sorted edge
+list: the move table reads it over chords, ``enumerate_swaps`` and the
+swap-locality audit over a realization's own edges.
 
 Move weights implement the lazy kernel: stay with probability 1/2, otherwise
 draw a uniformly random pair of vertex-disjoint edges (their count depends
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ._value import Value
 from .errors import NotGraphical
@@ -239,40 +242,48 @@ class Instance:
             return None
         return targets
 
-    def move_table(self, chords: int) -> List[Tuple[int, int, SwapMove, float]]:
-        """Every rewiring whose removed and added chords all lie in the bit
-        mask ``chords``, as (removed bits, added bits, move, weight), C4 rows
-        first, each kind in chord order: one per disjoint chord pair and other
-        matching, one per disjoint chord triple that ``_hexagon`` closes."""
-        bit = {c: 1 << i for i, c in enumerate(self.chords) if chords >> i & 1}
+    def swaps(self, edges: List[Edge], free) -> Iterator[tuple]:
+        """Every rewiring of the sorted edge list ``edges`` whose added pairs
+        all pass the test ``free``, as (kind, removed, added): C4 moves from
+        edge pairs first, then C6 moves from edge triples, each kind in edge
+        order.  A C4 move is a disjoint pair with another matching; a C6
+        move is a disjoint triple that ``_hexagon`` closes."""
         simple = self.kind == "simple"
-        table = []
-        w4 = self.c4_weight()
-        for e1, e2 in combinations(bit, 2):
+        for e1, e2 in combinations(edges, 2):
             if not _disjoint(e1, e2) or simple and (e1[0] == e2[1] or e1[1] == e2[0]):
                 continue
             for f1, f2 in self._alts(e1, e2):
-                if f1 in bit and f2 in bit:
-                    move = SwapMove("C4", (e1, e2), (f1, f2))
-                    table.append((bit[e1] | bit[e2], bit[f1] | bit[f2], move, w4))
-        if self.use_c6:
-            w6 = self.c6_weight()
-            for e1, e2, e3 in combinations(bit, 3):
-                if not (_disjoint(e1, e2) and _disjoint(e1, e3) and _disjoint(e2, e3)):
+                if free(f1) and free(f2):
+                    yield "C4", (e1, e2), (f1, f2)
+        if not self.use_c6:
+            return
+        banned = self.forbidden.pairs
+        for i, e1 in enumerate(edges):
+            for j, e2 in enumerate(edges[i + 1:], i + 1):
+                # every hexagon through e1 then e2 closes on (e2[0], e1[1]),
+                # and every one through e1 then e3 then e2 on (e1[0], e2[1])
+                if not _disjoint(e1, e2) or (
+                    (e2[0], e1[1]) not in banned and (e1[0], e2[1]) not in banned
+                ):
                     continue
-                for perm in ((e1, e2, e3), (e1, e3, e2)):
-                    got = self._hexagon(perm)
-                    if got is not None and all(t in bit for t in got):
-                        rm = bit[e1] | bit[e2] | bit[e3]
-                        add = bit[got[0]] | bit[got[1]] | bit[got[2]]
-                        table.append((rm, add, SwapMove("C6", perm, got), w6))
-        return table
+                for e3 in edges[j + 1:]:
+                    if not (_disjoint(e1, e3) and _disjoint(e2, e3)):
+                        continue
+                    for perm in ((e1, e2, e3), (e1, e3, e2)):
+                        got = self._hexagon(perm)
+                        if got is not None and all(map(free, got)):
+                            yield "C6", perm, got
 
-    def moves(self, mask: int, rows) -> List[SwapMove]:
-        return [move for rm, add, move, _ in rows if mask & rm == rm and not mask & add]
+    def move_table(self, chords: int) -> List[Tuple[int, int, float]]:
+        """The ``swaps`` among the chords in the bit mask ``chords``, as
+        (removed bits, added bits, weight)."""
+        bit = {c: 1 << i for i, c in enumerate(self.chords) if chords >> i & 1}
+        weight = {"C4": self.c4_weight(), "C6": self.c6_weight()}
+        return [(sum(map(bit.get, removed)), sum(map(bit.get, added)), weight[kind])
+                for kind, removed, added in self.swaps(list(bit), bit.__contains__)]
 
     def weighted_neighbors(self, mask: int, rows) -> List[Tuple[int, float]]:
-        return [(mask ^ rm ^ add, w) for rm, add, _, w in rows if mask & rm == rm and not mask & add]
+        return [(mask ^ rm ^ add, w) for rm, add, w in rows if mask & rm == rm and not mask & add]
 
 
 def _disjoint(e1: Edge, e2: Edge) -> bool:
@@ -322,33 +333,7 @@ def enumerate_swaps(g, f: Optional[ForbiddenSet] = None) -> List[SwapMove]:
         if e in banned or simple and e[0] == e[1]:
             raise ValueError("edge %r is not a chord: a loop or a forbidden pair" % (e,))
     has = g.edges
-    edges = sorted(has)
-    out = []
-    for i, e1 in enumerate(edges):
-        for e2 in edges[i + 1:]:
-            if not _disjoint(e1, e2) or simple and (e1[0] == e2[1] or e1[1] == e2[0]):
-                continue
-            for f1, f2 in inst._alts(e1, e2):
-                if f1 not in has and f2 not in has:
-                    out.append(SwapMove("C4", (e1, e2), (f1, f2)))
-    if inst.use_c6:
-        for i, e1 in enumerate(edges):
-            for j in range(i + 1, len(edges)):
-                e2 = edges[j]
-                # every hexagon through e1 then e2 closes on (e2[0], e1[1]),
-                # and every one through e1 then e3 then e2 on (e1[0], e2[1])
-                if not _disjoint(e1, e2) or (
-                    (e2[0], e1[1]) not in banned and (e1[0], e2[1]) not in banned
-                ):
-                    continue
-                for e3 in edges[j + 1:]:
-                    if not (_disjoint(e1, e3) and _disjoint(e2, e3)):
-                        continue
-                    for perm in ((e1, e2, e3), (e1, e3, e2)):
-                        got = inst._hexagon(perm)
-                        if got is not None and not has.intersection(got):
-                            out.append(SwapMove("C6", perm, got))
-    return out
+    return [SwapMove(*move) for move in inst.swaps(sorted(has), lambda pair: pair not in has)]
 
 
 def _require_in_range(edges, rows: int, cols: int) -> None:

@@ -17,6 +17,7 @@ from .sequences import (
     DegreeSequence,
     DirectedDegreeSequence,
     ForbiddenSet,
+    _as_int,
 )
 
 if TYPE_CHECKING:  # only ``load_dsm`` needs the spectra module, and imports it
@@ -28,18 +29,32 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "a numbe
                float: "a number", bool: "a boolean", type(None): "null"}
 
 
-def _expect(data, kind: type, shape: str) -> None:
-    """Raise ValueError naming the expected shape unless ``data`` is a ``kind``."""
+def _expect(data, kind: type, shape: str, ok=None):
+    """``data``, unless it is no ``kind`` or, given ``ok``, one of its entries
+    fails ``ok``: then a ValueError names the shape and what came instead."""
     if not isinstance(data, kind):
         got = _JSON_TYPES.get(type(data), type(data).__name__)
         raise ValueError("expected %s, got %s" % (shape, got))
+    for x in data if ok else ():
+        if not ok(x):
+            raise ValueError("expected %s, got the entry %s" % (shape, json.dumps(x)))
+    return data
 
 
-def _list_field(data: dict, name: str, shape: str = "a JSON list of integers") -> list:
-    """``data[name]``, which must be a list; a KeyError if it is missing."""
-    value = data[name]
-    _expect(value, list, '"%s" as %s' % (name, shape))
-    return value
+def _is_int(x) -> bool:
+    """Whether ``_as_int`` takes ``x``; the loaders name an entry it refuses
+    in JSON text, where it prints the Python repr (``None`` for null)."""
+    try:
+        _as_int(x)
+    except ValueError:
+        return False
+    return True
+
+
+def _list_field(data: dict, name: str, shape: str = "a JSON list of integers",
+                ok=_is_int) -> list:
+    """``data[name]``, a list whose entries pass ``ok``; a KeyError if it is missing."""
+    return _expect(data[name], list, '"%s" as %s' % (name, shape), ok)
 
 
 def sequence_from_dict(data: dict) -> AnySequence:
@@ -77,11 +92,8 @@ def load_forbidden(path: str) -> ForbiddenSet:
     """Forbidden pairs are 1-based in files, 0-based in memory."""
     with open(path) as fh:
         data = json.load(fh)
-    shape = "a JSON list of [u, w] pairs"
-    _expect(data, list, shape)
-    for pair in data:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError("expected %s, got the entry %s" % (shape, json.dumps(pair)))
+    _expect(data, list, "a JSON list of [u, w] pairs", lambda pair: isinstance(pair, list)
+            and len(pair) == 2 and all(map(_is_int, pair)))
     return ForbiddenSet(data).shifted(-1, -1)
 
 
@@ -95,11 +107,10 @@ def load_dsm(path: str) -> DegreeSpectraMatrix:
     with open(path) as fh:
         data = json.load(fh)
     _expect(data, dict, 'a JSON object such as {"delta": D, "columns": [[...], ...]}')
-    shape = "a JSON list of integer lists"
-    columns = _list_field(data, "columns", shape)
-    for column in columns:
-        if not isinstance(column, list):
-            raise ValueError('expected "columns" as %s, got the entry %s'
-                             % (shape, json.dumps(column)))
-    return DegreeSpectraMatrix(data["delta"], columns)
+    columns = _list_field(data, "columns", "a JSON list of integer lists",
+                          lambda column: isinstance(column, list) and all(map(_is_int, column)))
+    delta = data["delta"]
+    if not _is_int(delta):
+        raise ValueError('expected "delta" as an integer, got %s' % json.dumps(delta))
+    return DegreeSpectraMatrix(delta, columns)
 

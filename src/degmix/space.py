@@ -41,7 +41,7 @@ from .decomposition import (
 )
 from ._value import Value
 from .errors import CheegerViolation, Disconnected, NotGraphical, ProductMismatch, TooLarge
-from .graphs import Instance, bipartite_instance, directed_instance, simple_instance
+from .graphs import Instance, SwapMove, bipartite_instance, directed_instance, simple_instance
 from .layout import nested_layout
 from .sequences import (
     BipartiteDegreeSequence,
@@ -254,7 +254,7 @@ class Space:
             return got
 
         kernel = tuple({} for _ in order)
-        for rm, add, _, w in self.rows:
+        for rm, add, w in self.rows:
             for i, j in zip(states(rm, add), states(add, rm)):
                 kernel[i][j] = w
         return kernel
@@ -668,19 +668,22 @@ def verify_cartesian_product(
 def swap_locality_report(d, max_chords: Optional[int] = None) -> dict:
     """Exhaustively verify that every swap of every realization of ``d``
     touches vertices of exactly one canonical component (tail included).
-    The components are the sampler's own factor layout."""
+    The components are the sampler's own factor layout.  Each realization's
+    swaps come from its edges, in the order of the space's move table."""
     layout = _make_plan(d, None, "auto")
     space = realization_space(d, max_chords=max_chords)
     u_own, w_own = layout.owners()
     checked = 0
     for mask in space.masks:
-        for move in space.instance.moves(mask, space.rows):
-            edges = move.removed + move.added
-            owners = {u_own[a] for a, _ in edges} | {w_own[b] for _, b in edges}
+        edges = space.instance.edges_of_mask(mask)
+        have = set(edges)
+        for kind, removed, added in space.instance.swaps(edges, lambda pair: pair not in have):
+            touched = removed + added
+            owners = {u_own[a] for a, _ in touched} | {w_own[b] for _, b in touched}
             if len(owners) != 1:
                 raise ProductMismatch(
                     "swap crosses component boundaries",
-                    witness={"move": move, "mask": mask},
+                    witness={"move": SwapMove(kind, removed, added), "mask": mask},
                 )
             checked += 1
     return {"ok": True, "realizations": space.count, "swaps_checked": checked,

@@ -30,9 +30,11 @@ reads the whole kernel, building it first if the space has none, and then
 walks it from state 0 to the end.
 
 ``enumerate_swaps`` is the swap listing before it took its moves from the
-realization's own edges: it builds the move table over every chord of the
+realization's own edges: it builds ``move_table`` over every chord of the
 instance and the chord index, then scans the table at the realization's
-mask.
+mask.  Like ``full_scan_kernel``, it reads none of the library's move
+listing (``Instance.swaps`` and ``Instance.move_table``), only the swap
+rules ``Instance._alts`` and ``Instance._hexagon``.
 
 ``_enumerate_masks`` is the realization enumeration before it took a walk
 order from the degrees: it decides the chords in input-label order, one
@@ -462,7 +464,8 @@ def enumerate_swaps(g, f: Optional[ForbiddenSet] = None) -> List[SwapMove]:
         inst = bipartite_instance(g.u_degrees(), g.w_degrees(), f)
     else:
         raise TypeError("expected a LabeledGraph or LabeledBipartiteGraph")
-    return inst.moves(inst.mask_of_edges(g.edges), inst.move_table((1 << len(inst.chords)) - 1))
+    mask = inst.mask_of_edges(g.edges)
+    return [move for rm, add, move, _ in move_table(inst) if mask & rm == rm and not mask & add]
 
 
 def _enumerate_masks(inst: Instance, max_chords: Optional[int]) -> Tuple[int, ...]:

@@ -268,11 +268,14 @@ def test_criterion_07_uniformity():
                 tv_simple, tv_bip, emp_simple, emp_bip))
 
 
-def test_criterion_08_swap_locality():
+def _locality_compositions():
+    """Criterion 8's compositions, each with its chord cap and swap-locality
+    report: composed pairs of at most 30 chords, simple lifts of composed
+    pairs on at most 8 vertices, each of at least two components, a
+    three-factor composition, and two with a 2-regular 3 + 3 factor."""
     rng = random.Random(55)
     pool = _random_bipartite_pool(rng, 3, 400)
     checked = 0
-    swaps = 0
     for k in range(0, len(pool) - 1, 2):
         if checked >= 6:
             break
@@ -282,7 +285,7 @@ def test_criterion_08_swap_locality():
         rep = swap_locality_report(composed, max_chords=30)
         if rep["components"] < 2:
             continue
-        swaps += rep["swaps_checked"]
+        yield composed, 30, rep
         checked += 1
     # simple lifts of composed pairs, plus one three-factor composition
     for k in range(1, len(pool) - 1, 2):
@@ -295,11 +298,10 @@ def test_criterion_08_swap_locality():
         rep = swap_locality_report(lift, max_chords=28)
         if rep["components"] < 2:
             continue
-        swaps += rep["swaps_checked"]
+        yield lift, 28, rep
         checked += 1
-    rep = swap_locality_report(compose_bipartite_many([A, EDGE, A]), max_chords=25)
-    swaps += rep["swaps_checked"]
-    checked += 1
+    composed = compose_bipartite_many([A, EDGE, A])
+    yield composed, 25, swap_locality_report(composed, max_chords=25)
     r22 = BipartiteDegreeSequence((2, 2, 2), (2, 2, 2))
     for composed, cap in (
         (compose_bipartite(r22, B), 36),
@@ -307,9 +309,25 @@ def test_criterion_08_swap_locality():
     ):
         rep = swap_locality_report(composed, max_chords=cap)
         assert rep["components"] >= 2
+        yield composed, cap, rep
+
+
+def test_criterion_08_swap_locality():
+    swaps = [rep["swaps_checked"] for _, _, rep in _locality_compositions()]
+    _report(8, len(swaps) >= 10, "%d compositions, %d swaps all local" % (len(swaps), sum(swaps)))
+
+
+def test_swap_locality_checks_every_move_of_every_realization():
+    # each valid move at a realization is one entry of its kernel row, so
+    # the audit checks exactly as many swaps as the kernel has entries
+    reports = swaps = 0
+    for composed, cap, rep in _locality_compositions():
+        kernel = realization_space(composed, max_chords=cap).kernel
+        assert rep["realizations"] == len(kernel)
+        assert rep["swaps_checked"] == sum(map(len, kernel)), composed
+        reports += 1
         swaps += rep["swaps_checked"]
-        checked += 1
-    _report(8, checked >= 10, "%d compositions, %d swaps all local" % (checked, swaps))
+    assert (reports, swaps) == (13, 274)
 
 
 def test_criterion_09_greenhill_violation():

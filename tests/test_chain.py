@@ -18,6 +18,7 @@ from degmix import (
     NotGraphical,
     degree_spectra,
     derive_seed,
+    enumerate_swaps,
     sample,
 )
 from degmix import sequences
@@ -457,7 +458,8 @@ def _chi_square_bound(df: int, z: float = 3.719) -> float:
 def _busiest(space) -> int:
     """Index of the realization with the most C6 moves, then the most moves."""
     def key(i):
-        moves = space.instance.moves(space.masks[i], space.rows)
+        moves = enumerate_swaps(space.instance.graph_of_mask(space.masks[i]),
+                                space.instance.forbidden)
         return sum(move.kind == "C6" for move in moves), len(moves)
     return max(range(space.count), key=key)
 
@@ -520,8 +522,9 @@ def test_run_t_step_law_matches_exact_kernel(name, t):
     else:
         spaces = [realization_space(*LAW_CASES[name])]
     if name in ("restricted-c6", "directed"):  # C6 moves leave the start
-        assert any(m.kind == "C6" for m in spaces[0].instance.moves(
-            spaces[0].masks[_busiest(spaces[0])], spaces[0].rows))
+        inst = spaces[0].instance
+        busiest = inst.graph_of_mask(spaces[0].masks[_busiest(spaces[0])])
+        assert any(m.kind == "C6" for m in enumerate_swaps(busiest, inst.forbidden))
     _assert_t_step_law(spaces, t, trials=40000, seed=1600 + t)
 
 

@@ -147,10 +147,13 @@ def test_usage_error_exits_2(files, tmp_path, capsys, monkeypatch, argv, payload
         assert "block" in err
     if payload == [[1, 1], [1, 2]]:
         assert err.endswith("%s: forbidden set is not a partial 1-factor" % path)
-    if "1.5" in str(payload) or "1e400" in str(payload):
-        assert re.search(r"%s: not an integer: (1\.5|inf)$" % re.escape(str(path)), err)
-    if "True" in str(payload):  # JSON true, once read as 1
-        assert err.endswith("%s: not an integer: True" % path)
+    # a number that is no integer, or JSON true (once read as 1), is named in
+    # JSON text; test_input_of_the_wrong_json_type_names_the_expected_shape
+    # pins each whole message
+    for text, shown in (("1.5", "1.5"), ("1e400", "Infinity"), ("True", "true")):
+        if text in str(payload):
+            assert re.search(r"%s: expected .+, got (the entry )?\[?(1, )?%s(, 1)?\]?$"
+                             % (re.escape(str(path)), shown), err), err
 
 
 @pytest.mark.parametrize("argv, payload, expected", [
@@ -168,11 +171,38 @@ def test_usage_error_exits_2(files, tmp_path, capsys, monkeypatch, argv, payload
      '"columns" as a JSON list of integer lists, got a number'),
     (["dsm", "--check", "--matrix", "{file}"], {"delta": 2, "columns": [[1, 1], 5]},
      '"columns" as a JSON list of integer lists, got the entry 5'),
-], ids=["sequence", "forbidden", "dsm", "degrees", "in", "columns", "column"])
+    # an entry that is no integer is named in JSON text, not as Python
+    # prints it (None, True, inf, {'a': 1})
+    (["test", "--seq", "{file}"], {"kind": "simple", "degrees": [None, 1]},
+     '"degrees" as a JSON list of integers, got the entry null'),
+    (["test", "--seq", "{file}"], {"kind": "bipartite", "u": [1], "w": [{"a": 1}]},
+     '"w" as a JSON list of integers, got the entry {"a": 1}'),
+    (["dsm", "--check", "--matrix", "{file}"], {"delta": 1, "columns": [[True]]},
+     '"columns" as a JSON list of integer lists, got the entry [true]'),
+    (["test", "--seq", "{block}", "--forbidden", "{file}"], [[1, None]],
+     "a JSON list of [u, w] pairs, got the entry [1, null]"),
+    (["test", "--seq", "{file}"], {"kind": "simple", "degrees": [1.5, 1.5]},
+     '"degrees" as a JSON list of integers, got the entry 1.5'),
+    (["test", "--seq", "{file}"], INFINITE,
+     '"degrees" as a JSON list of integers, got the entry Infinity'),
+    (["test", "--seq", "{file}"], {"kind": "simple", "degrees": [True, True]},
+     '"degrees" as a JSON list of integers, got the entry true'),
+    (["dsm", "--check", "--matrix", "{file}"], '{"delta": 1, "columns": [[1], [1e400]]}',
+     '"columns" as a JSON list of integer lists, got the entry [Infinity]'),
+    (["dsm", "--check", "--matrix", "{file}"], {"delta": True, "columns": [[1], [1]]},
+     '"delta" as an integer, got true'),
+    (["test", "--seq", "{block}", "--forbidden", "{file}"], "[[1, 1e400]]",
+     "a JSON list of [u, w] pairs, got the entry [1, Infinity]"),
+    (["test", "--seq", "{block}", "--forbidden", "{file}"], [[True, 1]],
+     "a JSON list of [u, w] pairs, got the entry [true, 1]"),
+], ids=["sequence", "forbidden", "dsm", "degrees", "in", "columns", "column", "degree-null",
+        "degree-object", "column-boolean", "forbidden-null", "degree-fraction",
+        "degree-infinite", "degree-boolean", "column-infinite", "delta-boolean",
+        "forbidden-infinite", "forbidden-boolean"])
 def test_input_of_the_wrong_json_type_names_the_expected_shape(files, tmp_path, capsys, argv,
                                                                payload, expected):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     assert main([a.format(file=path, **files) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert not out

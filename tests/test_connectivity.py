@@ -159,6 +159,6 @@ def test_kernel_oracle_checks_the_states_a_walk_scans(monkeypatch, kernel_oracle
     # rows with a wrong weight fail the check
     rows = Space.rows.func
     monkeypatch.setattr(Space, "rows", property(
-        lambda self: [(rm, add, move, 2 * w) for rm, add, move, w in rows(self)]))
+        lambda self: [(rm, add, 2 * w) for rm, add, w in rows(self)]))
     with pytest.raises(AssertionError):
         realization_space(seq).connected()

@@ -219,6 +219,32 @@ def test_enumerate_swaps_matches_the_all_chord_scan_on_random_graphs():
     assert kinds == {"C4", "C6"}
 
 
+def test_oracles_read_none_of_the_move_listing(monkeypatch):
+    # the oracles pin the library's move listing, so they must answer with
+    # it gone: the same moves and the same kernels, order included
+    cases = [
+        (LabeledGraph(5, [(0, 1), (0, 2), (1, 2), (3, 4)]), None),
+        (LabeledBipartiteGraph(3, 3, [(0, 1), (1, 2), (2, 0)]), _DIAG3),
+        (LabeledBipartiteGraph(3, 3, [(0, 1), (1, 0), (2, 2), (2, 1)]), None),
+    ]
+    spaces = [realization_space(DegreeSequence((2, 2, 2, 1, 1))),
+              realization_space(BipartiteDegreeSequence((2, 1, 1), (2, 1, 1)), _DIAG3)]
+    moves = [enumerate_swaps(g, f) for g, f in cases]
+    kernels = [[list(row.items()) for row in space.kernel] for space in spaces]
+    assert all(moves) and {m.kind for ms in moves for m in ms} == {"C4", "C6"}
+
+    def gone(self, *args):
+        raise AssertionError("read the library's move listing")
+
+    monkeypatch.setattr(Instance, "swaps", gone)
+    monkeypatch.setattr(Instance, "move_table", gone)
+    assert [legacy_oracles.enumerate_swaps(g, f) for g, f in cases] == moves
+    assert [[list(row.items()) for row in legacy_oracles.full_scan_kernel(space)]
+            for space in spaces] == kernels
+    with pytest.raises(AssertionError, match="move listing"):
+        enumerate_swaps(*cases[0])
+
+
 def _chords_forbidden(monkeypatch):
     def never(self):
         raise AssertionError("built the chord list")

@@ -30,8 +30,9 @@ from degmix import (
     tv_distance_audit,
     verify_cartesian_product,
 )
-from degmix.chain import ChainState, ProductChain, run
-from degmix.graphs import Instance
+from degmix.chain import ChainState, ProductChain, _make_plan, run
+from degmix.graphs import Instance, SwapMove
+from degmix.layout import Layout
 from degmix.sequences import directed_graphical, erdos_gallai, gale_ryser
 from degmix.space import Space, _exact_conductance, _sweep_conductance
 
@@ -324,8 +325,26 @@ def test_one_pass_kernel_matches_full_scan_on_small_spaces(kernel_oracle):
     for space in spaces:
         assert len(space.kernel) == space.count
     assert kernel_oracle == spaces and len(spaces) == 2002
-    six = sum(any(move.kind == "C6" for _, _, move, _ in space.rows) for space in spaces)
+    six = sum(any(rm.bit_count() == 3 for rm, _, _ in space.rows) for space in spaces)
     assert six == 39
+
+
+def test_move_tables_match_the_oracle_on_small_spaces():
+    # the table over every chord is the oracle's with its move column
+    # dropped, and a space's rows are the oracle's rows that touch only its
+    # free chords, order included
+    spaces = six = 0
+    for space in _small_spaces():
+        inst = space.instance
+        want = [(rm, add, w) for rm, add, _, w in old.move_table(inst)]
+        assert inst.move_table((1 << len(inst.chords)) - 1) == want
+        fixed = ~0
+        for mask in space.masks:
+            fixed &= ~(mask ^ space.masks[0])
+        assert space.rows == [row for row in want if not (row[0] | row[1]) & fixed]
+        spaces += 1
+        six += any(rm.bit_count() == 3 for rm, _, _ in space.rows)
+    assert (spaces, six) == (2002, 39)
 
 
 @pytest.mark.parametrize("u, w", [((2, 2, 2, 1), (3, 2, 1, 1)),
@@ -532,6 +551,34 @@ def test_swap_locality_simple_and_bipartite():
     b = BipartiteDegreeSequence((3, 1, 1), (2, 2, 1))
     rep2 = swap_locality_report(compose_bipartite(a, b), max_chords=25)
     assert rep2["ok"] and rep2["components"] == 3 and rep2["swaps_checked"] > 0
+
+
+def test_swap_locality_names_the_first_crossing_swap(monkeypatch):
+    # move u vertex 3 of a two-factor composition into the other factor: the
+    # witness is the first swap, realization by realization in mask order
+    # and then in the all-chord scan's order, that touches both factors
+    d = compose_bipartite(BipartiteDegreeSequence((2, 1, 1), (2, 1, 1)),
+                          BipartiteDegreeSequence((1, 1), (1, 1)))
+    owners = Layout.owners
+
+    def moved(self):
+        u_own, w_own = owners(self)
+        u_own[3] = 1 - u_own[3]
+        return u_own, w_own
+
+    monkeypatch.setattr(Layout, "owners", moved)
+    u_own, w_own = moved(_make_plan(d, None, "auto"))
+    space = realization_space(d, max_chords=25)
+    scanned = [(mask, move) for mask in space.masks
+               for move in old.enumerate_swaps(space.instance.graph_of_mask(mask))]
+    crossing = [{"move": move, "mask": mask} for mask, move in scanned
+                if len({u_own[a] for a, _ in move.removed + move.added}
+                       | {w_own[b] for _, b in move.removed + move.added}) > 1]
+    assert scanned.index((crossing[0]["mask"], crossing[0]["move"])) == 4
+    with pytest.raises(ProductMismatch, match="^swap crosses component boundaries$") as err:
+        swap_locality_report(d, max_chords=25)
+    assert err.value.witness == crossing[0]
+    assert type(err.value.witness["move"]) is SwapMove
 
 
 # ---------------------------------------------------------------------------
