@@ -40,7 +40,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from .decomposition import canonical_decompose, canonical_decompose_bipartite
+from .decomposition import SplitSequence, canonical_decompose, canonical_decompose_bipartite
 from .errors import NotGraphical
 from .graphs import Edge, Instance, bipartite_instance, directed_instance, simple_instance
 from .layout import Layout, factor_layout, nested_layout, split_layout
@@ -326,10 +326,23 @@ def _greedy_start(bd, forbidden: ForbiddenSet, message: str) -> List[Edge]:
         raise NotGraphical(message) from None
 
 
+def _as_sequence(d):
+    """``d`` as a directed, bipartite or simple degree sequence.  A split
+    sequence becomes its degree sequence (its u-then-w order is already
+    non-increasing), and any other value the ``DegreeSequence`` of its
+    entries, which checks them."""
+    if isinstance(d, (DirectedDegreeSequence, BipartiteDegreeSequence, DegreeSequence)):
+        return d
+    if isinstance(d, SplitSequence):
+        return d.degree_sequence()
+    return DegreeSequence(d)
+
+
 def _make_plan(d, forbidden: Optional[ForbiddenSet], factorize: str) -> Layout:
     # The canonical decompositions test graphicality themselves, and so does
     # the greedy that realizes a directed or forbidden-set start; only the
     # factorize-off paths test it here.
+    d = _as_sequence(d)
     if isinstance(d, DirectedDegreeSequence):
         start = _greedy_start(*d.gale_representation(), "directed sequence is not graphical")
         # No factorization path for directed input: the composition theory
@@ -347,8 +360,6 @@ def _make_plan(d, forbidden: Optional[ForbiddenSet], factorize: str) -> Layout:
         factors = canonical_decompose_bipartite(d)
         u_order, w_order = DegreeSequence(d.u_degrees).order, DegreeSequence(d.w_degrees).order
         return factor_layout(factors, u_order, w_order)
-    if not isinstance(d, DegreeSequence):
-        d = DegreeSequence(d)
     if forbidden is not None and len(forbidden):
         raise ValueError("forbidden sets apply to bipartite/directed sequences")
     if factorize == "off":

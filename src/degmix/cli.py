@@ -254,6 +254,7 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     from .space import (
+        _instance_for,
         realization_space,
         spectral_report,
         tv_distance_audit,
@@ -303,44 +304,26 @@ def cmd_verify(args) -> int:
             )
             _emit(args, {"steps": args.steps, "tv": tv}, "TV after %d steps: %.3g" % (args.steps, tv))
             return 0
-        # product mode: split off the leading canonical factor and check the
-        # composed realization graph against the factor product.
-        from .decomposition import (
-            CanonicalDecomposition,
-            canonical_decompose,
-            canonical_decompose_bipartite,
-            compose_bipartite_many,
-            recompose,
-        )
-
-        if isinstance(seq, DegreeSequence):
-            cd = canonical_decompose(seq)
-            if not cd.components:
-                _emit(args, {"factors": 1, "ok": True}, "indecomposable; nothing to verify")
-                return 0
-            rest = recompose(CanonicalDecomposition(cd.components[1:], cd.tail))
-            report = verify_cartesian_product(
-                cd.components[0], rest, max_chords=args.max_chords
-            )
-        elif isinstance(seq, BipartiteDegreeSequence):
-            factors = canonical_decompose_bipartite(seq)
-            if len(factors) == 1:
-                _emit(args, {"factors": 1, "ok": True}, "indecomposable; nothing to verify")
-                return 0
-            rest = compose_bipartite_many(factors[1:])
-            report = verify_cartesian_product(
-                factors[0], rest, max_chords=args.max_chords
-            )
-        else:
+        # product mode: check the composed realization graph against the
+        # product of all its canonical factors, laid out as the sampler
+        # lays them out.
+        if isinstance(seq, DirectedDegreeSequence):
             raise UsageError("--mode product is not defined for directed input")
+        from .chain import _make_plan
+
+        layout = _make_plan(seq, None, "auto")
+        if len(layout.factors) <= 1:
+            _emit(args, {"factors": 1, "ok": True}, "indecomposable; nothing to verify")
+            return 0
+        report = verify_cartesian_product(_instance_for(seq, None, False), layout,
+                                          args.max_chords)
         _emit(
             args,
             report,
-            "product verified: %d = %d x %d realizations, %d meta-edges"
+            "product verified: %d = %s realizations, %d meta-edges"
             % (
                 report["composed_count"],
-                report["factor_counts"][0],
-                report["factor_counts"][1],
+                " x ".join(map(str, report["factor_counts"])),
                 report["edges"],
             ),
         )

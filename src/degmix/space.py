@@ -12,8 +12,9 @@ matrices and the product check read the kernel.  The connectivity walk
 stops as soon as it has seen every realization: with no kernel built it
 scans the table only at the states it expands, and with one built it reads
 it.  The spectral report builds its kernel before it checks connectivity,
-so its walk scans no state.  The product check projects each composed
-state onto the factors a byte of chords at a time, through tables.  Up to
+so its walk scans no state.  The product check takes a ``Layout`` of any
+number of factors and projects each composed state onto one int of factor
+bits a byte of chords at a time, through tables.  Up to
 ``EXACT_STATES`` (20) realizations the spectrum comes from the dense
 transition matrix, and the conductance from a recurrence that fills the
 boundaries of all 2^n state sets in O(2^n); beyond that, lambda2 and the
@@ -27,29 +28,19 @@ theorems are checked realization by realization with bijections.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from functools import cached_property
 from itertools import compress
+from math import prod
 from operator import mul
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .chain import ChainState, ProductChain, _make_plan, run
-from .decomposition import (
-    SplitSequence,
-    compose,
-    compose_directed,
-    psi,
-)
+from .chain import ChainState, ProductChain, _as_sequence, _make_plan, run
 from ._value import Value
 from .errors import CheegerViolation, Disconnected, NotGraphical, ProductMismatch, TooLarge
 from .graphs import Instance, SwapMove, bipartite_instance, directed_instance, simple_instance
-from .layout import nested_layout
-from .sequences import (
-    BipartiteDegreeSequence,
-    DegreeSequence,
-    DirectedDegreeSequence,
-    ForbiddenSet,
-    _as_int,
-)
+from .layout import Layout
+from .sequences import BipartiteDegreeSequence, DirectedDegreeSequence, ForbiddenSet
 
 if TYPE_CHECKING:  # numpy is imported by the functions that compute with it
     import numpy as np
@@ -77,19 +68,14 @@ EXACT_STATES = 20
 
 
 def _instance_for(d, f: Optional[ForbiddenSet], c4_only: bool) -> Instance:
+    d = _as_sequence(d)
     if isinstance(d, DirectedDegreeSequence):
         return directed_instance(d, c4_only)
     if isinstance(d, BipartiteDegreeSequence):
         return bipartite_instance(d.u_degrees, d.w_degrees, f, c4_only)
-    if isinstance(d, SplitSequence):
-        return simple_instance(d.degree_sequence().sorted_degrees)
-    if isinstance(d, DegreeSequence):
-        degrees = d.degrees
-    else:
-        degrees = tuple(map(_as_int, d))
     if f is not None and len(f):
         raise ValueError("forbidden sets apply to bipartite/directed sequences")
-    return simple_instance(degrees)
+    return simple_instance(d.degrees)
 
 
 def _bits(mask: int):
@@ -502,142 +488,131 @@ def spectral_report(space: Space) -> SpectralReport:
 # Cartesian-product verification
 
 
-def _byte_tables(chord_map: Dict[int, Tuple[int, int]], chord_count: int,
-                 shift: int) -> List[List[int]]:
+def _byte_tables(factor_bit: Dict[int, int], chord_count: int) -> List[List[int]]:
     """For each byte of a composed mask, byte value -> the factor bits of its
-    chords, factor 1's from bit 0 and factor 2's from bit ``shift``; other
-    chords give none.  Each table fills by doubling, one chord at a time."""
+    chords; a chord that ``factor_bit`` does not map gives none.  Each table
+    fills by doubling, one chord at a time."""
     tables = []
     for base in range(0, chord_count, 8):
         table = [0]
         for bit in range(base, base + 8):
-            got = chord_map.get(bit)
-            fbit = 0 if got is None else 1 << (got[1] + shift * got[0])
+            fbit = factor_bit.get(bit, 0)
             table += [t | fbit for t in table]
         tables.append(table)
     return tables
 
 
-def verify_cartesian_product(
-    factor1,
-    factor2,
-    forbidden1: Optional[ForbiddenSet] = None,
-    forbidden2: Optional[ForbiddenSet] = None,
-    max_chords: Optional[int] = None,
-) -> dict:
-    """Check that the composed realization graph is the Cartesian product of
-    the factor realization graphs.
+def verify_cartesian_product(composed: Instance, layout: Layout,
+                             max_chords: Optional[int] = None) -> dict:
+    """Check that the realization graph of ``composed`` is the Cartesian
+    product of the realization graphs of the ``layout``'s factors, any
+    number of them.
 
     Builds the explicit bijection (restriction to each factor after removing
     the forced composition edges), then verifies that realization counts
     multiply, that adjacency follows the product rule (moves change exactly
     one coordinate, by a move of that factor), and that transition weights
-    are proportional coordinate-by-coordinate and kind-by-kind.  Returns a
-    report dict; raises ProductMismatch with a counterexample otherwise.
+    are proportional coordinate-by-coordinate and kind-by-kind.  The
+    factors' chords are laid end to end in one int of factor bits, so a
+    composed state projects to one int, and a move's coordinate is the
+    factor that owns the top bit of the two states' XOR.  Returns a report
+    dict; raises ProductMismatch with a counterexample otherwise.
     """
-    if isinstance(factor1, SplitSequence):
-        g = factor2 if isinstance(factor2, DegreeSequence) else DegreeSequence(factor2)
-        composed = simple_instance(compose(factor1, g).sorted_degrees)
-        layout = nested_layout(
-            [bipartite_instance(*psi(factor1).canonical())],
-            simple_instance(g.sorted_degrees),
-            range(composed.n),
-        )
-    else:
-        a, b = factor1, factor2
-        fa = forbidden1 if forbidden1 is not None else ForbiddenSet()
-        fb = forbidden2 if forbidden2 is not None else ForbiddenSet()
-        cs, merged = compose_directed(a, fa, b, fb)
-        # Keep operand vertex order (no sorting) so forbidden sets line up:
-        # the first factor's secondaries come first, not last as in slots.
-        composed = bipartite_instance(cs.u_degrees, cs.w_degrees, merged)
-        layout = nested_layout(
-            [
-                bipartite_instance(a.u_degrees, a.w_degrees, fa),
-                bipartite_instance(b.u_degrees, b.w_degrees, fb),
-            ],
-            None,
-            range(composed.nu),
-            [*range(a.nw, composed.nw), *range(a.nw)],
-        )
     factors = layout.factors
+    offsets = [0]  # where each factor's chords start among the factor bits
+    for inst in factors:
+        offsets.append(offsets[-1] + len(inst.chords))
     # The composed instance's forced chords, and each factor chord's bit in
-    # it mapped to (factor, bit).
+    # it mapped to its factor bit.
     forced = composed.mask_of_edges(layout.forced)
-    chord_map = {
-        composed.chord_index[layout.edge(k, e)]: (k, bit)
+    factor_bit = {
+        composed.chord_index[layout.edge(k, e)]: 1 << (offsets[k] + bit)
         for k, inst in enumerate(factors)
         for bit, e in enumerate(inst.chords)
     }
 
-    whole, s1, s2 = (Space(inst, _enumerate_masks(inst, max_chords)) for inst in (composed, *factors))
-    if whole.count != s1.count * s2.count:
+    whole, *parts = (Space(inst, _enumerate_masks(inst, max_chords))
+                     for inst in (composed, *factors))
+    counts = tuple(space.count for space in parts)
+    if whole.count != prod(counts):
         raise ProductMismatch(
-            "realization counts do not multiply: %d != %d * %d"
-            % (whole.count, s1.count, s2.count),
-            witness={"counts": (whole.count, s1.count, s2.count)},
+            "realization counts do not multiply: %d != %s"
+            % (whole.count, " * ".join(map(str, counts))),
+            witness={"counts": (whole.count, *counts)},
         )
     if not whole.count:
         raise NotGraphical("no realizations")
-    index = (s1.index(), s2.index())
+    spans = [((1 << hi) - (1 << lo), lo) for lo, hi in zip(offsets, offsets[1:])]
+
+    def split(bits: int) -> tuple:
+        """Factor bits -> each factor's mask."""
+        return tuple((bits & span) >> lo for span, lo in spans)
+
     # A realization restricts to the factors when it holds every forced
     # chord and no stray one, a chord of neither kind.
-    stray = ((1 << len(composed.chords)) - 1) & ~forced & ~sum(1 << bit for bit in chord_map)
-    shift = len(factors[0].chords)
-    tables = _byte_tables(chord_map, len(composed.chords), shift)
+    stray = ((1 << len(composed.chords)) - 1) & ~forced & ~sum(1 << bit for bit in factor_bit)
+    tables = _byte_tables(factor_bit, len(composed.chords))
+    # each factor's states by their factor bits, and the span of those bits
+    cuts = [({mask << lo: i for i, mask in enumerate(space.masks)}, span)
+            for space, (span, lo) in zip(parts, spans)]
     seen = {}
+    states = []  # each composed state's factor state indices
     for mask in whole.masks:
         if mask & forced != forced or mask & stray:
             raise ProductMismatch(
                 "realization does not restrict to the factors",
                 witness={"mask": mask},
             )
-        both = 0
+        bits = 0
         for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
-            both |= table[byte]
-        pair = (both & ((1 << shift) - 1), both >> shift)
-        if pair in seen:
+            bits |= table[byte]
+        if bits in seen:
             raise ProductMismatch(
-                "two realizations project to the same factor pair",
-                witness={"pair": pair, "masks": (seen[pair], mask)},
+                "two realizations project to the same factor realizations",
+                witness={"factors": split(bits), "masks": (seen[bits], mask)},
             )
-        if pair[0] not in index[0] or pair[1] not in index[1]:
+        seen[bits] = mask
+        try:
+            states.append([index[bits & span] for index, span in cuts])
+        except KeyError:
             raise ProductMismatch(
-                "projection is not a factor realization", witness={"pair": pair}
-            )
-        seen[pair] = mask
-    proj = list(seen)  # each composed state's factor pair, in state order
-    states = [(index[0][x], index[1][y]) for x, y in proj]  # the pair's state indices
-    kernels = (s1.kernel, s2.kernel)
+                "projection is not a factor realization", witness={"factors": split(bits)}
+            ) from None
+    proj = list(seen)  # each composed state's factor bits, in state order
+    kernels = [space.kernel for space in parts]
 
-    def kind(key: Tuple[int, bool]) -> Tuple[int, str]:
-        return key[0], "C6" if key[1] else "C4"
+    def kind(key: Tuple[int, int]) -> Tuple[int, str]:
+        return key[0], "C6" if key[1] == 6 else "C4"
 
-    ratio: Dict[Tuple[int, bool], float] = {}  # (coord, is C6) -> the latest ratio
+    # A move's key is its coordinate, the factor that owns the top bit of
+    # its XOR, and its chord count; one key per distinct XOR.
+    keys: Dict[int, Tuple[int, int]] = {}
+    ratio: Dict[Tuple[int, int], float] = {}  # key -> the latest ratio
+    last_of = ratio.get
     edge_count = 0
-    for i, row in enumerate(whole.kernel):
-        a, b = states[i]
+    for row, here, at in zip(whole.kernel, proj, states):
         edge_count += len(row)
         for j, w in row.items():
-            a2, b2 = states[j]
-            if b2 == b:
-                c, x, y = 0, a, a2
-            elif a2 == a:
-                c, x, y = 1, b, b2
-            else:
-                raise ProductMismatch(
-                    "move changes both coordinates", witness={"from": proj[i], "to": proj[j]}
-                )
-            fw = kernels[c][x].get(y)
+            diff = here ^ proj[j]
+            key = keys.get(diff)
+            if key is None:
+                c = bisect_right(offsets, diff.bit_length() - 1) - 1
+                if diff & ~spans[c][0]:
+                    raise ProductMismatch(
+                        "move changes more than one coordinate",
+                        witness={"from": split(here), "to": split(proj[j])},
+                    )
+                key = keys[diff] = (c, diff.bit_count())
+            c = key[0]
+            fw = kernels[c][at[c]].get(states[j][c])
             if not fw:
-                u, v = proj[i][c], proj[j][c]
+                u, v = split(here)[c], split(proj[j])[c]
                 raise ProductMismatch(
                     "move is not a factor move",
                     witness={"coord": c, "pair": (min(u, v), max(u, v))},
                 )
-            key = (c, (proj[i][c] ^ proj[j][c]).bit_count() == 6)
             r = w / fw
-            last = ratio.get(key)
+            last = last_of(key)
             if last != r:
                 if last is not None and abs(last - r) > 1e-12 * max(1.0, last):
                     raise ProductMismatch(
@@ -645,8 +620,10 @@ def verify_cartesian_product(
                         witness={"key": kind(key), "ratios": (last, r)},
                     )
                 ratio[key] = r
-    # Directed product edge count: |V1| |E2| + |V2| |E1|, each edge both ways.
-    expected = s1.count * sum(map(len, s2.kernel)) + s2.count * sum(map(len, s1.kernel))
+    # Directed product edge count: each factor's directed edges, once for
+    # every state of the other factors.
+    expected = sum(whole.count // space.count * sum(map(len, kernel))
+                   for space, kernel in zip(parts, kernels))
     if edge_count != expected:
         raise ProductMismatch(
             "edge counts do not match the product rule",
@@ -655,9 +632,9 @@ def verify_cartesian_product(
     return {
         "ok": True,
         "composed_count": whole.count,
-        "factor_counts": (s1.count, s2.count),
+        "factor_counts": counts,
         "edges": edge_count // 2,
-        "weight_ratios": {str(kind(k)): v for k, v in ratio.items()},
+        "weight_ratios": {str(kind(k)): ratio[k] for k in sorted(ratio)},
     }
 
 

@@ -15,8 +15,11 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 import legacy_oracles
-from degmix.graphs import Instance
-from degmix.space import Space, _exact_conductance
+from degmix.decomposition import SplitSequence, compose, compose_directed, psi
+from degmix.graphs import Instance, bipartite_instance, simple_instance
+from degmix.layout import nested_layout
+from degmix.sequences import DegreeSequence, ForbiddenSet
+from degmix.space import Space, _exact_conductance, verify_cartesian_product
 
 
 def all_simple_graphs(n):
@@ -94,6 +97,38 @@ def split_head_and_rest(ds, p, q):
     """Head split component and shifted rest of the sorted tuple ``ds`` at
     good pair (p, q), or None where they describe no valid split partition."""
     return legacy_oracles._extract_split_head(ds, p, q)
+
+
+def product_of(*operands, forbidden=None, max_chords=None):
+    """``verify_cartesian_product`` on the composition of ``operands``, in
+    order: split sequences over a simple sequence, or bipartite sequences
+    with one forbidden set each in ``forbidden`` (none by default).  A
+    simple composition is numbered in sorted order; a bipartite one keeps
+    the operands' vertex order, so the forbidden sets line up."""
+    *heads, last = operands
+    if isinstance(operands[0], SplitSequence):
+        g = last if isinstance(last, DegreeSequence) else DegreeSequence(last)
+        seq = g
+        for s in reversed(heads):
+            seq = compose(s, seq)
+        composed = simple_instance(seq.sorted_degrees)
+        blocks = [bipartite_instance(*psi(s).canonical()) for s in heads]
+        layout = nested_layout(blocks, simple_instance(g.sorted_degrees), range(composed.n))
+    else:
+        fs = forbidden if forbidden is not None else [ForbiddenSet()] * len(operands)
+        seq, merged = operands[0], fs[0]
+        for b, fb in zip(operands[1:], fs[1:]):
+            seq, merged = compose_directed(seq, merged, b, fb)
+        composed = bipartite_instance(seq.u_degrees, seq.w_degrees, merged)
+        blocks = [bipartite_instance(b.u_degrees, b.w_degrees, fb) for b, fb in zip(operands, fs)]
+        # each operand's secondaries follow the earlier operands', and a
+        # layout takes the first operand's from the back of the slots
+        starts = [0]
+        for b in operands:
+            starts.append(starts[-1] + b.nw)
+        w_ids = [x for lo, hi in reversed(list(zip(starts, starts[1:]))) for x in range(lo, hi)]
+        layout = nested_layout(blocks, None, range(composed.nu), w_ids)
+    return verify_cartesian_product(composed, layout, max_chords)
 
 
 def nonincreasing_sequences(length, cap):

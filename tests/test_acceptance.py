@@ -39,9 +39,10 @@ from degmix import (
     tv_distance_audit,
 )
 from degmix.decomposition import good_pairs as _good_pairs
-from degmix.space import Space, _enumerate_masks, verify_cartesian_product
+from degmix.chain import _make_plan
+from degmix.space import Space, _enumerate_masks, _instance_for, verify_cartesian_product
 
-from conftest import all_simple_graphs, nonincreasing_sequences, split_head_and_rest
+from conftest import all_simple_graphs, nonincreasing_sequences, product_of, split_head_and_rest
 from legacy_oracles import _split_indecomposable
 
 # every kernel built here is checked against the full move-table scan, and
@@ -171,7 +172,7 @@ def test_criterion_05_cartesian_products():
         product = space_count(a) * space_count(b)
         if not 2 <= product <= 5000:
             continue
-        rep = verify_cartesian_product(a, b, max_chords=36)
+        rep = product_of(a, b, max_chords=36)
         assert rep["composed_count"] == product
         details.append(product)
         verified += 1
@@ -189,8 +190,7 @@ def test_criterion_05_cartesian_products():
             product = space_count(sb) * space_count(DegreeSequence(g))
             if not 2 <= product <= 5000:
                 continue
-            rep = verify_cartesian_product(psi_inverse(sb), DegreeSequence(g),
-                                           max_chords=28)
+            rep = product_of(psi_inverse(sb), DegreeSequence(g), max_chords=28)
             assert rep["composed_count"] == product
             details.append(product)
             done += 1
@@ -207,8 +207,7 @@ def test_criterion_05_cartesian_products():
         (d2, diag2, d3, diag3),
         (d3b, diag3, d3, diag3),
     ):
-        rep = verify_cartesian_product(f1, f2, forbidden1=ff1, forbidden2=ff2,
-                                       max_chords=36)
+        rep = product_of(f1, f2, forbidden=(ff1, ff2), max_chords=36)
         details.append(rep["composed_count"])
         verified += 1
     # larger spaces, up to the 5000-realization cap
@@ -217,7 +216,7 @@ def test_criterion_05_cartesian_products():
     m5 = BipartiteDegreeSequence((1, 1, 1, 1, 1), (1, 1, 1, 1, 1))
     r5 = BipartiteDegreeSequence((2, 2, 2, 2, 2), (2, 2, 2, 2, 2))
     for f1, f2, cap in ((r22, r22, 36), (m4, r22, 49), (m5, r22, 64), (r5, A, 49)):
-        rep = verify_cartesian_product(f1, f2, max_chords=cap)
+        rep = product_of(f1, f2, max_chords=cap)
         assert rep["composed_count"] <= 5000
         details.append(rep["composed_count"])
         verified += 1
@@ -328,6 +327,18 @@ def test_swap_locality_checks_every_move_of_every_realization():
         reports += 1
         swaps += rep["swaps_checked"]
     assert (reports, swaps) == (13, 274)
+
+
+def test_product_check_and_locality_audit_read_one_layout():
+    # both audits read the sampler's own layout over the same composed
+    # space: every swap the locality audit checks is one directed edge of
+    # the product graph, so it checks twice as many swaps as there are edges
+    for composed, cap, rep in _locality_compositions():
+        product = verify_cartesian_product(_instance_for(composed, None, False),
+                                           _make_plan(composed, None, "auto"), cap)
+        assert rep["swaps_checked"] == 2 * product["edges"], composed
+        assert product["composed_count"] == rep["realizations"]
+        assert len(product["factor_counts"]) == rep["components"]
 
 
 def test_criterion_09_greenhill_violation():

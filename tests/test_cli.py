@@ -2,13 +2,21 @@
 
 import argparse
 import json
+import random
 import re
 import sys
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import pytest
 
+import degmix.chain
+from degmix import (
+    BipartiteDegreeSequence,
+    canonical_decompose_bipartite,
+    compose_bipartite,
+    realization_space,
+)
 from degmix.cli import build_parser, main
 
 
@@ -428,6 +436,73 @@ def test_verify_product(files, capsys):
                  "--max-chords", "25", "--json"]) == 0
     got = json.loads(capsys.readouterr().out)
     assert got["ok"] and got["composed_count"] == 4
+
+
+def _product(tmp_path, capsys, payload, *extra):
+    """``verify --mode product`` on ``payload``: exit code and stdout."""
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps(payload))
+    code = main(["verify", "--seq", str(seq), "--mode", "product", *extra])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("degrees", [[], [3] * 10], ids=["no-factor", "over-chord-cap"])
+def test_verify_product_of_an_indecomposable_input(tmp_path, capsys, degrees):
+    # no factor, or one: nothing to check and nothing to enumerate, so the
+    # 45 chords of the 3-regular input raise no TooLarge
+    got = _product(tmp_path, capsys, {"kind": "simple", "degrees": degrees})
+    assert got == (0, "indecomposable; nothing to verify\n")
+
+
+def test_verify_product_checks_every_canonical_factor(tmp_path, capsys):
+    # (3, 1, 1) / (2, 2, 1) splits again, so the composition has three factors
+    seq = compose_bipartite(BipartiteDegreeSequence((1, 1), (1, 1)),
+                            BipartiteDegreeSequence((3, 1, 1), (2, 2, 1)))
+    factors = canonical_decompose_bipartite(seq)
+    counts = [realization_space(f, max_chords=25).count for f in factors]
+    payload = {"kind": "bipartite", "u": list(seq.u_degrees), "w": list(seq.w_degrees)}
+    code, out = _product(tmp_path, capsys, payload, "--max-chords", "25", "--json")
+    got = json.loads(out)
+    assert code == 0 and got["ok"]
+    assert len(factors) == 3 and got["factor_counts"] == counts
+    assert prod(counts) == got["composed_count"] == 4
+    code, out = _product(tmp_path, capsys, payload, "--max-chords", "25")
+    assert out == "product verified: 4 = %s realizations, %d meta-edges\n" % (
+        " x ".join(map(str, counts)), got["edges"])
+
+
+def test_verify_product_checks_the_sampler_layout(tmp_path, capsys, monkeypatch):
+    # the check reads the layout the sampler runs: swap a vertex between
+    # two factors there, and the product no longer holds
+    plan = degmix.chain._make_plan
+
+    def swapped(*args):
+        layout = plan(*args)
+        first, second = layout.u_maps[0], layout.u_maps[1]
+        first[0], second[0] = second[0], first[0]
+        return layout
+
+    payload = {"kind": "bipartite", "u": [4, 4, 2, 2, 2], "w": [1, 1, 4, 4, 4]}  # 2 x 6
+    assert _product(tmp_path, capsys, payload, "--max-chords", "25", "--strict")[0] == 0
+    monkeypatch.setattr(degmix.chain, "_make_plan", swapped)
+    code, out = _product(tmp_path, capsys, payload, "--max-chords", "25", "--strict")
+    assert code == 1 and out.startswith("PRODUCT MISMATCH: ")
+
+
+@pytest.mark.parametrize("payload, cap", [
+    ({"kind": "bipartite", "u": [4, 4, 3, 1, 1], "w": [4, 4, 3, 1, 1]}, "25"),  # 3 factors
+    ({"kind": "simple", "degrees": [6, 6, 3, 3, 3, 3, 1, 1]}, "28"),  # block and tail
+], ids=["bipartite", "simple"])
+def test_verify_product_report_does_not_depend_on_the_labels(tmp_path, capsys, payload, cap):
+    # the layout maps each factor into the caller's labels, and the weight
+    # ratios are listed in key order, so a relabeled input gives the same bytes
+    sorted_out = _product(tmp_path, capsys, payload, "--max-chords", cap, "--json")
+    rng = random.Random(3)
+    relabeled = {k: rng.sample(v, len(v)) if isinstance(v, list) else v
+                 for k, v in payload.items()}
+    assert relabeled != payload
+    assert _product(tmp_path, capsys, relabeled, "--max-chords", cap, "--json") == sorted_out
+    assert json.loads(sorted_out[1])["ok"]
 
 
 def test_verify_tv(files, capsys):

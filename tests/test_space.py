@@ -25,16 +25,18 @@ from degmix import (
     compose_bipartite,
     enumerate_realizations,
     realization_space,
+    sample,
     spectral_report,
     swap_locality_report,
     tv_distance_audit,
-    verify_cartesian_product,
 )
 from degmix.chain import ChainState, ProductChain, _make_plan, run
 from degmix.graphs import Instance, SwapMove
 from degmix.layout import Layout
 from degmix.sequences import directed_graphical, erdos_gallai, gale_ryser
 from degmix.space import Space, _exact_conductance, _sweep_conductance
+
+from conftest import product_of
 
 # every kernel built here is checked against the full move-table scan
 pytestmark = pytest.mark.usefixtures("kernel_oracle")
@@ -53,6 +55,28 @@ def test_enumerate_respects_cap():
         enumerate_realizations(BipartiteDegreeSequence((1,) * 5, (1,) * 5))
     assert len(enumerate_realizations(
         BipartiteDegreeSequence((1,) * 5, (1,) * 5), max_chords=25)) == 120
+
+
+def test_split_sequences_run_through_every_front_door():
+    # a split sequence is taken as its degree sequence, u then w, already
+    # non-increasing; the sampler and the locality audit once refused it
+    split = SplitSequence((2, 2), (1, 1))
+    simple = DegreeSequence((2, 2, 1, 1))
+    assert realization_space(split).masks == realization_space(simple).masks
+    assert swap_locality_report(split) == swap_locality_report(simple)
+    draws = [sample(d, burn_in=10, thin=1, count=4, seed=0) for d in (split, simple)]
+    assert draws[0] == draws[1] and len(draws[0]) == 4
+
+
+@pytest.mark.parametrize("d, f, message", [
+    (SplitSequence((2, 2), (1, 1)), ForbiddenSet([(0, 1)]), "forbidden sets apply"),
+    ((-1, 1), None, "degrees must be non-negative"),
+], ids=["split-with-forbidden-set", "negative-raw-tuple"])
+def test_realization_space_checks_its_input_as_the_sampler_does(d, f, message):
+    with pytest.raises(ValueError, match=message):
+        realization_space(d, f)
+    with pytest.raises(ValueError, match=message):
+        sample(d, burn_in=0, thin=1, count=1, seed=0, forbidden=f)
 
 
 def _meta_edges(space):
@@ -370,7 +394,7 @@ def test_pruned_kernel_matches_full_scan(kernel_oracle):
     ]
     for space in spaces:
         assert space.kernel
-    product = verify_cartesian_product(
+    product = product_of(
         BipartiteDegreeSequence((3, 2, 2, 2), (2, 2, 2, 2, 1)),
         BipartiteDegreeSequence((2, 2, 2), (2, 2, 2)),
         max_chords=64,
@@ -388,7 +412,7 @@ def test_pruned_kernel_matches_full_scan(kernel_oracle):
 
 
 def test_product_simple_composition():
-    rep = verify_cartesian_product(
+    rep = product_of(
         SplitSequence((2, 2), (1, 1)), DegreeSequence((1, 1, 1, 1)), max_chords=28
     )
     assert rep["ok"] and rep["composed_count"] == 6
@@ -398,7 +422,7 @@ def test_product_simple_composition():
 def test_product_bipartite_composition():
     a = BipartiteDegreeSequence((1, 1), (1, 1))
     b = BipartiteDegreeSequence((3, 1, 1), (2, 2, 1))
-    rep = verify_cartesian_product(a, b, max_chords=25)
+    rep = product_of(a, b, max_chords=25)
     assert rep["ok"] and rep["composed_count"] == 4
     # |E| = |V1||E2| + |V2||E1|
     assert rep["edges"] == 2 * 1 + 2 * 1
@@ -408,15 +432,15 @@ def test_product_with_no_composed_realization_raises():
     # (3, 1) / (2, 2) has no realization, so neither has the composition;
     # 0 = 0 x 1 must not pass as a verified product
     with pytest.raises(NotGraphical, match="no realizations"):
-        verify_cartesian_product(BipartiteDegreeSequence((3, 1), (2, 2)),
-                                 BipartiteDegreeSequence((1,), (1,)))
+        product_of(BipartiteDegreeSequence((3, 1), (2, 2)),
+                   BipartiteDegreeSequence((1,), (1,)))
 
 
 def test_product_identity_factor():
     # a rigid factor: the product graph is isomorphic to the live factor's
     a = BipartiteDegreeSequence((1, 1), (1, 1))
     rigid = BipartiteDegreeSequence((2, 2), (2, 2))  # complete 2x2, unique
-    rep = verify_cartesian_product(a, rigid, max_chords=25)
+    rep = product_of(a, rigid, max_chords=25)
     assert rep["factor_counts"] == (2, 1) and rep["composed_count"] == 2
     assert rep["edges"] == 1
 
@@ -426,11 +450,9 @@ def test_product_directed_with_merged_one_factor():
     diag = ForbiddenSet([(0, 0), (1, 1)])
     d3 = BipartiteDegreeSequence((1, 1, 1), (1, 1, 1))
     diag3 = ForbiddenSet([(0, 0), (1, 1), (2, 2)])
-    rep = verify_cartesian_product(d3, d3, forbidden1=diag3, forbidden2=diag3,
-                                   max_chords=30)
+    rep = product_of(d3, d3, forbidden=(diag3, diag3), max_chords=30)
     assert rep["ok"] and rep["composed_count"] == 4
-    rep2 = verify_cartesian_product(d, d3, forbidden1=diag, forbidden2=diag3,
-                                    max_chords=30)
+    rep2 = product_of(d, d3, forbidden=(diag, diag3), max_chords=30)
     assert rep2["ok"] and rep2["factor_counts"] == (1, 2)
 
 
@@ -473,7 +495,7 @@ def test_product_check_scans_each_state_once(monkeypatch, kernel_oracle):
         return rows
 
     monkeypatch.setattr(Instance, "move_table", recorded)
-    rep = verify_cartesian_product(
+    rep = product_of(
         BipartiteDegreeSequence((3, 2, 2, 2), (2, 2, 2, 2, 1)),
         BipartiteDegreeSequence((2, 2, 2), (2, 2, 2)),
         max_chords=64,
@@ -506,10 +528,10 @@ def test_product_check_catches_a_tampered_factor_kernel(monkeypatch, scale, mess
 
     a = BipartiteDegreeSequence((1, 1), (1, 1))
     b = BipartiteDegreeSequence((3, 1, 1), (2, 2, 1))
-    assert verify_cartesian_product(a, b, max_chords=25)["ok"]
+    assert product_of(a, b, max_chords=25)["ok"]
     monkeypatch.setattr(Space, "kernel", property(tampered))
     with pytest.raises(ProductMismatch, match=message) as err:
-        verify_cartesian_product(a, b, max_chords=25)
+        product_of(a, b, max_chords=25)
     field, value = witness
     assert err.value.witness[field] == value
 
@@ -529,7 +551,7 @@ def test_product_check_catches_a_realization_off_the_factors(monkeypatch, tamper
     a = BipartiteDegreeSequence((1, 1), (1, 1))
     b = BipartiteDegreeSequence((3, 1, 1), (2, 2, 1))
     with pytest.raises(ProductMismatch, match="does not restrict to the factors") as err:
-        verify_cartesian_product(a, b, max_chords=25)
+        product_of(a, b, max_chords=25)
     assert err.value.witness == {"mask": masks[0][0]}  # the composed space's first
 
 
