@@ -9,9 +9,11 @@ everything to its right.  Those forced edges never participate in swaps, so
 the product of the factor chains walks exactly the realization space of the
 composed sequence.
 
-Bipartite, directed and forbidden-set factors start from the greedy
-``realize_bipartite``, which also decides their graphicality; simple ones
-start from Havel–Hakimi.
+Bipartite and directed factors start from the greedy ``realize_bipartite``,
+simple ones from Havel–Hakimi.  Directed input, a forbidden set and
+``factorize="off"`` give a plan of one factor, the whole graph with no
+forced edges, and its start realization decides graphicality; a factorized
+plan is tested by its canonical decomposition.
 
 ``run`` is the only step loop: ``sample``, ``dsm_sample`` and the empirical
 TV audit take every step through it.  Its draws rest on ``getrandbits``
@@ -43,15 +45,12 @@ except ImportError:
 from .decomposition import SplitSequence, canonical_decompose, canonical_decompose_bipartite
 from .errors import NotGraphical
 from .graphs import Edge, Instance, bipartite_instance, directed_instance, simple_instance
-from .layout import Layout, factor_layout, nested_layout, split_layout
+from .layout import Layout, factor_layout, split_layout
 from .sequences import (
     BipartiteDegreeSequence,
     DegreeSequence,
     DirectedDegreeSequence,
     ForbiddenSet,
-    erdos_gallai,
-    gale_ryser,
-    realize_bipartite,
 )
 
 __all__ = [
@@ -308,24 +307,6 @@ def build_product_chain(plan: Layout, seed: int, stream: int = 0) -> ProductChai
     return ProductChain(coords, random.Random(derive_seed(base, 0)))
 
 
-def _unfactored(inst: Instance, start: Optional[List[Edge]] = None) -> Layout:
-    """One bipartite factor holding the whole graph, in the caller's order;
-    ``start``, if given, is its start realization."""
-    plan = nested_layout([inst], None, range(inst.nu), range(inst.nw))
-    if start is not None:
-        plan.starts = [start]
-    return plan
-
-
-def _greedy_start(bd, forbidden: ForbiddenSet, message: str) -> List[Edge]:
-    """A start realization from the greedy, which also decides
-    graphicality: NotGraphical(message) when there is none."""
-    try:
-        return realize_bipartite(bd, forbidden)
-    except NotGraphical:
-        raise NotGraphical(message) from None
-
-
 def _as_sequence(d):
     """``d`` as a directed, bipartite or simple degree sequence.  A split
     sequence becomes its degree sequence (its u-then-w order is already
@@ -338,34 +319,52 @@ def _as_sequence(d):
     return DegreeSequence(d)
 
 
-def _make_plan(d, forbidden: Optional[ForbiddenSet], factorize: str) -> Layout:
-    # The canonical decompositions test graphicality themselves, and so does
-    # the greedy that realizes a directed or forbidden-set start; only the
-    # factorize-off paths test it here.
+def _instance_for(d, forbidden: Optional[ForbiddenSet] = None, c4_only: bool = False) -> Instance:
+    """The whole-graph instance of ``d``, a directed one in its Gale
+    representation; forbidden pairs apply to bipartite input alone."""
     d = _as_sequence(d)
     if isinstance(d, DirectedDegreeSequence):
-        start = _greedy_start(*d.gale_representation(), "directed sequence is not graphical")
+        return directed_instance(d, c4_only)
+    if isinstance(d, BipartiteDegreeSequence):
+        return bipartite_instance(d.u_degrees, d.w_degrees, forbidden, c4_only)
+    if forbidden is not None and len(forbidden):
+        raise ValueError("forbidden sets apply to bipartite/directed sequences")
+    return simple_instance(d.degrees)
+
+
+def _make_plan(d, forbidden: Optional[ForbiddenSet], factorize: str) -> Layout:
+    # The canonical decompositions test graphicality themselves.  Directed
+    # input, a forbidden set and factorize off give a plan of one factor,
+    # the whole graph, and its start realization (Havel–Hakimi or the
+    # greedy) decides graphicality.
+    d = _as_sequence(d)
+    restricted = forbidden is not None and len(forbidden)
+    if isinstance(d, DirectedDegreeSequence) or restricted or factorize == "off":
         # No factorization path for directed input: the composition theory
         # builds directed classes from given factors, it does not factor an
         # arbitrary forbidden-1-factor instance.
-        return _unfactored(directed_instance(d), start)
+        try:
+            inst = _instance_for(d, forbidden)
+            simple = inst.kind == "simple"
+            u_ids = list(range(inst.n if simple else inst.nu))
+            w_ids = u_ids if simple else list(range(inst.nw))
+            plan = Layout([inst], [u_ids], [w_ids], [], simple)
+            plan.starts
+        except NotGraphical:
+            if isinstance(d, DirectedDegreeSequence):
+                message = "directed sequence is not graphical"
+            elif restricted:
+                message = "no realization avoids the forbidden set"
+            elif isinstance(d, BipartiteDegreeSequence):
+                message = "sequence is not graphical"
+            else:
+                message = "sequence is not graphical: %r" % (d.degrees,)
+            raise NotGraphical(message) from None
+        return plan
     if isinstance(d, BipartiteDegreeSequence):
-        if forbidden is not None and len(forbidden):
-            start = _greedy_start(d, forbidden, "no realization avoids the forbidden set")
-            return _unfactored(bipartite_instance(d.u_degrees, d.w_degrees, forbidden), start)
-        if factorize == "off":
-            if not gale_ryser(d):
-                raise NotGraphical("sequence is not graphical")
-            return _unfactored(bipartite_instance(d.u_degrees, d.w_degrees))
         factors = canonical_decompose_bipartite(d)
         u_order, w_order = DegreeSequence(d.u_degrees).order, DegreeSequence(d.w_degrees).order
         return factor_layout(factors, u_order, w_order)
-    if forbidden is not None and len(forbidden):
-        raise ValueError("forbidden sets apply to bipartite/directed sequences")
-    if factorize == "off":
-        if not erdos_gallai(d):
-            raise NotGraphical("sequence is not graphical: %r" % (d.degrees,))
-        return nested_layout([], simple_instance(d.degrees), range(d.n))
     return split_layout(canonical_decompose(d), d.order)
 
 

@@ -254,7 +254,6 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     from .space import (
-        _instance_for,
         realization_space,
         spectral_report,
         tv_distance_audit,
@@ -309,14 +308,14 @@ def cmd_verify(args) -> int:
         # lays them out.
         if isinstance(seq, DirectedDegreeSequence):
             raise UsageError("--mode product is not defined for directed input")
-        from .chain import _make_plan
+        from .chain import _instance_for, _make_plan
 
         layout = _make_plan(seq, None, "auto")
         if len(layout.factors) <= 1:
-            _emit(args, {"factors": 1, "ok": True}, "indecomposable; nothing to verify")
+            _emit(args, {"factors": len(layout.factors), "ok": True},
+                  "indecomposable; nothing to verify")
             return 0
-        report = verify_cartesian_product(_instance_for(seq, None, False), layout,
-                                          args.max_chords)
+        report = verify_cartesian_product(_instance_for(seq), layout, args.max_chords)
         _emit(
             args,
             report,

@@ -35,12 +35,12 @@ from math import prod
 from operator import mul
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .chain import ChainState, ProductChain, _as_sequence, _make_plan, run
+from .chain import ChainState, ProductChain, _instance_for, _make_plan, run
 from ._value import Value
 from .errors import CheegerViolation, Disconnected, NotGraphical, ProductMismatch, TooLarge
-from .graphs import Instance, SwapMove, bipartite_instance, directed_instance, simple_instance
+from .graphs import Instance, SwapMove
 from .layout import Layout
-from .sequences import BipartiteDegreeSequence, DirectedDegreeSequence, ForbiddenSet
+from .sequences import ForbiddenSet
 
 if TYPE_CHECKING:  # numpy is imported by the functions that compute with it
     import numpy as np
@@ -65,17 +65,6 @@ DEFAULT_MAX_CHORDS = 24
 # (at most ~1M multiply-adds even at 10^18 steps, cheaper than importing
 # numpy).
 EXACT_STATES = 20
-
-
-def _instance_for(d, f: Optional[ForbiddenSet], c4_only: bool) -> Instance:
-    d = _as_sequence(d)
-    if isinstance(d, DirectedDegreeSequence):
-        return directed_instance(d, c4_only)
-    if isinstance(d, BipartiteDegreeSequence):
-        return bipartite_instance(d.u_degrees, d.w_degrees, f, c4_only)
-    if f is not None and len(f):
-        raise ValueError("forbidden sets apply to bipartite/directed sequences")
-    return simple_instance(d.degrees)
 
 
 def _bits(mask: int):

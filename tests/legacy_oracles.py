@@ -45,6 +45,14 @@ vertices and its depth grows with the chord count.
 before the Kleitman–Wang greedy; ``flow_realize`` is that realization, over
 one arc per allowed pair, and it accepts any forbidden set.
 
+``make_plan`` (with ``_unfactored`` and ``_greedy_start``) is the sampler's
+front door before a plan of one factor reused the exhaustive engine's
+instance builder: each unfactored kind built its own layout, directed and
+forbidden-set starts came from a separate greedy call, and the factorize-off
+paths ran an Erdős–Gallai or Gale–Ryser test before their start.  Its body
+is unchanged; its graphicality tests and canonical decompositions resolve to
+this module's versions, which ``test_scan_oracles.py`` pins to the library.
+
 ``reference_run`` (with ``_reference_c4`` and ``_reference_c6``) is not a
 superseded implementation but a plain statement of the swap chain's draw
 procedure, built on the exhaustive engine's ``Instance._alts`` and
@@ -58,7 +66,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from degmix.chain import ChainState, ProductChain
+from degmix.chain import ChainState, ProductChain, _as_sequence
 from degmix.decomposition import (
     CanonicalDecomposition,
     GoodPair,
@@ -68,6 +76,7 @@ from degmix.decomposition import (
 )
 from degmix.errors import InvalidSplit, NotGraphical, TooLarge
 from degmix.graphs import (
+    Edge,
     Instance,
     LabeledBipartiteGraph,
     LabeledGraph,
@@ -75,14 +84,18 @@ from degmix.graphs import (
     _disjoint,
     _require_in_range,
     bipartite_instance,
+    directed_instance,
     simple_instance,
 )
+from degmix.layout import Layout, factor_layout, nested_layout, split_layout
 from degmix.sequences import (
     BipartiteDegreeSequence,
     DegreeSequence,
+    DirectedDegreeSequence,
     ForbiddenSet,
     _coerce_bipartite,
     _coerce_simple,
+    realize_bipartite,
 )
 from degmix.space import DEFAULT_MAX_CHORDS
 
@@ -590,6 +603,55 @@ def flow_realize(u, w, banned):
     if net.max_flow(src, snk) != sum(u):
         return None
     return sorted(pair for pair, e in chord_edges.items() if net.cap[e] == 0)
+
+
+def _unfactored(inst: Instance, start: Optional[List[Edge]] = None) -> Layout:
+    """One bipartite factor holding the whole graph, in the caller's order;
+    ``start``, if given, is its start realization."""
+    plan = nested_layout([inst], None, range(inst.nu), range(inst.nw))
+    if start is not None:
+        plan.starts = [start]
+    return plan
+
+
+def _greedy_start(bd, forbidden: ForbiddenSet, message: str) -> List[Edge]:
+    """A start realization from the greedy, which also decides
+    graphicality: NotGraphical(message) when there is none."""
+    try:
+        return realize_bipartite(bd, forbidden)
+    except NotGraphical:
+        raise NotGraphical(message) from None
+
+
+def make_plan(d, forbidden: Optional[ForbiddenSet], factorize: str) -> Layout:
+    # The canonical decompositions test graphicality themselves, and so does
+    # the greedy that realizes a directed or forbidden-set start; only the
+    # factorize-off paths test it here.
+    d = _as_sequence(d)
+    if isinstance(d, DirectedDegreeSequence):
+        start = _greedy_start(*d.gale_representation(), "directed sequence is not graphical")
+        # No factorization path for directed input: the composition theory
+        # builds directed classes from given factors, it does not factor an
+        # arbitrary forbidden-1-factor instance.
+        return _unfactored(directed_instance(d), start)
+    if isinstance(d, BipartiteDegreeSequence):
+        if forbidden is not None and len(forbidden):
+            start = _greedy_start(d, forbidden, "no realization avoids the forbidden set")
+            return _unfactored(bipartite_instance(d.u_degrees, d.w_degrees, forbidden), start)
+        if factorize == "off":
+            if not gale_ryser(d):
+                raise NotGraphical("sequence is not graphical")
+            return _unfactored(bipartite_instance(d.u_degrees, d.w_degrees))
+        factors = canonical_decompose_bipartite(d)
+        u_order, w_order = DegreeSequence(d.u_degrees).order, DegreeSequence(d.w_degrees).order
+        return factor_layout(factors, u_order, w_order)
+    if forbidden is not None and len(forbidden):
+        raise ValueError("forbidden sets apply to bipartite/directed sequences")
+    if factorize == "off":
+        if not erdos_gallai(d):
+            raise NotGraphical("sequence is not graphical: %r" % (d.degrees,))
+        return nested_layout([], simple_instance(d.degrees), range(d.n))
+    return split_layout(canonical_decompose(d), d.order)
 
 
 def _randbelow(rng, n: int) -> int:

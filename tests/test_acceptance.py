@@ -39,8 +39,8 @@ from degmix import (
     tv_distance_audit,
 )
 from degmix.decomposition import good_pairs as _good_pairs
-from degmix.chain import _make_plan
-from degmix.space import Space, _enumerate_masks, _instance_for, verify_cartesian_product
+from degmix.chain import _instance_for, _make_plan
+from degmix.space import Space, _enumerate_masks, verify_cartesian_product
 
 from conftest import all_simple_graphs, nonincreasing_sequences, product_of, split_head_and_rest
 from legacy_oracles import _split_indecomposable

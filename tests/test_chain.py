@@ -1,5 +1,6 @@
 """Chain kernel behavior: symmetry, invariants, reproducibility, product law."""
 
+import itertools
 import random
 import sys
 from collections import Counter
@@ -26,7 +27,7 @@ from degmix.chain import ProductChain, build_product_chain, _make_plan, run
 from degmix.space import realization_space
 from degmix.spectra import _dsm_plan
 
-from legacy_oracles import reference_run
+from legacy_oracles import make_plan as legacy_make_plan, reference_run
 from test_golden_draws import CASES as GOLDEN_CASES
 
 
@@ -181,7 +182,7 @@ def test_sample_flow_paths_run_one_max_flow(monkeypatch):
 
     modules = [m for n, m in sys.modules.items() if n == "degmix" or n.startswith("degmix.")]
     for name in ("realize_bipartite", "restricted_bipartite_graphical", "directed_graphical",
-                 "gale_ryser"):
+                 "gale_ryser", "erdos_gallai"):
         orig = getattr(sequences, name)
         for mod in modules:
             if getattr(mod, name, None) is orig:
@@ -191,6 +192,12 @@ def test_sample_flow_paths_run_one_max_flow(monkeypatch):
     sample(BipartiteDegreeSequence((2, 1, 1), (2, 1, 1)), burn_in=5, thin=1, count=3, seed=0,
            forbidden=ForbiddenSet([(0, 0), (1, 1), (2, 2)]))
     assert calls == ["realize_bipartite"] * 2
+    # unfactorized, the start realization alone decides graphicality
+    sample(BipartiteDegreeSequence((2, 1, 1), (2, 1, 1)), burn_in=5, thin=1, count=3, seed=0,
+           factorize="off")
+    assert calls == ["realize_bipartite"] * 3
+    sample(DegreeSequence((2, 2, 1, 1)), burn_in=5, thin=1, count=3, seed=0, factorize="off")
+    assert calls == ["realize_bipartite"] * 3
 
 
 def test_sample_degree_recount_simple():
@@ -536,8 +543,9 @@ def test_run_without_factors_draws_nothing():
 
 
 def test_sample_tests_erdos_gallai_once(monkeypatch):
-    # the canonical decomposition (or, unfactorized, the plan) tests the
-    # sequence; the Havel-Hakimi start does not test it again
+    # the canonical decomposition tests a factorized sequence, and the
+    # Havel-Hakimi start does not test it again; unfactorized, that start
+    # alone decides graphicality
     calls = []
     orig = sequences.erdos_gallai
 
@@ -548,8 +556,75 @@ def test_sample_tests_erdos_gallai_once(monkeypatch):
     for mod in [m for n, m in sys.modules.items() if n == "degmix" or n.startswith("degmix.")]:
         if getattr(mod, "erdos_gallai", None) is orig:
             monkeypatch.setattr(mod, "erdos_gallai", counted)
-    for factorize in ("auto", "off"):
+    for factorize, tests in (("auto", 1), ("off", 0)):
         calls.clear()
         sample(DegreeSequence([4] * 200), burn_in=10, thin=1, count=1, seed=0,
                factorize=factorize)
-        assert len(calls) == 1, factorize
+        assert len(calls) == tests, factorize
+    calls.clear()
+    with pytest.raises(NotGraphical) as err:
+        sample(DegreeSequence((3, 3, 1, 1)), burn_in=10, thin=1, count=1, seed=0,
+               factorize="off")
+    assert str(err.value) == "sequence is not graphical: (3, 3, 1, 1)"
+    assert not calls
+
+
+def _plan_outcome(make, d, forbidden, factorize):
+    """What a front door makes of an input: the plan's starts, forced edges,
+    maps and kind, or the type and message of what it raised."""
+    try:
+        plan = make(d, forbidden, factorize)
+        return plan, (plan.starts, plan.forced, plan.u_maps, plan.w_maps, plan.simple)
+    except (NotGraphical, ValueError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _front_door_inputs():
+    """Every simple tuple up to 5 vertices and non-increasing one of 6,
+    bipartite pair up to 3 + 3 and directed sequence up to 3 vertices, each
+    with the forbidden sets and factorize modes that apply."""
+    simple = [d for n in range(6) for d in itertools.product(range(n + 1), repeat=n)]
+    simple += list(itertools.combinations_with_replacement(range(6, -1, -1), 6))
+    one = ForbiddenSet([(0, 0)])
+    for d in simple:
+        yield d, None, "auto"
+        yield d, None, "off"
+        yield d, one, "auto"
+    sides = [s for n in range(4) for s in itertools.product(range(4), repeat=n)]
+    for u in sides:
+        for w in sides:
+            bd = BipartiteDegreeSequence(u, w)
+            yield bd, None, "auto"
+            yield bd, None, "off"
+            yield bd, one, "auto"
+    for n in range(4):
+        for out in itertools.product(range(n + 1), repeat=n):
+            for in_ in itertools.product(range(n + 1), repeat=n):
+                yield DirectedDegreeSequence(out, in_), None, "auto"
+
+
+def test_front_door_matches_the_legacy_plans():
+    # one kind dispatch gives the plans and the rejections of the old
+    # per-kind branches; each one-factor plan holds the instance that the
+    # exhaustive engine enumerates
+    checked = rejected = one_factor = 0
+    for d, forbidden, factorize in _front_door_inputs():
+        plan, got = _plan_outcome(_make_plan, d, forbidden, factorize)
+        _, want = _plan_outcome(legacy_make_plan, d, forbidden, factorize)
+        assert got == want, (d, forbidden, factorize)
+        checked += 1
+        rejected += plan is None
+        if plan is None or not (factorize == "off" or forbidden is not None
+                                or isinstance(d, DirectedDegreeSequence)):
+            continue
+        one_factor += 1
+        (inst,) = plan.factors
+        ref = realization_space(d, forbidden).instance
+        assert inst.kind == ref.kind
+        if inst.kind == "simple":
+            assert inst.degrees == ref.degrees
+        else:
+            assert (inst.u_degrees, inst.w_degrees) == (ref.u_degrees, ref.w_degrees)
+        assert inst.forbidden.pairs == ref.forbidden.pairs
+        assert inst.use_c6 == ref.use_c6 and inst.chords == ref.chords
+    assert (checked, rejected, one_factor) == (54060, 51346, 1529)

@@ -446,12 +446,18 @@ def _product(tmp_path, capsys, payload, *extra):
     return code, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("degrees", [[], [3] * 10], ids=["no-factor", "over-chord-cap"])
-def test_verify_product_of_an_indecomposable_input(tmp_path, capsys, degrees):
+@pytest.mark.parametrize("degrees, factors", [([], 0), ([3] * 10, 1)],
+                         ids=["no-factor", "over-chord-cap"])
+def test_verify_product_of_an_indecomposable_input(tmp_path, capsys, degrees, factors):
     # no factor, or one: nothing to check and nothing to enumerate, so the
-    # 45 chords of the 3-regular input raise no TooLarge
-    got = _product(tmp_path, capsys, {"kind": "simple", "degrees": degrees})
+    # 45 chords of the 3-regular input raise no TooLarge; the report counts
+    # the factors the layout has
+    payload = {"kind": "simple", "degrees": degrees}
+    got = _product(tmp_path, capsys, payload)
     assert got == (0, "indecomposable; nothing to verify\n")
+    code, out = _product(tmp_path, capsys, payload, "--json")
+    assert code == 0
+    assert json.loads(out) == {"schema": "degmix/1", "factors": factors, "ok": True}
 
 
 def test_verify_product_checks_every_canonical_factor(tmp_path, capsys):
