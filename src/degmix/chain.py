@@ -333,16 +333,15 @@ def _instance_for(d, forbidden: Optional[ForbiddenSet] = None, c4_only: bool = F
 
 
 def _make_plan(d, forbidden: Optional[ForbiddenSet], factorize: str) -> Layout:
-    # The canonical decompositions test graphicality themselves.  Directed
-    # input, a forbidden set and factorize off give a plan of one factor,
-    # the whole graph, and its start realization (Havel–Hakimi or the
-    # greedy) decides graphicality.
+    # Directed and forbidden-set input have no factorization path (the
+    # composition theory builds such classes from given factors, it does not
+    # factor an arbitrary instance), and factorize off skips it on purpose.
+    # Either way the plan is one factor, the whole graph, and its start
+    # realization (Havel–Hakimi or the greedy) decides graphicality; the
+    # canonical decompositions test graphicality themselves.
     d = _as_sequence(d)
     restricted = forbidden is not None and len(forbidden)
     if isinstance(d, DirectedDegreeSequence) or restricted or factorize == "off":
-        # No factorization path for directed input: the composition theory
-        # builds directed classes from given factors, it does not factor an
-        # arbitrary forbidden-1-factor instance.
         try:
             inst = _instance_for(d, forbidden)
             simple = inst.kind == "simple"

@@ -64,15 +64,10 @@ class Layout:
 
     def edges(self, local: Iterable[Iterable[Edge]]) -> List[Edge]:
         """Sorted edges of the whole graph: the forced ones plus each
-        factor's local edges, given in factor order.  ``edge`` inlined:
-        once ``starts`` is cached the layout's attributes live in a plain
-        ``__dict__``, where each load costs more."""
+        factor's local edges, given in factor order."""
         out = list(self.forced)
-        simple = self.simple
-        for u_map, w_map, edges in zip(self.u_maps, self.w_maps, local):
-            for a, b in edges:
-                x, y = u_map[a], w_map[b]
-                out.append((y, x) if simple and y < x else (x, y))
+        for k, edges in enumerate(local):
+            out.extend(self.edge(k, e) for e in edges)
         out.sort()
         return out
 
