@@ -426,15 +426,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
+    shared = {
+        "json": ("--json", dict(action="store_true", help="machine-readable output")),
+        "strict": ("--strict", dict(action="store_true",
+                                    help="exit 1 on domain-negative findings")),
+        "seed": ("--seed", dict(type=int, default=0, help="master seed")),
+        "count": ("--count", dict(type=_at_least(1), default=1)),
+        "burn_in": ("--burn-in", dict(type=_at_least(0), default=1000, dest="burn_in")),
+        "thin": ("--thin", dict(type=_at_least(1), default=10)),
+        "format": ("--format", dict(choices=("edges", "jsonl"), default="edges")),
+        "out": ("--out", dict(help="output path (default stdout)")),
+    }
+
     def common(p, *names):
-        """The shared options ``names`` (of json, strict, seed) that ``p`` reads."""
-        if "json" in names:
-            p.add_argument("--json", action="store_true", help="machine-readable output")
-        if "strict" in names:
-            p.add_argument("--strict", action="store_true",
-                           help="exit 1 on domain-negative findings")
-        if "seed" in names:
-            p.add_argument("--seed", type=int, default=0, help="master seed")
+        """Add the shared options ``names`` to ``p``, in the order given."""
+        for name in names:
+            flag, kwargs = shared[name]
+            p.add_argument(flag, **kwargs)
 
     p = sub.add_parser("test", help="graphicality test")
     p.add_argument("--seq", required=True)
@@ -459,12 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample realizations via the product chain")
     p.add_argument("--seq", required=True)
     p.add_argument("--forbidden")
-    p.add_argument("--count", type=_at_least(1), default=1)
-    p.add_argument("--burn-in", type=_at_least(0), default=1000, dest="burn_in")
-    p.add_argument("--thin", type=_at_least(1), default=10)
+    common(p, "count", "burn_in", "thin")
     p.add_argument("--factorize", choices=("auto", "off"), default="auto")
-    p.add_argument("--format", choices=("edges", "jsonl"), default="edges")
-    p.add_argument("--out", help="output path (default stdout)")
+    common(p, "format", "out")
     p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="workers for the logical chains; output is identical for any value")
     common(p, "strict", "seed")
@@ -488,12 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--check", action="store_true", help="graphicality test")
     mode.add_argument("--sample", action="store_true", help="sample realizations")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--count", type=_at_least(1), default=1)
-    p.add_argument("--burn-in", type=_at_least(0), default=1000, dest="burn_in")
-    p.add_argument("--thin", type=_at_least(1), default=10)
-    p.add_argument("--format", choices=("edges", "jsonl"), default="edges")
-    p.add_argument("--out")
-    common(p, "json", "strict", "seed")
+    common(p, "count", "burn_in", "thin", "format", "out", "json", "strict", "seed")
     p.set_defaults(func=cmd_dsm)
 
     p = sub.add_parser("count", help="census counts")
@@ -502,8 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", type=_at_least(1))
     p.add_argument("--exhaustive", action="store_true",
                    help="cross-check census instead of the closed form (ahr)")
-    p.add_argument("--csv", action="store_true")
-    common(p, "json")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--csv", action="store_true")
+    common(output, "json")
     p.set_defaults(func=cmd_count)
     return top
 

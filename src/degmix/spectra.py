@@ -105,9 +105,15 @@ def degree_spectra(g: LabeledGraph) -> DegreeSpectraMatrix:
     return DegreeSpectraMatrix(delta, cols)
 
 
-def _validate(m: DegreeSpectraMatrix) -> None:
-    degrees = m.implied_degrees()
-    for v, d in enumerate(degrees):
+def component_sequences(m: DegreeSpectraMatrix) -> List[ComponentSequence]:
+    """One component per unordered class pair with nonzero interaction.
+
+    Raises ``InconsistentMatrix`` if a vertex's degree exceeds ``delta``, a
+    vertex claims neighbors in an empty class, a class's inner stub total is
+    odd, or the stub totals between two classes differ; classes are checked
+    in sorted order, each one's parity before its pairs.
+    """
+    for v, d in enumerate(m.implied_degrees()):
         if d > m.delta:
             raise InconsistentMatrix("vertex %d has degree %d > delta" % (v, d))
     classes = m.degree_classes()
@@ -118,35 +124,24 @@ def _validate(m: DegreeSpectraMatrix) -> None:
                     "vertex %d claims degree-%d neighbors but that class is empty"
                     % (v, i)
                 )
-    for i, vi in classes.items():
-        for j, vj in classes.items():
-            if i < j:
-                if sum(m.columns[v][j - 1] for v in vi) != sum(
-                    m.columns[u][i - 1] for u in vj
-                ):
-                    raise InconsistentMatrix(
-                        "stub totals between classes %d and %d differ" % (i, j)
-                    )
-        if sum(m.columns[v][i - 1] for v in vi) % 2:
-            raise InconsistentMatrix("odd stub total inside class %d" % i)
-
-
-def component_sequences(m: DegreeSpectraMatrix) -> List[ComponentSequence]:
-    """One component per unordered class pair with nonzero interaction."""
-    _validate(m)
-    classes = m.degree_classes()
     values = sorted(classes)
     out: List[ComponentSequence] = []
     for ai, i in enumerate(values):
         vi = classes[i]
         inner = tuple(m.columns[v][i - 1] for v in vi)
+        if sum(inner) % 2:
+            raise InconsistentMatrix("odd stub total inside class %d" % i)
         if any(inner):
             out.append(ComponentSequence(i, i, vi, vi, inner, inner))
         for j in values[ai + 1:]:
             vj = classes[j]
             iu = tuple(m.columns[v][j - 1] for v in vi)
             iw = tuple(m.columns[u][i - 1] for u in vj)
-            if any(iu) or any(iw):
+            if sum(iu) != sum(iw):
+                raise InconsistentMatrix(
+                    "stub totals between classes %d and %d differ" % (i, j)
+                )
+            if any(iu):
                 out.append(ComponentSequence(i, j, vi, vj, iu, iw))
     return out
 
@@ -187,19 +182,13 @@ def dsm_witness(m: DegreeSpectraMatrix) -> LabeledGraph:
 
 
 def joint_degree_view(m: DegreeSpectraMatrix) -> Dict[Tuple[int, int], int]:
-    """Derived joint degree matrix: edge counts between degree classes."""
-    classes = m.degree_classes()
-    out: Dict[Tuple[int, int], int] = {}
-    for i, vi in classes.items():
-        for j in classes:
-            if i < j:
-                cnt = sum(m.columns[v][j - 1] for v in vi)
-                if cnt:
-                    out[(i, j)] = cnt
-        inner = sum(m.columns[v][i - 1] for v in vi)
-        if inner:
-            out[(i, i)] = inner // 2
-    return out
+    """Derived joint degree matrix: edge counts between degree classes, one
+    per component of ``component_sequences``, in its order; raises
+    ``InconsistentMatrix`` where that does."""
+    return {
+        (c.i, c.j): sum(c.u_degrees) // 2 if c.is_simple else sum(c.u_degrees)
+        for c in component_sequences(m)
+    }
 
 
 def dsm_sample(

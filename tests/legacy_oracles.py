@@ -53,6 +53,12 @@ paths ran an Erdős–Gallai or Gale–Ryser test before their start.  Its body
 is unchanged; its graphicality tests and canonical decompositions resolve to
 this module's versions, which ``test_scan_oracles.py`` pins to the library.
 
+``component_sequences`` (with ``_validate``) and ``joint_degree_view`` are
+the spectra matrix's class-pair reading before the consistency checks moved
+into the loop that builds the components: ``_validate`` sums every class
+pair's stubs in a pass of its own, and ``joint_degree_view`` sums them again
+and returns one side's counts without checking the matrix.
+
 ``reference_run`` (with ``_reference_c4`` and ``_reference_c6``) is not a
 superseded implementation but a plain statement of the swap chain's draw
 procedure, built on the exhaustive engine's ``Instance._alts`` and
@@ -62,7 +68,7 @@ as it does.
 
 from functools import lru_cache
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +80,7 @@ from degmix.decomposition import (
     _sorted_desc,
     psi,
 )
-from degmix.errors import InvalidSplit, NotGraphical, TooLarge
+from degmix.errors import InconsistentMatrix, InvalidSplit, NotGraphical, TooLarge
 from degmix.graphs import (
     Edge,
     Instance,
@@ -98,6 +104,7 @@ from degmix.sequences import (
     realize_bipartite,
 )
 from degmix.space import DEFAULT_MAX_CHORDS
+from degmix.spectra import ComponentSequence, DegreeSpectraMatrix
 
 
 def erdos_gallai(d) -> bool:
@@ -652,6 +659,68 @@ def make_plan(d, forbidden: Optional[ForbiddenSet], factorize: str) -> Layout:
             raise NotGraphical("sequence is not graphical: %r" % (d.degrees,))
         return nested_layout([], simple_instance(d.degrees), range(d.n))
     return split_layout(canonical_decompose(d), d.order)
+
+
+def _validate(m: DegreeSpectraMatrix) -> None:
+    degrees = m.implied_degrees()
+    for v, d in enumerate(degrees):
+        if d > m.delta:
+            raise InconsistentMatrix("vertex %d has degree %d > delta" % (v, d))
+    classes = m.degree_classes()
+    for v, col in enumerate(m.columns):
+        for i, cnt in enumerate(col, start=1):
+            if cnt and i not in classes:
+                raise InconsistentMatrix(
+                    "vertex %d claims degree-%d neighbors but that class is empty"
+                    % (v, i)
+                )
+    for i, vi in classes.items():
+        for j, vj in classes.items():
+            if i < j:
+                if sum(m.columns[v][j - 1] for v in vi) != sum(
+                    m.columns[u][i - 1] for u in vj
+                ):
+                    raise InconsistentMatrix(
+                        "stub totals between classes %d and %d differ" % (i, j)
+                    )
+        if sum(m.columns[v][i - 1] for v in vi) % 2:
+            raise InconsistentMatrix("odd stub total inside class %d" % i)
+
+
+def component_sequences(m: DegreeSpectraMatrix) -> List[ComponentSequence]:
+    """One component per unordered class pair with nonzero interaction."""
+    _validate(m)
+    classes = m.degree_classes()
+    values = sorted(classes)
+    out: List[ComponentSequence] = []
+    for ai, i in enumerate(values):
+        vi = classes[i]
+        inner = tuple(m.columns[v][i - 1] for v in vi)
+        if any(inner):
+            out.append(ComponentSequence(i, i, vi, vi, inner, inner))
+        for j in values[ai + 1:]:
+            vj = classes[j]
+            iu = tuple(m.columns[v][j - 1] for v in vi)
+            iw = tuple(m.columns[u][i - 1] for u in vj)
+            if any(iu) or any(iw):
+                out.append(ComponentSequence(i, j, vi, vj, iu, iw))
+    return out
+
+
+def joint_degree_view(m: DegreeSpectraMatrix) -> Dict[Tuple[int, int], int]:
+    """Derived joint degree matrix: edge counts between degree classes."""
+    classes = m.degree_classes()
+    out: Dict[Tuple[int, int], int] = {}
+    for i, vi in classes.items():
+        for j in classes:
+            if i < j:
+                cnt = sum(m.columns[v][j - 1] for v in vi)
+                if cnt:
+                    out[(i, j)] = cnt
+        inner = sum(m.columns[v][i - 1] for v in vi)
+        if inner:
+            out[(i, i)] = inner // 2
+    return out
 
 
 def _randbelow(rng, n: int) -> int:

@@ -386,6 +386,8 @@ def test_sample_jsonl_reproducible(files, capsys):
     assert capsys.readouterr().out == first
     rows = [json.loads(line) for line in first.strip().splitlines()]
     assert len(rows) == 3 and all(len(r["edges"]) == 2 for r in rows)
+    # JSON lines give 0-based ids, where edge lines give 1-based ones
+    assert rows[0] == {"edges": [[0, 3], [1, 2]]}
 
 
 def test_sample_to_file(files, tmp_path):
@@ -546,6 +548,28 @@ def test_count_prints_exact_counts_past_the_int_digit_limit(capsys):
     finally:
         set_limit(limit)
     assert got == [2 * comb(20000, 10000) - 10000**2 - 1] * 3
+
+
+@pytest.mark.parametrize("flags", [["--csv", "--json"], ["--json", "--csv"]])
+def test_count_refuses_csv_with_json(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--kind", "composed", "--n", "6", "--block", "6", *flags])
+    assert exc.value.code == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == "degmix count: error: argument %s: not allowed with argument %s\n" % (
+        flags[1], flags[0])
+
+
+@pytest.mark.parametrize("command", [["sample", "--seq", "d.json"],
+                                     ["dsm", "--sample", "--matrix", "m.json"]])
+def test_draw_options_parse_alike(command):
+    parser = build_parser()
+    got = parser.parse_args(command)
+    assert (got.count, got.burn_in, got.thin, got.format, got.out) == (1, 1000, 10, "edges", None)
+    got = parser.parse_args([*command, "--count", "3", "--burn-in", "0", "--thin", "2",
+                             "--format", "jsonl", "--out", "o.txt"])
+    assert (got.count, got.burn_in, got.thin, got.format, got.out) == (3, 0, 2, "jsonl", "o.txt")
 
 
 def test_count_golden(files, capsys):

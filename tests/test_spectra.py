@@ -1,6 +1,10 @@
 """Degree spectra matrices: extraction, graphicality, witnesses, sampling."""
 
+import re
+
 import pytest
+
+import legacy_oracles
 
 from degmix import (
     DegreeSpectraMatrix,
@@ -78,6 +82,94 @@ def test_component_sequences_rejects_inconsistent():
     with pytest.raises(InconsistentMatrix):
         component_sequences(DegreeSpectraMatrix(3, [(0, 0, 1), (0, 0, 0), (0, 0, 0),
                                                     (1, 1, 1)]))
+
+
+def _outcome(f, m):
+    """``f(m)``, or ``InconsistentMatrix`` if it raises that."""
+    try:
+        return f(m)
+    except InconsistentMatrix:
+        return InconsistentMatrix
+
+
+def _matrix(delta, columns):
+    """``DegreeSpectraMatrix(delta, columns)`` for a tuple of non-negative int
+    columns of length ``delta``, without the constructor's per-entry check,
+    which costs more than the reads under test."""
+    m = object.__new__(DegreeSpectraMatrix)
+    m._set(delta, columns)
+    return m
+
+
+def _oracle_matrices():
+    """The spectra matrix of every labeled simple graph on up to 6 vertices,
+    and every non-negative +-1 change of one entry of those on up to 5."""
+    seen, changed = set(), set()
+    for n in range(7):
+        for edges in all_simple_graphs(n):
+            # the columns as degree_spectra counts them
+            deg = [0] * n
+            for a, b in edges:
+                deg[a] += 1
+                deg[b] += 1
+            delta = max(deg, default=0)
+            cols = [[0] * delta for _ in range(n)]
+            for a, b in edges:
+                cols[a][deg[b] - 1] += 1
+                cols[b][deg[a] - 1] += 1
+            key = tuple(map(tuple, cols))
+            if key in seen:
+                continue
+            seen.add(key)
+            yield _matrix(delta, key)
+            if n > 5:
+                continue
+            for v in range(n):
+                for i in range(delta):
+                    for step in (1, -1):
+                        if cols[v][i] + step >= 0:
+                            cols[v][i] += step
+                            key = tuple(map(tuple, cols))
+                            if key not in changed:
+                                changed.add(key)
+                                yield _matrix(delta, key)
+                            cols[v][i] -= step
+
+
+def test_class_pair_reading_matches_the_legacy_oracle():
+    checked = consistent = 0
+    for m in _oracle_matrices():
+        want = _outcome(legacy_oracles.component_sequences, m)
+        assert _outcome(component_sequences, m) == want, m
+        if isinstance(want, list):
+            assert joint_degree_view(m) == legacy_oracles.joint_degree_view(m), m
+            consistent += 1
+        checked += 1
+    assert 0 < consistent < checked  # the changed entries make some inconsistent
+
+
+@pytest.mark.parametrize("delta, columns, message", [
+    pytest.param(1, [(2,), (1,), (1,)], "vertex 0 has degree 2 > delta",
+                 id="degree-above-delta"),
+    pytest.param(2, [(0, 1), (1, 0), (1, 0)],
+                 "vertex 0 claims degree-2 neighbors but that class is empty",
+                 id="empty-class"),
+    pytest.param(3, [(3, 0, 0), (0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 1)],
+                 "stub totals between classes 1 and 3 differ", id="pair-totals"),
+    pytest.param(1, [(1,), (1,), (1,)], "odd stub total inside class 1", id="odd-inner"),
+])
+def test_single_fault_matrices_keep_their_message(delta, columns, message):
+    m = DegreeSpectraMatrix(delta, columns)
+    for f in (component_sequences, legacy_oracles.component_sequences, joint_degree_view):
+        with pytest.raises(InconsistentMatrix, match="^%s$" % re.escape(message)):
+            f(m)
+
+
+def test_joint_degree_view_rejects_inconsistent():
+    for m in (DegreeSpectraMatrix(2, [(0, 1), (1, 0), (1, 0)]),
+              DegreeSpectraMatrix(3, [(0, 0, 1), (0, 0, 0), (0, 0, 0), (1, 1, 1)])):
+        with pytest.raises(InconsistentMatrix):
+            joint_degree_view(m)
 
 
 def test_witness_realizes_matrix():
