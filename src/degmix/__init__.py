@@ -9,12 +9,21 @@ gaps, Cartesian-product and swap-locality checks).
 ``import degmix`` loads no submodule.  Each public name below, and each
 submodule such as ``degmix.space``, is imported on first access (PEP 562),
 so a program, or a CLI job, pays only for the modules it uses.
+``_EXPORTS`` is the one list of public names: each module's ``__all__`` is
+its entry there.
 """
 
 import importlib
 
 _EXPORTS = {
-    "chain": ("ChainState", "ProductChain", "derive_seed", "sample"),
+    "chain": (
+        "ChainState",
+        "ProductChain",
+        "build_product_chain",
+        "derive_seed",
+        "run",
+        "sample",
+    ),
     "counting": (
         "CountReport",
         "count_almost_half_regular",
@@ -77,6 +86,8 @@ _EXPORTS = {
         "restricted_bipartite_graphical",
     ),
     "space": (
+        "DEFAULT_MAX_CHORDS",
+        "EXACT_STATES",
         "Space",
         "SpectralReport",
         "enumerate_realizations",

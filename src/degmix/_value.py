@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-__all__ = ["Value"]
-
 
 class Value:
     __slots__ = ()

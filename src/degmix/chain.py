@@ -30,7 +30,7 @@ same edges and RNG states; ``tests/test_chain.py`` pins ``run`` to it.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 # hashlib loads OpenSSL, so try the lean builtin sha256 first, as ``random``
 # does for its sha512.
@@ -42,6 +42,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
+from . import _EXPORTS
 from .decomposition import SplitSequence, canonical_decompose, canonical_decompose_bipartite
 from .errors import NotGraphical
 from .graphs import Edge, Instance, bipartite_instance, directed_instance, simple_instance
@@ -53,14 +54,7 @@ from .sequences import (
     ForbiddenSet,
 )
 
-__all__ = [
-    "ChainState",
-    "ProductChain",
-    "run",
-    "sample",
-    "derive_seed",
-    "build_product_chain",
-]
+__all__ = _EXPORTS["chain"]
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -105,15 +99,6 @@ class ChainState:
             (instance.matchings - 1).bit_length(),
         )
 
-    @property
-    def mask(self) -> int:
-        """The realization as the exhaustive engine's bitmask."""
-        return self.instance.mask_of_edges(self.edges)
-
-    @property
-    def graph(self):
-        return self.instance.graph_of_mask(self.mask)
-
     def _apply(self, j1: int, f1: Edge, j2: int, f2: Edge, j3: int = -1,
                f3: Optional[Edge] = None) -> None:
         """An accepted swap: edge ``f1`` replaces the edge in slot ``j1``, and
@@ -139,9 +124,6 @@ class ProductChain:
     def __init__(self, coordinates: List[ChainState], rng: random.Random):
         self.coordinates = coordinates
         self.rng = rng
-
-    def masks(self) -> Tuple[int, ...]:
-        return tuple(c.mask for c in self.coordinates)
 
 
 # Lazy coins are drawn in blocks of at most this many bits, so a long run

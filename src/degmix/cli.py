@@ -51,6 +51,8 @@ def _load(loader, path: str):
         return loader(path)
     except KeyError as exc:
         raise UsageError("%s: missing field %s" % (path, exc)) from None
+    except RecursionError:  # json's parser recurses once per nesting level
+        raise UsageError("%s: JSON nested too deeply" % path) from None
     except (OSError, ValueError, TypeError, AttributeError, InconsistentMatrix,
             ForbiddenSetNotMatching) as exc:
         raise UsageError("%s: %s" % (path, exc)) from None

@@ -12,17 +12,12 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Dict, List, Tuple
 
+from . import _EXPORTS
 from ._value import Value
 from .errors import DivisibilityError, TooLarge
 from .sequences import gale_ryser
 
-__all__ = [
-    "CountReport",
-    "count_almost_half_regular",
-    "count_almost_half_regular_exhaustive",
-    "count_bipartite_graphical",
-    "count_composed_class",
-]
+__all__ = _EXPORTS["counting"]
 
 DEFAULT_MAX_CENSUS = 10
 

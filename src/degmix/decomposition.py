@@ -16,6 +16,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Iterable, List, Optional, Tuple
 
+from . import _EXPORTS
 from ._value import Value
 from .errors import InvalidSplit, NotGraphical
 from .sequences import (
@@ -27,25 +28,7 @@ from .sequences import (
     erdos_gallai,
 )
 
-__all__ = [
-    "SplitSequence",
-    "GoodPair",
-    "CanonicalDecomposition",
-    "is_split",
-    "good_pairs",
-    "canonical_decompose",
-    "compose",
-    "recompose",
-    "psi",
-    "psi_inverse",
-    "split_lift",
-    "compose_bipartite",
-    "compose_bipartite_many",
-    "bipartite_decomposable",
-    "canonical_decompose_bipartite",
-    "compose_directed",
-    "greenhill_condition",
-]
+__all__ = _EXPORTS["decomposition"]
 
 
 def _sorted_desc(xs: Iterable[int]) -> Tuple[int, ...]:

@@ -29,20 +29,12 @@ from functools import cached_property
 from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from . import _EXPORTS
 from ._value import Value
 from .errors import NotGraphical
 from .sequences import ForbiddenSet, _as_int
 
-__all__ = [
-    "LabeledGraph",
-    "LabeledBipartiteGraph",
-    "SwapMove",
-    "Instance",
-    "simple_instance",
-    "bipartite_instance",
-    "directed_instance",
-    "enumerate_swaps",
-]
+__all__ = _EXPORTS["graphs"]
 
 Edge = Tuple[int, int]
 

@@ -16,22 +16,11 @@ import operator
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Tuple
 
+from . import _EXPORTS
 from ._value import Value
 from .errors import ForbiddenSetNotMatching, NotGraphical
 
-__all__ = [
-    "DegreeSequence",
-    "BipartiteDegreeSequence",
-    "DirectedDegreeSequence",
-    "ForbiddenSet",
-    "erdos_gallai",
-    "gale_ryser",
-    "restricted_bipartite_graphical",
-    "directed_graphical",
-    "realize",
-    "realize_bipartite",
-    "realize_directed",
-]
+__all__ = _EXPORTS["sequences"]
 
 
 def _as_int(x) -> int:
@@ -309,9 +298,10 @@ def realize(d, f: Optional[ForbiddenSet] = None):
     if f is not None and len(f):
         raise ValueError("forbidden sets apply to bipartite/directed sequences only")
     degrees = _coerce_simple(d)
-    if not erdos_gallai(degrees):
-        raise NotGraphical("sequence is not graphical: %r" % (degrees,))
-    return _havel_hakimi_edges(degrees)
+    try:
+        return _havel_hakimi_edges(degrees)
+    except NotGraphical:
+        raise NotGraphical("sequence is not graphical: %r" % (degrees,)) from None
 
 
 def realize_bipartite(bd, f: Optional[ForbiddenSet] = None):
@@ -345,7 +335,8 @@ def realize_bipartite(bd, f: Optional[ForbiddenSet] = None):
             if j != p and key == (-need[j], -out[j], j):  # else stale, or i's partner
                 heads.append(j)
         if len(heads) < d:
-            raise NotGraphical("no realization avoids the forbidden set")
+            raise NotGraphical("no realization avoids the forbidden set" if f
+                               else "sequence is not graphical")
         for j in heads:
             edges.append((i, j))
             need[j] -= 1
@@ -363,4 +354,7 @@ def realize_directed(dd):
     if not isinstance(dd, DirectedDegreeSequence):
         dd = DirectedDegreeSequence(*dd)
     bd, f = dd.gale_representation()
-    return realize_bipartite(bd, f)
+    try:
+        return realize_bipartite(bd, f)
+    except NotGraphical:
+        raise NotGraphical("directed sequence is not graphical") from None

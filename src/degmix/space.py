@@ -35,6 +35,7 @@ from math import prod
 from operator import mul
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from . import _EXPORTS
 from .chain import ChainState, ProductChain, _instance_for, _make_plan, run
 from ._value import Value
 from .errors import CheegerViolation, Disconnected, NotGraphical, ProductMismatch, TooLarge
@@ -45,18 +46,7 @@ from .sequences import ForbiddenSet
 if TYPE_CHECKING:  # numpy is imported by the functions that compute with it
     import numpy as np
 
-__all__ = [
-    "DEFAULT_MAX_CHORDS",
-    "EXACT_STATES",
-    "Space",
-    "SpectralReport",
-    "realization_space",
-    "enumerate_realizations",
-    "spectral_report",
-    "verify_cartesian_product",
-    "swap_locality_report",
-    "tv_distance_audit",
-]
+__all__ = _EXPORTS["space"]
 
 DEFAULT_MAX_CHORDS = 24
 

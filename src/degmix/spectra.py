@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
+from . import _EXPORTS
 from ._value import Value
 from .chain import _check_schedule, _sample_stream
 from .errors import InconsistentMatrix, NotGraphical
@@ -18,16 +19,7 @@ from .graphs import LabeledGraph, bipartite_instance, simple_instance
 from .layout import Layout
 from .sequences import _as_int, erdos_gallai, gale_ryser
 
-__all__ = [
-    "DegreeSpectraMatrix",
-    "ComponentSequence",
-    "degree_spectra",
-    "component_sequences",
-    "dsm_graphical",
-    "dsm_witness",
-    "joint_degree_view",
-    "dsm_sample",
-]
+__all__ = _EXPORTS["spectra"]
 
 
 class DegreeSpectraMatrix(Value):
@@ -159,12 +151,16 @@ def dsm_graphical(m: DegreeSpectraMatrix) -> bool:
 def _dsm_plan(m: DegreeSpectraMatrix) -> Layout:
     """The class-pair components as factors of one graph; spectra-preserving
     swaps force no edges between them."""
+    failure = "degree spectra matrix is not graphical: "
     try:
         comps = component_sequences(m)
-    except InconsistentMatrix:
-        comps = None
-    if comps is None or not all(c.is_graphical() for c in comps):
-        raise NotGraphical("degree spectra matrix is not graphical")
+    except InconsistentMatrix as exc:
+        raise NotGraphical(failure + str(exc)) from None
+    for c in comps:
+        if not c.is_graphical():
+            where = ("inside degree class %d" % c.i if c.is_simple
+                     else "between degree classes %d and %d" % (c.i, c.j))
+            raise NotGraphical(failure + "the component %s has no realization" % where)
     factors = [
         simple_instance(c.u_degrees)
         if c.is_simple

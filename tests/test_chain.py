@@ -59,9 +59,9 @@ def test_threshold_sequence_never_moves():
     state = ChainState(
         space.instance, space.instance.edges_of_mask(space.masks[0]), random.Random(5)
     )
-    start = state.mask
+    start = space.instance.mask_of_edges(state.edges)
     run(ProductChain([state], random.Random(4)), 500)
-    assert state.mask == start
+    assert space.instance.mask_of_edges(state.edges) == start
 
 
 def test_step_preserves_degrees_and_forbidden():
@@ -75,7 +75,7 @@ def test_step_preserves_degrees_and_forbidden():
     for k in range(2000):
         run(pc, 1)
         if k % 100 == 0:
-            g = state.graph
+            g = space.instance.graph_of_mask(space.instance.mask_of_edges(state.edges))
             assert g.u_degrees() == space.instance.u_degrees
             assert g.w_degrees() == space.instance.w_degrees
             assert not set(g.edges) & banned.pairs
@@ -108,7 +108,7 @@ def test_empirical_distribution_uniform():
     steps = 100000
     for _ in range(steps):
         run(pc, 1)
-        counts[idx[state.mask]] += 1
+        counts[idx[space.instance.mask_of_edges(state.edges)]] += 1
     tv = 0.5 * sum(abs(counts[i] / steps - 1 / 3) for i in range(3))
     assert tv < 0.02
 
@@ -119,10 +119,14 @@ def test_product_step_touches_one_coordinate():
     plan = _make_plan(DegreeSequence((6, 6, 4, 4, 3, 3, 1, 1)), None, "auto")
     pc = build_product_chain(plan, seed=21)
     assert len(pc.coordinates) >= 2
+
+    def masks():
+        return [c.instance.mask_of_edges(c.edges) for c in pc.coordinates]
+
     for _ in range(300):
-        before = pc.masks()
+        before = masks()
         run(pc, 1)
-        after = pc.masks()
+        after = masks()
         assert sum(1 for x, y in zip(before, after) if x != y) <= 1
 
 
@@ -493,7 +497,8 @@ def _assert_t_step_law(spaces, t: int, trials: int, seed: int):
     for _ in range(trials):
         coords = [ChainState(sp.instance, e, r) for sp, e, r in zip(spaces, starts, rngs[1:])]
         run(ProductChain(coords, rngs[0]), t)
-        state = tuple(ix[c.mask] for ix, c in zip(indices, coords))
+        state = tuple(ix[sp.instance.mask_of_edges(c.edges)]
+                      for ix, sp, c in zip(indices, spaces, coords))
         counts[np.ravel_multi_index(state, sizes)] += 1
     assert counts[row == 0].sum() == 0  # no draw leaves the support of P^t
     expected = trials * row

@@ -55,6 +55,8 @@ def test_exit_codes(files, capsys):
 
 # 1e400 reads as infinity
 INFINITE = '{"kind": "simple", "degrees": [1e400, 1]}'
+# json's parser recurses once per level, so this passes any recursion limit
+DEEP = "[" * 100000
 
 
 @pytest.mark.parametrize("argv, payload", [
@@ -85,6 +87,11 @@ INFINITE = '{"kind": "simple", "degrees": [1e400, 1]}'
                  id="forbidden-boolean-index"),
     pytest.param(["sample", "--seq", "{file}"], '{"kind": "simple", "degrees": [1, 1',
                  id="malformed-json"),
+    pytest.param(["sample", "--seq", "{file}"], DEEP, id="seq-deep-nesting"),
+    pytest.param(["sample", "--seq", "{block}", "--forbidden", "{file}"], DEEP,
+                 id="forbidden-deep-nesting"),
+    pytest.param(["dsm", "--sample", "--matrix", "{file}"], DEEP, id="dsm-deep-nesting"),
+    pytest.param(["compose", "{block}", "{file}"], DEEP, id="compose-deep-nesting"),
     pytest.param(["sample", "--seq", "{block}", "--forbidden", "{file}"], [[1, 1], [3, 2]],
                  id="forbidden-out-of-range"),
     pytest.param(["sample", "--seq", "{block}", "--forbidden", "{file}"], [[1, 1], [1, 2]],
@@ -155,6 +162,8 @@ def test_usage_error_exits_2(files, tmp_path, capsys, monkeypatch, argv, payload
         assert "block" in err
     if payload == [[1, 1], [1, 2]]:
         assert err.endswith("%s: forbidden set is not a partial 1-factor" % path)
+    if payload == DEEP:
+        assert err.endswith("%s: JSON nested too deeply" % path)
     # a number that is no integer, or JSON true (once read as 1), is named in
     # JSON text; test_input_of_the_wrong_json_type_names_the_expected_shape
     # pins each whole message

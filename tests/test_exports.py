@@ -1,6 +1,7 @@
 """Every exported name resolves: each module's ``__all__`` and the package's
-re-exports, so a deleted function cannot linger in an export list.  No
-module checks anything with ``assert``."""
+re-exports, so a deleted function cannot linger in an export list.  Each
+module's ``__all__`` is its entry in the package's table.  No module checks
+anything with ``assert``."""
 
 import ast
 import importlib
@@ -19,6 +20,16 @@ def test_module_all_resolves(name):
     module = importlib.import_module("degmix." + name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_is_the_package_table(name):
+    # the package's table is the one list of public names: a module that
+    # exports a name the package does not, or the reverse, fails here
+    module = importlib.import_module("degmix." + name)
+    if hasattr(module, "__all__"):
+        assert name in degmix._EXPORTS
+        assert sorted(module.__all__) == sorted(degmix._EXPORTS[name])
 
 
 def test_package_imports_resolve():

@@ -245,6 +245,24 @@ def test_realize_directed():
     assert do == [1, 1, 1] and di == [1, 1, 1]
 
 
+def test_realize_names_what_fails_and_tests_graphicality_once(monkeypatch):
+    # no forbidden set was given, so none is named; Havel–Hakimi is the
+    # simple branch's only graphicality test
+    def refuse(d):
+        raise AssertionError("erdos_gallai called")
+
+    monkeypatch.setattr("degmix.sequences.erdos_gallai", refuse)
+    for d, message in (
+        (BipartiteDegreeSequence((3, 1), (2, 2)), "sequence is not graphical"),
+        (DirectedDegreeSequence((2, 0), (1, 1)), "directed sequence is not graphical"),
+        (DegreeSequence((3, 3, 1, 1)), "sequence is not graphical: (3, 3, 1, 1)"),
+    ):
+        with pytest.raises(NotGraphical) as err:
+            realize(d)
+        assert str(err.value) == message
+    assert realize(DegreeSequence((2, 2, 1, 1))) == [(0, 1), (0, 2), (1, 3)]
+
+
 def test_degree_sequence_order_round_trips():
     d = DegreeSequence((1, 4, 2, 1, 2))
     assert d.sorted_degrees == (4, 2, 2, 1, 1)

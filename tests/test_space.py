@@ -720,7 +720,7 @@ def test_tv_empirical_matches_one_step_reference(seq):
         idx, counts = space.index(), np.zeros(space.count)
         for _ in range(3000):
             old.reference_run(pc, 1)
-            counts[idx[state.mask]] += 1
+            counts[idx[space.instance.mask_of_edges(state.edges)]] += 1
         want = float(0.5 * np.abs(counts / 3000 - 1.0 / space.count).sum())
         assert tv_distance_audit(seq, 3000, seed=seed, empirical=True) == want
 
@@ -748,10 +748,11 @@ def test_empirical_kernel_matches_exact_three_sigma():
     pc = ProductChain([state], random.Random(98))
     steps = 1000000
     trans = np.zeros((3, 3))
-    prev = idx[state.mask]
+    mask_of_edges = space.instance.mask_of_edges
+    prev = idx[mask_of_edges(state.edges)]
     for _ in range(steps):
         run(pc, 1)
-        cur = idx[state.mask]
+        cur = idx[mask_of_edges(state.edges)]
         trans[prev, cur] += 1
         prev = cur
     visits = trans.sum(axis=1)

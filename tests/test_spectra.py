@@ -182,14 +182,20 @@ def test_witness_realizes_matrix():
 def test_witness_rejects_nongraphical():
     cols = [list(c) for c in degree_spectra(TRIANGLE).columns]
     cols[0][1] += 1
-    for m in (
-        DegreeSpectraMatrix(2, cols),  # inconsistent: vertex 0 has degree 3 > delta
-        DegreeSpectraMatrix(3, [(0, 0, 3), (0, 0, 3)]),  # consistent; (3, 3) is not graphical
+    for m, cause in (
+        (DegreeSpectraMatrix(2, cols), "vertex 0 has degree 3 > delta"),
+        # consistent; (3, 3) is not graphical
+        (DegreeSpectraMatrix(3, [(0, 0, 3), (0, 0, 3)]),
+         "the component inside degree class 3 has no realization"),
+        # consistent; (2, 2) against (3, 1) is not graphical
+        (DegreeSpectraMatrix(3, [(0, 0, 2), (0, 0, 2), (0, 3, 0), (0, 1, 2)]),
+         "the component between degree classes 2 and 3 has no realization"),
     ):
         assert not dsm_graphical(m)
         for call in (lambda: dsm_witness(m), lambda: dsm_sample(m, 0, 1, 1, seed=0)):
-            with pytest.raises(NotGraphical, match="^degree spectra matrix is not graphical$"):
+            with pytest.raises(NotGraphical) as err:
                 call()
+            assert str(err.value) == "degree spectra matrix is not graphical: " + cause
 
 
 def test_dsm_sample_preserves_matrix():
