@@ -21,6 +21,7 @@ _EXPORTS = {
         "ProductChain",
         "build_product_chain",
         "derive_seed",
+        "overlap_audit",
         "run",
         "sample",
     ),

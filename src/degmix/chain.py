@@ -30,7 +30,8 @@ same edges and RNG states; ``tests/test_chain.py`` pins ``run`` to it.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence
+from math import ceil, log, sqrt
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 # hashlib loads OpenSSL, so try the lean builtin sha256 first, as ``random``
 # does for its sha512.
@@ -77,9 +78,7 @@ class ChainState:
         self._pos = {e: i for i, e in enumerate(self.edges)}
         m = len(self.edges)
         c4 = instance.disjoint_pairs > 0 and m >= 2
-        # Whether a move can draw at all: one with neither a C4 nor a C6
-        # proposal draws nothing and stays.
-        self._live = c4 or instance.use_c6
+        self._live = _can_move(instance)
         # What ``run`` reads of the chain besides its RNG: the edge list and
         # position map (mutated in place) and the data that no swap changes,
         # with the bit widths of randbelow(m), randbelow(m - 1),
@@ -111,6 +110,13 @@ class ChainState:
             del pos[edges[j3]]
             edges[j3] = f3
             pos[f3] = j3
+
+
+def _can_move(instance: Instance) -> bool:
+    """Whether a move of a chain on ``instance`` can draw at all: one with
+    neither a C4 nor a C6 proposal draws nothing and stays.  (A vertex-
+    disjoint edge pair needs two edges.)"""
+    return instance.disjoint_pairs > 0 or instance.use_c6
 
 
 class ProductChain:
@@ -354,11 +360,44 @@ def _assemble(plan: Layout, coords: Sequence[ChainState]) -> List[Edge]:
     return plan.edges(c.edges for c in coords)
 
 
-def _check_schedule(burn_in: int, thin: int) -> None:
-    if thin < 1:
+# The ``auto`` schedule's steps per edge and unit of log(n/d).  On regular
+# input a chain's overlap with its start decays as about m exp(-0.67 t / m)
+# (ROADMAP, "Measured baseline"), so 1/0.67 is the calibration and 3 the
+# safety factor: it leaves every input of the overlap audit's test within
+# 3 standard errors, the regular directed one (whose moves are half C6
+# proposals, which rarely apply) included.
+_AUTO_C = 3 / 0.67
+
+
+def _check_schedule(burn_in: int | str, thin: int | str) -> None:
+    if thin != "auto" and thin < 1:
         raise ValueError("thin must be >= 1")
-    if burn_in < 0:
+    if burn_in != "auto" and burn_in < 0:
         raise ValueError("burn_in must be >= 0")
+
+
+def _auto_steps(plan: Layout) -> int:
+    """The steps of ``auto`` burn-in and thinning for ``plan``:
+    K * max_i ceil(c * m_i * ln(max(2, n_i / d_i))) over the factors i
+    that can move, where K counts all factors (moves pick one uniformly),
+    m_i is factor i's edge count, n_i its vertex count, d_i its mean degree
+    and c is ``_AUTO_C``.  A rule calibrated on the measured decay of the
+    start overlap, not a mixing certificate."""
+    t = 0
+    for inst in plan.factors:
+        if inst.m and _can_move(inst):
+            n = inst.n if inst.kind == "simple" else inst.nu + inst.nw
+            t = max(t, ceil(_AUTO_C * inst.m * log(max(2.0, n * n / (2 * inst.m)))))
+    return len(plan.factors) * t
+
+
+def _schedule(plan: Layout, burn_in: int | str, thin: int | str) -> Tuple[int, int]:
+    """``burn_in`` and ``thin`` with each ``"auto"`` resolved for ``plan``."""
+    if "auto" in (burn_in, thin):
+        t = _auto_steps(plan)
+        burn_in = t if burn_in == "auto" else burn_in
+        thin = max(1, t) if thin == "auto" else thin
+    return burn_in, thin
 
 
 def _sample_stream(plan: Layout, seed: int, stream: int, quota: int, burn_in: int, thin: int):
@@ -373,8 +412,8 @@ def _sample_stream(plan: Layout, seed: int, stream: int, quota: int, burn_in: in
 
 def sample(
     d,
-    burn_in: int,
-    thin: int,
+    burn_in: int | str,
+    thin: int | str,
     count: int,
     seed: int,
     factorize: str = "auto",
@@ -388,7 +427,9 @@ def sample(
     ones, all in the caller's vertex order.  The stream is split over
     min(count, 8) logical chains seeded from ``seed`` by counter derivation;
     ``jobs`` only schedules those chains onto workers, so output is identical
-    and deterministically ordered for any ``jobs``.
+    and deterministically ordered for any ``jobs``.  ``burn_in`` and
+    ``thin`` are step counts, or ``"auto"``: the steps ``_auto_steps``
+    gives for the plan, at least 1 for ``thin``.
     """
     _check_schedule(burn_in, thin)
     if factorize not in ("auto", "off"):
@@ -396,6 +437,7 @@ def sample(
     if count <= 0:
         return []
     plan = _make_plan(d, forbidden, factorize)
+    burn_in, thin = _schedule(plan, burn_in, thin)
     n_chains = min(count, 8)
     per = [count // n_chains] * n_chains
     for i in range(count % n_chains):
@@ -411,3 +453,36 @@ def sample(
     else:
         chunks = [_sample_stream(*t) for t in tasks]
     return [edges for chunk in chunks for edges in chunk]
+
+
+def overlap_audit(d, draws) -> Tuple[float, float, float]:
+    """(mean, expected, standard error) of the draws' overlap with the start
+    realization S of ``d``'s sampling plan (factorize auto).
+
+    ``d`` is d-regular simple, biregular bipartite or regular directed, so
+    under the uniform law each allowed pair is an edge with probability p:
+    d/(n-1), d_u/n_w or d/(n-1), and the overlap has mean |S| p exactly.
+    ``draws`` are edge lists as ``sample`` returns them, at least two and
+    independent (one per logical chain); the standard error is their
+    sample standard deviation over sqrt(len(draws)).  Necessary for
+    uniformity, not sufficient.  Raises ``ValueError`` on irregular input.
+    """
+    d = _as_sequence(d)
+    if isinstance(d, DirectedDegreeSequence):
+        sides, others = (d.out_degrees + d.in_degrees,), d.n - 1
+    elif isinstance(d, BipartiteDegreeSequence):
+        sides, others = (d.u_degrees, d.w_degrees), d.nw
+    else:
+        sides, others = (d.degrees,), d.n - 1
+    if any(len(set(side)) > 1 for side in sides):
+        raise ValueError("the overlap audit needs regular or biregular input")
+    if len(draws) < 2:
+        raise ValueError("the overlap audit needs at least two draws")
+    plan = _make_plan(d, None, "auto")
+    start = set(plan.edges(plan.starts))
+    overlaps = [sum(tuple(e) in start for e in edges) for edges in draws]
+    k = len(overlaps)
+    mean = sum(overlaps) / k
+    var = sum((x - mean) ** 2 for x in overlaps) / (k - 1)
+    p = sides[0][0] / others if sides[0] and others else 0.0
+    return mean, len(start) * p, sqrt(var / k)

@@ -2,9 +2,10 @@
 
 Subcommands: test, decompose, compose, sample, verify, dsm, count.
 Exit codes: 0 success, 1 domain-negative finding under --strict (not
-graphical, disconnected, product mismatch), 2 usage error (bad arguments,
-unreadable or malformed input files, an instance over the enumeration cap).
-A job whose reader closes stdout early also exits 1, without a traceback.
+graphical, disconnected, product mismatch) or an output that cannot be
+written, 2 usage error (bad arguments, unreadable or malformed input files,
+an instance over the enumeration cap).  A job whose reader closes stdout
+early also exits 1, without a traceback.
 
 Each job is its own process, so each command imports the modules it
 computes with: no job loads the sampler, the exhaustive engine or the
@@ -43,6 +44,23 @@ SCHEMA = "degmix/1"
 
 class UsageError(Exception):
     """Bad command-line input; reported on one line with exit status 2."""
+
+
+class OutputError(Exception):
+    """A write to the job's output failed; reported on one line with exit
+    status 1."""
+
+
+@contextlib.contextmanager
+def _writing(name: str):
+    """An OSError in the block, other than a closed pipe, is an
+    ``OutputError`` that names the output and the OS reason."""
+    try:
+        yield
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise OutputError("%s: %s" % (name, exc.strerror or exc)) from None
 
 
 def _load(loader, path: str):
@@ -93,11 +111,23 @@ def _at_least(low: int):
     return parse
 
 
+def _steps(low: int):
+    """argparse type: ``auto``, or an integer no smaller than ``low``."""
+    number = _at_least(low)
+
+    def parse(text: str):
+        return text if text == "auto" else number(text)
+
+    parse.__name__ = "int"
+    return parse
+
+
 def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, **payload}, indent=2, default=str))
-    else:
-        print(human)
+    with _writing("stdout"):
+        if args.json:
+            print(json.dumps({"schema": SCHEMA, **payload}, indent=2, default=str))
+        else:
+            print(human)
 
 
 def cmd_test(args) -> int:
@@ -207,28 +237,41 @@ def cmd_compose(args) -> int:
     return 0
 
 
+def _out_name(args) -> str:
+    return "--out %s" % args.out if args.out else "stdout"
+
+
+@contextlib.contextmanager
 def _open_out(args):
     """The --out file, or stdout; opened before sampling, so that a path
-    that cannot be written fails before the chain runs."""
+    that cannot be written fails before the chain runs.  The file's close
+    flushes it, so a failed close is a failed write."""
     if not args.out:
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
     try:
-        return open(args.out, "w")
+        stream = open(args.out, "w")
     except OSError as exc:
         raise UsageError("--out %s: %s" % (args.out, exc.strerror or exc)) from None
+    try:
+        yield stream
+    finally:
+        with _writing(_out_name(args)):
+            stream.close()
 
 
-def _write_draws(stream, fmt: str, draws) -> None:
+def _write_draws(args, stream, draws) -> None:
     """One sorted edge list per draw, as 1-based edge lines or JSON lines."""
-    if fmt == "jsonl":
-        for edges in draws:
-            stream.write(json.dumps({"edges": [list(e) for e in edges]}) + "\n")
-    else:
-        for k, edges in enumerate(draws):
-            if k:
-                stream.write("\n")
-            for a, b in edges:
-                stream.write("%d %d\n" % (a + 1, b + 1))
+    with _writing(_out_name(args)):
+        if args.format == "jsonl":
+            for edges in draws:
+                stream.write(json.dumps({"edges": [list(e) for e in edges]}) + "\n")
+        else:
+            for k, edges in enumerate(draws):
+                if k:
+                    stream.write("\n")
+                for a, b in edges:
+                    stream.write("%d %d\n" % (a + 1, b + 1))
 
 
 def cmd_sample(args) -> int:
@@ -250,7 +293,7 @@ def cmd_sample(args) -> int:
         except DegmixError as exc:
             print("sample: %s" % exc, file=sys.stderr)
             return 1 if args.strict else 0
-        _write_draws(stream, args.format, draws)
+        _write_draws(args, stream, draws)
     return 0
 
 
@@ -358,7 +401,7 @@ def cmd_dsm(args) -> int:
         graphs = dsm_sample(
             matrix, burn_in=args.burn_in, thin=args.thin, count=args.count, seed=args.seed
         )
-        _write_draws(stream, args.format, [sorted(g.edges) for g in graphs])
+        _write_draws(args, stream, [sorted(g.edges) for g in graphs])
     return 0
 
 
@@ -402,16 +445,16 @@ def cmd_count(args) -> int:
     except (TooLarge, DivisibilityError) as exc:
         raise UsageError(str(exc)) from None
     with _unlimited_int_digits():
+        human = str(rep.count)
         if args.csv:
-            print("kind,parameter,count,method")
-            print("%s,%d,%d,%s" % (args.kind, rep.parameter, rep.count, rep.method))
-        else:
-            _emit(
-                args,
-                {"kind": args.kind, "parameter": rep.parameter, "count": rep.count,
-                 "method": rep.method},
-                str(rep.count),
-            )
+            human = "kind,parameter,count,method\n%s,%d,%d,%s" % (
+                args.kind, rep.parameter, rep.count, rep.method)
+        _emit(
+            args,
+            {"kind": args.kind, "parameter": rep.parameter, "count": rep.count,
+             "method": rep.method},
+            human,
+        )
     return 0
 
 
@@ -434,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     help="exit 1 on domain-negative findings")),
         "seed": ("--seed", dict(type=int, default=0, help="master seed")),
         "count": ("--count", dict(type=_at_least(1), default=1)),
-        "burn_in": ("--burn-in", dict(type=_at_least(0), default=1000, dest="burn_in")),
-        "thin": ("--thin", dict(type=_at_least(1), default=10)),
+        "burn_in": ("--burn-in", dict(type=_steps(0), default="auto", dest="burn_in")),
+        "thin": ("--thin", dict(type=_steps(1), default="auto")),
         "format": ("--format", dict(choices=("edges", "jsonl"), default="edges")),
         "out": ("--out", dict(help="output path (default stdout)")),
     }
@@ -516,6 +559,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OutputError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     except UsageError as exc:
         print("degmix %s: error: %s" % (args.command, exc), file=sys.stderr)
         return 2
@@ -535,16 +581,22 @@ def console_entry() -> None:
     are flushed here, so freeing the interpreter's objects one by one would
     only delay the exit: ``os._exit`` leaves them to the OS.  An uncaught
     exception and argparse's ``SystemExit`` exit normally.  A reader that
-    closes the pipe early ends the job with status 1 and no traceback.
+    closes the pipe early ends the job with status 1 and no traceback; so
+    does a stdout that fails the final flush, with one error line.
     """
     try:
         code = main()
-        sys.stdout.flush()
+        with _writing("stdout"):
+            sys.stdout.flush()
         sys.stderr.flush()
     except BrokenPipeError:
         # Python flushes stdout again at exit: send what is left to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    except OutputError as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        sys.stderr.flush()
+        code = 1
     os._exit(code)
 
 

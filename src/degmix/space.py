@@ -350,18 +350,23 @@ def _sweep_spectrum(rows, cols, vals, diag) -> Tuple[float, np.ndarray]:
     """lambda2 of the symmetric stochastic matrix given in sparse form, and
     a lambda2 eigenvector that does not depend on any solver's basis.
 
-    Lanczos iteration with full reorthogonalization, from a fixed seeded
-    probe with the uniform (top) eigenvector projected out, runs until the
+    Lanczos iteration with full reorthogonalization, from a fixed probe
+    with the uniform (top) eigenvector projected out, runs until the
     top Ritz pair's residual bound beta_k |s_k| drops below 1e-12 or the
     Krylov space is exhausted, where the Ritz pairs are exact.  lambda2 is
     the top Ritz value.  The vector is the probe's projection onto the Ritz
     vectors within 1e-9 of lambda2: a degenerate eigenspace meets the Krylov
     space of the probe in one vector, the probe's projection onto it.
+
+    The probe's entries are ``random.Random(0).random()`` draws, a sequence
+    that Python keeps across versions; ``numpy.random`` would cost the job
+    its import (with hashlib and OpenSSL) for one vector.
     """
     import numpy as np
 
     n = len(diag)
-    probe = np.random.default_rng(0).standard_normal(n)
+    draw = random.Random(0).random
+    probe = np.array([draw() for _ in range(n)])
     q = probe - probe.mean()
     q /= np.linalg.norm(q)
     basis = np.empty((min(32, n - 1), n))  # the Krylov space has dim <= n - 1

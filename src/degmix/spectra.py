@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from . import _EXPORTS
 from ._value import Value
-from .chain import _check_schedule, _sample_stream
+from .chain import _check_schedule, _sample_stream, _schedule
 from .errors import InconsistentMatrix, NotGraphical
 from .graphs import LabeledGraph, bipartite_instance, simple_instance
 from .layout import Layout
@@ -188,12 +188,14 @@ def joint_degree_view(m: DegreeSpectraMatrix) -> Dict[Tuple[int, int], int]:
 
 
 def dsm_sample(
-    m: DegreeSpectraMatrix, burn_in: int, thin: int, count: int, seed: int
+    m: DegreeSpectraMatrix, burn_in: int | str, thin: int | str, count: int, seed: int
 ) -> List[LabeledGraph]:
     """Realizations whose recomputed spectra matrix equals ``m`` exactly,
-    drawn from one logical chain."""
+    drawn from one logical chain; ``burn_in`` and ``thin`` take ``"auto"``
+    as in ``sample``."""
     _check_schedule(burn_in, thin)
     if count <= 0:
         return []
-    draws = _sample_stream(_dsm_plan(m), seed, 0, count, burn_in, thin)
+    plan = _dsm_plan(m)
+    draws = _sample_stream(plan, seed, 0, count, *_schedule(plan, burn_in, thin))
     return [LabeledGraph(m.n, edges) for edges in draws]

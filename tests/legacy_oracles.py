@@ -66,6 +66,7 @@ procedure, built on the exhaustive engine's ``Instance._alts`` and
 as it does.
 """
 
+import random
 from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -374,12 +375,15 @@ def _exact_conductance(p: np.ndarray) -> float:
 
 def _sweep_vector(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """A lambda2 eigenvector that does not depend on the solver's basis: the
-    projection of a fixed seeded vector onto the eigenspace spanned by the
-    columns of ``vecs`` (below the top one) whose eigenvalues lie within
-    1e-9 of lambda2.  When lambda2 is degenerate, column -2 alone is an
-    arbitrary member of that space and varies with the BLAS build."""
+    projection of a fixed vector onto the eigenspace spanned by the columns
+    of ``vecs`` (below the top one) whose eigenvalues lie within 1e-9 of
+    lambda2.  When lambda2 is degenerate, column -2 alone is an arbitrary
+    member of that space and varies with the BLAS build.  The fixed vector
+    is the sweep's probe, ``random.Random(0).random()`` per entry, so both
+    project the same vector onto the same space."""
     basis = vecs[:, :-1][:, np.abs(vals[:-1] - vals[-2]) <= 1e-9]
-    probe = np.random.default_rng(0).standard_normal(vecs.shape[0])
+    draw = random.Random(0).random
+    probe = np.array([draw() for _ in range(vecs.shape[0])])
     return basis @ (basis.T @ probe)
 
 

@@ -1,6 +1,7 @@
 """Chain kernel behavior: symmetry, invariants, reproducibility, product law."""
 
 import itertools
+import math
 import random
 import sys
 from collections import Counter
@@ -20,12 +21,13 @@ from degmix import (
     degree_spectra,
     derive_seed,
     enumerate_swaps,
+    overlap_audit,
     sample,
 )
 from degmix import sequences
-from degmix.chain import ProductChain, build_product_chain, _make_plan, run
+from degmix.chain import ProductChain, build_product_chain, _auto_steps, _make_plan, run
 from degmix.space import realization_space
-from degmix.spectra import _dsm_plan
+from degmix.spectra import _dsm_plan, dsm_sample
 
 from legacy_oracles import make_plan as legacy_make_plan, reference_run
 from test_golden_draws import CASES as GOLDEN_CASES
@@ -147,6 +149,68 @@ def test_sample_rejects_bad_schedules():
         sample(seq, burn_in=-1, thin=1, count=1, seed=0)
     with pytest.raises(ValueError, match="thin must be >= 1"):
         sample(seq, burn_in=0, thin=0, count=1, seed=0)
+
+
+def test_auto_schedule_follows_the_rule():
+    # K * max_i ceil(c * m_i * ln(max(2, n_i / d_i))) over the factors that can move
+    c = 3 / 0.67
+    plan = _make_plan(DegreeSequence([4] * 200), None, "auto")  # K = 1, n/d = 50
+    assert _auto_steps(plan) == math.ceil(c * 400 * math.log(50)) == 7007
+    # a star plus two edges: six frozen factors count in K alone; the live
+    # tail (1, 1, 1, 1) has m = 2 and n/d = 4
+    plan = _make_plan(DegreeSequence([9, 2, 2, 2, 2, 1, 1, 1, 1, 1]), None, "auto")
+    assert len(plan.factors) == 7
+    assert _auto_steps(plan) == 7 * math.ceil(c * 2 * math.log(4)) == 91
+    # a Gale factor of 150 + 150 vertices of mean degree 3
+    plan = _make_plan(DirectedDegreeSequence([3] * 150, [3] * 150), None, "auto")
+    assert _auto_steps(plan) == math.ceil(c * 450 * math.log(100))
+    # nothing moves: no burn-in, and a thinning of one step
+    plan = _make_plan(DegreeSequence([3, 3, 3, 3]), None, "auto")
+    assert _auto_steps(plan) == 0
+    assert sample(DegreeSequence([3, 3, 3, 3]), "auto", "auto", 2, 0) == sample(
+        DegreeSequence([3, 3, 3, 3]), 0, 1, 2, 0)
+
+
+def test_auto_draws_are_those_of_the_resolved_integers():
+    seq = DegreeSequence([3, 3, 2, 2, 2, 2, 1, 1])
+    t = _auto_steps(_make_plan(seq, None, "auto"))
+    assert sample(seq, "auto", "auto", 5, 3) == sample(seq, t, t, 5, 3)
+    assert sample(seq, "auto", 7, 5, 3) == sample(seq, t, 7, 5, 3)
+    m = degree_spectra(LabeledGraph(8, [(i, (i + 1) % 8) for i in range(8)]))
+    t = _auto_steps(_dsm_plan(m))
+    assert dsm_sample(m, "auto", "auto", 3, 5) == dsm_sample(m, t, t, 3, 5)
+
+
+@pytest.mark.parametrize("d", [
+    DegreeSequence((2, 2, 1, 1)),
+    BipartiteDegreeSequence((2, 1, 1), (2, 2)),
+    BipartiteDegreeSequence((2, 2), (2, 1, 1)),
+    DirectedDegreeSequence((1, 1, 2), (2, 1, 1)),
+    DirectedDegreeSequence((2, 2, 2), (1, 2, 3)),
+], ids=["simple", "bipartite-u", "bipartite-w", "directed-out", "directed-in"])
+def test_overlap_audit_refuses_irregular_input(d):
+    with pytest.raises(ValueError, match="needs regular or biregular input"):
+        overlap_audit(d, [[], []])
+
+
+def test_overlap_audit_reads_the_start_exactly():
+    # the 5-cycles: the start S and its complement, each with p = 2/4
+    seq = DegreeSequence([2] * 5)
+    plan = _make_plan(seq, None, "auto")
+    start = plan.edges(plan.starts)
+    rest = [e for e in itertools.combinations(range(5), 2) if e not in start]
+    assert overlap_audit(seq, [start, rest]) == (2.5, 2.5, 2.5)
+    assert overlap_audit(seq, [start, [list(e) for e in start]]) == (5.0, 2.5, 0.0)
+    # p = d_u / n_w = 2 / 2: the complete 3 x 2 graph
+    seq = BipartiteDegreeSequence((2, 2, 2), (3, 3))
+    draws = sample(seq, 0, 1, 2, 0)
+    assert overlap_audit(seq, draws) == (6.0, 6.0, 0.0)
+    # p = d / (n - 1) = 1/2 over the arcs of a directed 3-cycle
+    seq = DirectedDegreeSequence((1, 1, 1), (1, 1, 1))
+    mean, expected, _ = overlap_audit(seq, sample(seq, 50, 1, 8, 0))
+    assert expected == 1.5 and mean in {k / 8 for k in range(0, 25, 3)}
+    with pytest.raises(ValueError, match="at least two draws"):
+        overlap_audit(seq, draws[:1])
 
 
 def test_sample_rejects_an_unknown_factorize():

@@ -1,9 +1,12 @@
 """CLI behavior: exit codes, output formats, and golden outputs."""
 
 import argparse
+import errno
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from math import comb, prod
 from pathlib import Path
@@ -15,9 +18,11 @@ from degmix import (
     BipartiteDegreeSequence,
     canonical_decompose_bipartite,
     compose_bipartite,
+    overlap_audit,
     realization_space,
 )
 from degmix.cli import build_parser, main
+from degmix.io import sequence_from_dict
 
 
 @pytest.fixture
@@ -406,6 +411,71 @@ def test_sample_to_file(files, tmp_path):
     assert out.read_text().strip()
 
 
+@pytest.mark.parametrize("payload", [
+    {"kind": "simple", "degrees": [4] * 200},
+    {"kind": "simple", "degrees": [4] * 1000},
+    {"kind": "bipartite", "u": [3] * 200, "w": [4] * 150},
+    {"kind": "directed", "out": [3] * 150, "in": [3] * 150},
+], ids=["4-regular-200", "4-regular-1000", "biregular-200+150", "directed-3-regular-150"])
+def test_default_draws_keep_the_uniform_overlap_with_the_start(tmp_path, capsys, payload):
+    # one draw per logical chain: 8 chains for each of two seeds.  Under the
+    # uniform law the mean overlap with the start is exactly sum_S p; draws
+    # that kept their start (1000 steps at 4-regular n=200 keep about 80 of
+    # 400 edges, against 8.04) fail by dozens of standard errors.
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(payload))
+    draws = []
+    for seed in ("3", "4"):
+        assert main(["sample", "--seq", str(path), "--count", "8", "--seed", seed,
+                     "--format", "jsonl"]) == 0
+        draws += [json.loads(line)["edges"] for line in capsys.readouterr().out.splitlines()]
+    assert len(draws) == 16
+    mean, expected, se = overlap_audit(sequence_from_dict(payload), draws)
+    assert abs(mean - expected) <= 3 * se, (mean, expected, se)
+
+
+FULL = "/dev/full"  # every write fails with ENOSPC
+needs_full = pytest.mark.skipif(not os.path.exists(FULL), reason="no /dev/full here")
+NO_SPACE = os.strerror(errno.ENOSPC)
+
+
+@needs_full
+@pytest.mark.parametrize("argv", [
+    ["sample", "--seq", "{matching}", "--count", "3", "--out", FULL],
+    ["sample", "--seq", "{matching}", "--count", "3", "--format", "jsonl", "--out", FULL],
+    ["dsm", "--sample", "--matrix", "{dsm}", "--count", "2", "--out", FULL],
+], ids=["sample", "sample-jsonl", "dsm"])
+def test_failed_write_to_out_is_one_error_line(files, capsys, argv):
+    assert main([a.format(**files) for a in argv]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == "error: --out %s: %s\n" % (FULL, NO_SPACE)
+
+
+@needs_full
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--seq", "c4.json", "--json"],
+    ["count", "--kind", "ahr", "--n", "2", "--csv"],
+    ["sample", "--seq", "c4.json", "--count", "3"],
+    # about 200 kB: the buffer fills and fails while the job still writes
+    ["sample", "--seq", "reg.json", "--count", "3", "--burn-in", "0", "--thin", "1"],
+], ids=["decompose", "count", "sample", "sample-large"])
+def test_failed_write_to_stdout_is_one_error_line(tmp_path, argv, unbuffered):
+    (tmp_path / "c4.json").write_text(json.dumps({"kind": "simple", "degrees": [2, 2, 2, 2]}))
+    (tmp_path / "reg.json").write_text(json.dumps({"kind": "simple", "degrees": [4] * 3000}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open(FULL, "w") as full:
+        got = subprocess.run([sys.executable, "-m", "degmix.cli", *argv], cwd=tmp_path, env=env,
+                             stdout=full, stderr=subprocess.PIPE, timeout=120)
+    assert got.returncode == 1
+    assert got.stderr == ("error: stdout: %s\n" % NO_SPACE).encode()
+
+
 def test_verify_connectivity_and_strict(files, capsys):
     assert main(["verify", "--seq", files["matching"], "--mode", "connectivity",
                  "--json"]) == 0
@@ -575,7 +645,8 @@ def test_count_refuses_csv_with_json(capsys, flags):
 def test_draw_options_parse_alike(command):
     parser = build_parser()
     got = parser.parse_args(command)
-    assert (got.count, got.burn_in, got.thin, got.format, got.out) == (1, 1000, 10, "edges", None)
+    assert (got.count, got.burn_in, got.thin, got.format, got.out) == (
+        1, "auto", "auto", "edges", None)
     got = parser.parse_args([*command, "--count", "3", "--burn-in", "0", "--thin", "2",
                              "--format", "jsonl", "--out", "o.txt"])
     assert (got.count, got.burn_in, got.thin, got.format, got.out) == (3, 0, 2, "jsonl", "o.txt")

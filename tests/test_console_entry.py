@@ -123,7 +123,8 @@ def test_closed_pipe_exits_1_without_a_traceback(work):
     # about 200 kB of edges, far past a pipe's buffer: the job is still
     # writing when the reader goes away
     (work / "reg.json").write_text(json.dumps({"kind": "simple", "degrees": [4] * 3000}))
-    with start("sample", "--seq", "reg.json", "--count", "3", cwd=work) as proc:
+    with start("sample", "--seq", "reg.json", "--count", "3", "--burn-in", "1000", "--thin",
+               "10", cwd=work) as proc:
         assert proc.stdout.read(5) == b"1 2\n1"
         proc.stdout.close()
         err = proc.stderr.read()

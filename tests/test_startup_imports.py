@@ -3,8 +3,9 @@ the sampler and the exhaustive engine only by the commands that run them,
 and hashlib (with OpenSSL) and ``dataclasses`` (with ``inspect``) by no
 job: chain seeds come from the lean builtin sha256.  ``verify --mode
 spectral`` loads numpy only past its one-realization and disconnected
-exits, ``--mode tv`` only past ``EXACT_STATES`` realizations, and ``--mode
-product`` never.
+exits, and never ``numpy.random`` (which loads hashlib): the sweep's probe
+comes from ``random``.  ``--mode tv`` loads numpy only past
+``EXACT_STATES`` realizations, and ``--mode product`` never.
 
 Every CLI job is its own process, so an import that a job does not use is
 paid on every run.  These tests start fresh interpreters and read
@@ -23,7 +24,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs one CLI job in-process, then reports on stderr which of these
 # modules were loaded.
-REPORTED = ("numpy", "hashlib", "dataclasses",
+REPORTED = ("numpy", "numpy.random", "hashlib", "dataclasses",
             "degmix.chain", "degmix.space", "degmix.spectra", "degmix.counting")
 WRAPPER = """\
 import sys
@@ -89,14 +90,28 @@ def test_cli_jobs_load_numpy_only_to_compute(tmp_path, argv, seq, loads_numpy):
     assert "numpy loaded: %s" % loads_numpy in got.stderr
 
 
+def test_sweep_spectrum_leaves_numpy_random_unloaded(tmp_path):
+    # SEQ has 130 realizations, past EXACT_STATES: the Lanczos sweep path
+    (tmp_path / "seq.json").write_text(json.dumps(SEQ))
+    got = run_python("-c", WRAPPER, "verify", "--seq", "seq.json", "--mode", "spectral",
+                     cwd=tmp_path)
+    assert got.returncode == 0, got.stderr
+    assert "N=130 " in got.stdout and "(sweep bound)" in got.stdout
+    assert "numpy loaded: True" in got.stderr
+    assert "numpy.random loaded: False" in got.stderr
+
+
 @pytest.mark.parametrize("argv, prelude, loads_hashlib", [
     (["decompose", "--seq", "seq.json"], "", False),
     (["verify", "--seq", "seq.json", "--mode", "connectivity"], "", False),
+    # the sweep path of spectral: numpy without numpy.random
+    (["verify", "--seq", "seq.json", "--mode", "spectral"], "", False),
     # sample derives its chains' seeds without hashlib
     (["sample", "--seq", "seq.json", "--count", "1"], "", False),
     # the control: the wrapper does see hashlib once something imports it
     (["sample", "--seq", "seq.json", "--count", "1"], "import hashlib\n", True),
-], ids=["decompose", "verify-connectivity", "sample", "sample-after-import"])
+], ids=["decompose", "verify-connectivity", "verify-spectral", "sample",
+        "sample-after-import"])
 def test_cli_jobs_load_hashlib_only_to_seed(tmp_path, argv, prelude, loads_hashlib):
     if not loads_hashlib:
         skip_if_loaded_at_startup("hashlib", tmp_path)
